@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 import json
 import logging
+import math
 
 from .counting import validate_elements
 
@@ -74,6 +75,12 @@ class WeightSpec:
 
     def sort_key(self) -> tuple:
         return (self.d, self.e)
+
+    def orderings(self) -> int:
+        """Ordered solutions per pair yielded by ``equal_sum_pairs``: slots of
+        equal weight permute within a side, and equal sides swap."""
+        swaps = 2 if self.d == self.e else 1
+        return swaps * _orderings_multiplier(self.d) * _orderings_multiplier(self.e)
 
 
 def one_sided_weights(h: int) -> list[tuple[int, ...]]:
@@ -267,52 +274,51 @@ def records_from_jsonl(text: str) -> list[CollisionRecord]:
     return [CollisionRecord.from_json_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
-def _side_assignments(values: list[int], weights: tuple[int, ...]):
+def _side_assignments(values: list[int], weights: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Canonical element assignments for one side of an equation.
 
     Weights are grouped into runs of equal value; elements within a run are
     chosen as increasing combinations (one canonical order per multiset of
     slots), and cross-run clashes are filtered so the side is pairwise
-    distinct.  Yields (weighted_sum, elements_in_slot_order).
+    distinct.  Returns (weighted_sum, elements_in_slot_order) pairs.
     """
-    runs: list[tuple[int, int]] = []
-    for w in weights:
-        if runs and runs[-1][0] == w:
-            runs[-1] = (w, runs[-1][1] + 1)
-        else:
-            runs.append((w, 1))
-
-    def rec(run_idx: int, used: set[int], acc_sum: int, acc_elems: tuple[int, ...]):
-        if run_idx == len(runs):
-            yield acc_sum, acc_elems
-            return
-        w, cnt = runs[run_idx]
-        for combo in combinations(values, cnt):
-            if used & set(combo):
-                continue
-            yield from rec(
-                run_idx + 1,
-                used | set(combo),
-                acc_sum + w * sum(combo),
-                acc_elems + combo,
-            )
-
-    yield from rec(0, set(), 0, ())
+    runs = [
+        [(w * sum(combo), combo) for combo in combinations(values, len(list(run)))]
+        for w, run in groupby(weights)
+    ]
+    partial = runs[0]
+    for combos in runs[1:]:
+        partial = [
+            (s + cs, elems + combo)
+            for s, elems in partial
+            for cs, combo in combos
+            if set(elems).isdisjoint(combo)
+        ]
+    return partial
 
 
 def _orderings_multiplier(weights: tuple[int, ...]) -> int:
     """Number of ordered tuples per canonical assignment (equal-weight runs permute)."""
-    import math as _m
+    return math.prod(math.factorial(len(list(run))) for _, run in groupby(weights))
 
-    mult = 1
-    run = 1
-    for i in range(1, len(weights) + 1):
-        if i < len(weights) and weights[i] == weights[i - 1]:
-            run += 1
-        else:
-            mult *= _m.factorial(run)
-            run = 1
-    return mult
+
+def equal_sum_pairs(values: list[int], spec: WeightSpec):
+    """Disjoint pairs (d_elements, e_elements) of canonical side assignments
+    with equal weighted sums: a hash join on the d side's sums.
+
+    When both sides carry the same weights each unordered pair is yielded
+    once.
+    """
+    buckets: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for s, elems in _side_assignments(values, spec.d):
+        buckets[s].append(elems)
+    if spec.d == spec.e:
+        pairs = (pair for group in buckets.values() for pair in combinations(group, 2))
+    else:
+        pairs = ((de, ee) for s, ee in _side_assignments(values, spec.e) for de in buckets.get(s, ()))
+    for de, ee in pairs:
+        if set(de).isdisjoint(ee):
+            yield de, ee
 
 
 def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
@@ -341,41 +347,13 @@ def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
                 raise AssertionError(f"unsound collision record: {rec}")
             seen[key] = rec
 
-    # distinct-2h branch: hash-join of h-subset sums, disjoint pairs only
-    if len(values) >= 2 * h:
-        buckets: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-        for combo in combinations(values, h):
-            buckets[sum(combo)].append(combo)
-        spec = WeightSpec.distinct_2h(h)
-        for total, combos in buckets.items():
-            if len(combos) < 2:
-                continue
-            for c1, c2 in combinations(combos, 2):
-                if set(c1) & set(c2):
-                    continue
-                add(CanonicalEquation(spec, tuple(reversed(c1)), tuple(reversed(c2))), DISTINCT_2H)
-        log.debug("distinct-2h join done: %d records so far", len(seen))
-
-    # weighted branches: meet-in-the-middle on weighted partial sums
-    for spec in reduced_weight_pairs(h):
-        if len(values) < max(len(spec.d), len(spec.e)):
-            continue
-        d_buckets: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-        for s, elems in _side_assignments(values, spec.d):
-            d_buckets[s].append(elems)
-        if spec.d == spec.e:
-            for s, d_list in d_buckets.items():
-                for de, ee in combinations(d_list, 2):
-                    if set(de) & set(ee):
-                        continue
-                    add(CanonicalEquation(spec, de, ee), WEIGHTED)
-        else:
-            for s, ee in _side_assignments(values, spec.e):
-                for de in d_buckets.get(s, ()):
-                    if set(de) & set(ee):
-                        continue
-                    add(CanonicalEquation(spec, de, ee), WEIGHTED)
-        log.debug("spec %s|%s done: %d records so far", spec.d, spec.e, len(seen))
+    # the distinct-2h branch, then every reduced weighted branch
+    for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
+        (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
+    ]:
+        for de, ee in equal_sum_pairs(values, spec):
+            add(CanonicalEquation(spec, de, ee), kind)
+        log.debug("%s spec %s|%s done: %d records so far", kind, spec.d, spec.e, len(seen))
 
     return sorted(seen.values(), key=CollisionRecord.sort_key)
 

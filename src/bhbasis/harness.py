@@ -24,17 +24,6 @@ from .sampling import ModelParams, expected_count, sample_set
 
 SCHEMA_VERSION = 1
 
-_DTYPE_LIMITS = ((np.uint32, (1 << 32) - 1), (np.uint64, (1 << 64) - 1))
-
-
-def _auto_dtype(bound: int):
-    """Narrowest checked count dtype admitting the a-priori entry bound."""
-    for dtype, limit in _DTYPE_LIMITS:
-        if bound <= limit:
-            return dtype
-    raise OverflowError(f"count bound {bound} exceeds 64-bit range")
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items() if not str(k).startswith("_")}
@@ -149,17 +138,7 @@ def solution_total(values, spec: _col.WeightSpec, h: int) -> int:
     given by `spec` inside `values`."""
     if not spec.is_reduced_form(h):
         raise ValueError(f"not a reduced two-sided spec for h={h}: {spec}")
-    vals = list(values)
-    d_buckets: dict[int, list[tuple[int, ...]]] = {}
-    for s, elems in _col._side_assignments(vals, spec.d):
-        d_buckets.setdefault(s, []).append(elems)
-    mult = _col._orderings_multiplier(spec.d) * _col._orderings_multiplier(spec.e)
-    canonical = 0
-    for s, ee in _col._side_assignments(vals, spec.e):
-        for de in d_buckets.get(s, ()):
-            if not set(de) & set(ee):
-                canonical += 1
-    return canonical * mult
+    return spec.orderings() * sum(1 for _ in _col.equal_sum_pairs(list(values), spec))
 
 
 def run_construction(
@@ -195,9 +174,8 @@ def run_construction(
     if not 1 <= n_lo <= n_hi <= n:
         raise ValueError("window must satisfy 1 <= lo <= hi <= N")
     k = 2 * h
-    dtype = _auto_dtype(math.comb(len(b_vals) + k - 1, k)) if b_vals else np.uint64
-    table_b = repr_multiset(b_vals, k, n_hi, counts_dtype=dtype)
-    table_a = repr_multiset(a_vals, k, n_hi, counts_dtype=dtype)
+    table_b = repr_multiset(b_vals, k, n_hi)
+    table_a = repr_multiset(a_vals, k, n_hi)
     basis_b = _ver.basis_window(b_vals, k, n_lo, n_hi, table=table_b)
     basis_a = _ver.basis_window(a_vals, k, n_lo, n_hi, table=table_a)
 
@@ -220,8 +198,7 @@ def run_construction(
     }
 
     if floor:
-        sdtype = _auto_dtype(math.comb(max(len(b_vals), k), k))
-        strict_b = repr_strict(b_vals, k, n_hi, counts_dtype=sdtype)
+        strict_b = repr_strict(b_vals, k, n_hi)
         ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
         norm = strict_b.counts[n_lo : n_hi + 1].astype(np.float64) / ns ** floor_exponent(h)
         rec["floor_min_norm"] = float(norm.min()) if norm.size else None
@@ -302,8 +279,7 @@ def basis_floor_check(h: int, n: int, seeds, n_lo: int) -> dict:
     for seed in sorted(set(int(s) for s in seeds)):
         sampled = sample_set(ModelParams(h, n, seed))
         vals = list(sampled.elements)
-        dtype = _auto_dtype(math.comb(max(len(vals), k), k))
-        table = repr_strict(vals, k, n, counts_dtype=dtype)
+        table = repr_strict(vals, k, n)
         ns = np.arange(n_lo, n + 1, dtype=np.float64)
         norm = table.counts[n_lo:].astype(np.float64) / ns**expo
         per_seed[str(seed)] = float(norm.min())

@@ -339,18 +339,23 @@ def composition_curve(l: int, h: int, m_max: int) -> RatioCurve:
 # ---------------------------------------------------------------- part iv
 
 
-@lru_cache(maxsize=64)
-def _envelope(h: int, l: int, length: int) -> tuple[float, float]:
-    """Two-sided power envelope of S_l beyond the computed range.
-
-    The normalized curve S_l(x) x^gamma_l climbs toward the exact limit
-    Gamma(1-q)^l / Gamma(l(1-q)); monotonicity is checked on the top octave
-    and the bracket [last computed value, exact limit] is returned.
-    """
+def _limit_constant(h: int, l: int) -> float:
+    """Exact limit Gamma(1-q)^l / Gamma(l(1-q)) of the normalized curve S_l(x) x^gamma_l."""
     q = float(weight_exponent(h))
-    c_limit = math.gamma(1 - q) ** l / math.gamma(l * (1 - q))
+    return math.gamma(1 - q) ** l / math.gamma(l * (1 - q))
+
+
+@lru_cache(maxsize=64)
+def _envelope(h: int, l: int, length: int) -> float:
+    """Lower constant of the power envelope of S_l beyond the computed range.
+
+    The normalized curve S_l(x) x^gamma_l climbs toward _limit_constant(h, l);
+    monotonicity is checked on the top octave and the last computed value is
+    returned, so S_l lies between that and the limit times x^-gamma_l.
+    """
     if l == 1:
-        return 1.0, 1.0
+        return 1.0
+    c_limit = _limit_constant(h, l)
     table = _composition_table(h, l, length)
     gamma = -float(composition_rhs_exponent(l, h))
     xs = np.arange(length // 2, length + 1, dtype=np.float64)
@@ -361,7 +366,7 @@ def _envelope(h: int, l: int, length: int) -> tuple[float, float]:
     lo = float(np.min(rho[-8:]))
     if lo > c_limit * (1 + 1e-9):
         raise AssertionError("normalized curve exceeded its limit constant")
-    return lo, min(float(c_limit), float(c_limit))
+    return lo
 
 
 def _signed_sum_point(
@@ -381,8 +386,8 @@ def _signed_sum_point(
         )
     tab_s = _composition_table(h, s, length)
     tab_r = _composition_table(h, t - s, length)
-    lo_s, hi_s = _envelope(h, s, length)
-    lo_r, hi_r = _envelope(h, t - s, length)
+    lo_s, hi_s = _envelope(h, s, length), _limit_constant(h, s)
+    lo_r, hi_r = _envelope(h, t - s, length), _limit_constant(h, t - s)
     t_cut = length - m
     if t_cut < length // 2:
         raise ValueError(f"|M| = {m} too large for table length {length}")

@@ -15,15 +15,12 @@ full A at all targets n <= N.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-import math
 
 import numpy as np
 
 from . import collisions as _col
-from .counting import ReprTable, multiset_sums, repr_multiset, repr_strict, validate_elements
+from .counting import ReprTable, repr_multiset, repr_strict, validate_elements
 from .fits import dyadic_fit
-
-_ENUM_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -56,18 +53,9 @@ def is_bhg(a, h: int, g: int, max_n: int | None = None) -> BhgVerdict:
     if max_n is None:
         max_n = full
     window_limited = max_n < full
-    if math.comb(int(arr.size) + h - 1, h) <= _ENUM_LIMIT:
-        sums = multiset_sums(arr, h)
-        sums = sums[sums <= max_n]
-        if sums.size == 0:
-            return BhgVerdict(True, None, window_limited, max_n)
-        uniq, cnt = np.unique(sums, return_counts=True)
-        bad = uniq[cnt > g]
-    else:
-        table = repr_multiset(arr, h, max_n)
-        bad = np.nonzero(table.counts > g)[0]
+    bad = np.flatnonzero(repr_multiset(arr, h, max_n).counts > g)
     if bad.size:
-        return BhgVerdict(False, int(bad.min()), window_limited, max_n)
+        return BhgVerdict(False, int(bad[0]), window_limited, max_n)
     return BhgVerdict(True, None, window_limited, max_n)
 
 
@@ -140,8 +128,13 @@ class DecompositionAudit:
         return d
 
 
-def _decomposition_tables(b, c_set, h: int, n_hi: int, records=None):
-    """Shared count tables for the deletion decomposition over [0, n_hi]."""
+def _decomposition_arrays(b, c_set, h: int, n_lo: int, n_hi: int, records=None):
+    """lhs, r1, r2, r3 over [n_lo, n_hi] from five shared count tables.
+
+    r1 is (all 2h-multisets) - (strictly increasing ones); r2 and r3 count
+    strict tuples meeting the case conditions by complement against the
+    tuples avoiding the respective deletion branch.
+    """
     arr = validate_elements(b)
     if records is None:
         records = _col.enumerate_collisions(arr, h)
@@ -152,52 +145,36 @@ def _decomposition_tables(b, c_set, h: int, n_hi: int, records=None):
     c2 = {r.largest for r in records if r.kind == _col.WEIGHTED}
     vals = arr.tolist()
     k = 2 * h
-    full = repr_multiset(vals, k, n_hi).counts.astype(np.int64)
-    kept = repr_multiset([x for x in vals if x not in expected_c], k, n_hi).counts.astype(np.int64)
-    strict_all = repr_strict(vals, k, n_hi).counts.astype(np.int64)
-    strict_no1 = repr_strict([x for x in vals if x not in c1], k, n_hi).counts.astype(np.int64)
-    strict_no2 = repr_strict([x for x in vals if x not in c2], k, n_hi).counts.astype(np.int64)
-    return full, kept, strict_all, strict_no1, strict_no2
+
+    def table(repr_fn, drop):
+        kept = [x for x in vals if x not in drop]
+        return repr_fn(kept, k, n_hi).counts[n_lo : n_hi + 1].astype(np.int64)
+
+    full, strict_all = table(repr_multiset, ()), table(repr_strict, ())
+    lhs = full - table(repr_multiset, expected_c)
+    r1 = full - strict_all
+    r2 = strict_all - table(repr_strict, c1)
+    r3 = strict_all - table(repr_strict, c2)
+    return lhs, r1, r2, r3
 
 
 def decomposition_audit_range(
     b, c_set, h: int, n_lo: int, n_hi: int, *, records=None
 ) -> list[DecompositionAudit]:
-    """Audit every target in [n_lo, n_hi] with five shared count tables.
-
-    r1 is (all 2h-multisets) - (strictly increasing ones); r2 and r3 count
-    strict tuples meeting the case conditions by complement against the
-    tuples avoiding the respective deletion branch.
-    """
-    full, kept, strict_all, strict_no1, strict_no2 = _decomposition_tables(
-        b, c_set, h, n_hi, records
-    )
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        audit = DecompositionAudit(
-            n,
-            int(full[n]) - int(kept[n]),
-            int(full[n]) - int(strict_all[n]),
-            int(strict_all[n]) - int(strict_no1[n]),
-            int(strict_all[n]) - int(strict_no2[n]),
-        )
-        if not audit.ok:
-            raise AssertionError(f"decomposition bound violated at n={n}: {audit}")
-        out.append(audit)
-    return out
+    """Audit every target in [n_lo, n_hi]; raises at the first violation."""
+    arrays = _decomposition_arrays(b, c_set, h, n_lo, n_hi, records)
+    audits = [DecompositionAudit(n, *row) for n, row in enumerate(zip(*(a.tolist() for a in arrays)), n_lo)]
+    lhs, r1, r2, r3 = arrays
+    bad = np.flatnonzero(lhs > r1 + r2 + r3)
+    if bad.size:
+        raise AssertionError(f"decomposition bound violated at n={audits[bad[0]].n}: {audits[bad[0]]}")
+    return audits
 
 
 def decomposition_summary(b, c_set, h: int, n_lo: int, n_hi: int, *, records=None) -> dict:
-    """Vectorized sweep of the decomposition bound; reports violations (none
-    expected) and the largest slack r1 + r2 + r3 - lhs seen."""
-    full, kept, strict_all, strict_no1, strict_no2 = _decomposition_tables(
-        b, c_set, h, n_hi, records
-    )
-    sl = slice(n_lo, n_hi + 1)
-    lhs = full[sl] - kept[sl]
-    r1 = full[sl] - strict_all[sl]
-    r2 = strict_all[sl] - strict_no1[sl]
-    r3 = strict_all[sl] - strict_no2[sl]
+    """Sweep of the decomposition bound; reports violations (none expected)
+    and the largest slack r1 + r2 + r3 - lhs seen."""
+    lhs, r1, r2, r3 = _decomposition_arrays(b, c_set, h, n_lo, n_hi, records)
     slack = r1 + r2 + r3 - lhs
     return {
         "n_lo": n_lo,

@@ -29,13 +29,28 @@ def test_multiset_examples():
     assert t.semantics == ("multiset", 2)
 
 
+# Fixed inputs that put the kernel's sparse/dense switch at every row:
+# consecutive runs of small integers against narrow or wide windows.
+_MULTISET_SWITCHES = [
+    (np.arange(1, 26), 3, 30),  # every row dense
+    (np.arange(1, 26), 3, 200),  # row 1 sparse, rows 2 and 3 dense
+    (np.arange(1, 101), 3, 3000),  # row 2 would hold more sums than a dense row
+    (np.arange(1, 11), 3, 2000),  # every row sparse
+    (np.arange(1, 101), 2, 3000),  # every row sparse, top row wider than a dense row
+    (np.arange(1, 31), 4, 10000),  # rows 1-3 sparse, top row dense
+]
+
+
 def test_multiset_random_vs_naive():
     rng = np.random.default_rng(2024)
+    cases = []
     for _ in range(60):
         size = rng.integers(0, 30)
         a = rng.choice(np.arange(1, 201), size=size, replace=False)
         h = int(rng.integers(1, 4))
         max_n = int(rng.integers(10, 620))
+        cases.append((a, h, max_n))
+    for a, h, max_n in cases + _MULTISET_SWITCHES:
         dp = repr_multiset(a, h, max_n).counts
         naive = repr_multiset(a, h, max_n, backend="naive").counts
         assert np.array_equal(dp, naive)
@@ -53,11 +68,16 @@ def test_strict_examples():
 
 def test_strict_random_vs_naive():
     rng = np.random.default_rng(7)
+    cases = []
     for _ in range(60):
         size = rng.integers(0, 28)
         a = rng.choice(np.arange(1, 151), size=size, replace=False)
         k = int(rng.integers(1, 5))
         max_n = int(rng.integers(10, 450))
+        cases.append((a, k, max_n))
+    # every row dense; every row sparse; row 2 wider than a dense row
+    switches = [(np.arange(1, 21), 2, 25), (np.arange(1, 11), 3, 2000), (np.arange(1, 101), 3, 3000)]
+    for a, k, max_n in cases + switches:
         dp = repr_strict(a, k, max_n).counts
         assert np.array_equal(dp, repr_strict(a, k, max_n, backend="naive").counts)
         assert np.array_equal(dp, oracle_strict(a, k, max_n))
@@ -73,13 +93,18 @@ def test_weighted_examples():
 
 def test_weighted_random_vs_naive_all_backends():
     rng = np.random.default_rng(99)
+    cases = []
     for _ in range(40):
         size = rng.integers(0, 20)
         d = rng.choice(np.arange(1, 101), size=size, replace=False)
         f = tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(1, 4)))
         max_n = int(rng.integers(10, 700))
+        cases.append((d, f, max_n))
+    # t = 3 with every row dense, every row sparse, and row 2 wider than a dense row
+    switches = [(np.arange(1, 21), (1, 1, 2), 30), (np.arange(1, 9), (2, 1, 1), 3000), (np.arange(1, 61), (1, 1, 2), 1500)]
+    for d, f, max_n in cases + switches:
         want = oracle_weighted(d, f, max_n)
-        for backend in ("naive", "enum", "partition"):
+        for backend in ("naive", "dp"):
             got = repr_weighted(d, f, max_n, backend=backend).counts
             assert np.array_equal(got, want), (d.tolist(), f, backend)
 
