@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 import json
 import logging
-import math
 
 from .counting import validate_elements
 
@@ -274,32 +273,53 @@ def records_from_jsonl(text: str) -> list[CollisionRecord]:
     return [CollisionRecord.from_json_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
-def _side_assignments(values: list[int], weights: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+def _side_assignments(values: list[int], weights: tuple[int, ...]):
     """Canonical element assignments for one side of an equation.
 
     Weights are grouped into runs of equal value; elements within a run are
     chosen as increasing combinations (one canonical order per multiset of
     slots), and cross-run clashes are filtered so the side is pairwise
-    distinct.  Returns (weighted_sum, elements_in_slot_order) pairs.
+    distinct.  Yields (weighted_sum, elements_in_slot_order).
     """
-    runs = [
-        [(w * sum(combo), combo) for combo in combinations(values, len(list(run)))]
-        for w, run in groupby(weights)
-    ]
-    partial = runs[0]
-    for combos in runs[1:]:
-        partial = [
-            (s + cs, elems + combo)
-            for s, elems in partial
-            for cs, combo in combos
-            if set(elems).isdisjoint(combo)
-        ]
-    return partial
+    runs: list[tuple[int, int]] = []
+    for w in weights:
+        if runs and runs[-1][0] == w:
+            runs[-1] = (w, runs[-1][1] + 1)
+        else:
+            runs.append((w, 1))
+
+    def rec(run_idx: int, used: set[int], acc_sum: int, acc_elems: tuple[int, ...]):
+        w, cnt = runs[run_idx]
+        last = run_idx + 1 == len(runs)
+        for combo in combinations(values, cnt):
+            if not used.isdisjoint(combo):
+                continue
+            if last:  # yield here rather than through one more generator
+                yield acc_sum + w * sum(combo), acc_elems + combo
+                continue
+            yield from rec(
+                run_idx + 1,
+                used | set(combo),
+                acc_sum + w * sum(combo),
+                acc_elems + combo,
+            )
+
+    yield from rec(0, set(), 0, ())
 
 
 def _orderings_multiplier(weights: tuple[int, ...]) -> int:
     """Number of ordered tuples per canonical assignment (equal-weight runs permute)."""
-    return math.prod(math.factorial(len(list(run))) for _, run in groupby(weights))
+    import math as _m
+
+    mult = 1
+    run = 1
+    for i in range(1, len(weights) + 1):
+        if i < len(weights) and weights[i] == weights[i - 1]:
+            run += 1
+        else:
+            mult *= _m.factorial(run)
+            run = 1
+    return mult
 
 
 def equal_sum_pairs(values: list[int], spec: WeightSpec):

@@ -22,7 +22,9 @@ of uint32 and uint64 that admits the bound.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from itertools import combinations, permutations
 import math
 import struct
 
@@ -75,7 +77,7 @@ class ReprTable:
         return len(self.counts) - 1
 
     def to_csv(self, path) -> None:
-        with _open_write(path, "w") as fh:
+        with _open(path, "w") as fh:
             fh.write("n,count\n")
             for n, c in enumerate(self.counts):
                 fh.write(f"{n},{int(c)}\n")
@@ -83,7 +85,7 @@ class ReprTable:
     def to_binary(self, path) -> None:
         """Compact dump: magic, semantics tag, max_n, little-endian u64 counts."""
         kind = self.semantics[0]
-        with _open_write(path, "wb") as fh:
+        with _open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<B", _KIND_CODES[kind]))
             if kind == "weighted":
@@ -97,7 +99,7 @@ class ReprTable:
 
     @classmethod
     def from_binary(cls, path) -> "ReprTable":
-        with _open_read(path) as fh:
+        with _open(path, "rb") as fh:
             if fh.read(8) != _MAGIC:
                 raise ValueError("bad magic in table dump")
             code = struct.unpack("<B", fh.read(1))[0]
@@ -113,27 +115,11 @@ class ReprTable:
             return cls(counts, semantics, source_size)
 
 
-def _open_write(path, mode):
-    if hasattr(path, "write"):
-        return _NullCtx(path)
+def _open(path, mode):
+    """Open a path; a file object passes through and is left open."""
+    if hasattr(path, "write" if "w" in mode else "read"):
+        return contextlib.nullcontext(path)
     return open(path, mode)
-
-
-def _open_read(path):
-    if hasattr(path, "read"):
-        return _NullCtx(path)
-    return open(path, "rb")
-
-
-class _NullCtx:
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __enter__(self):
-        return self.obj
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _check_bound(bound: int, dtype=None):
@@ -203,37 +189,50 @@ def _next_row(sums, ends, xs: list[int], w: int, max_n: int, order: str):
     return np.concatenate(parts), np.cumsum(sizes)
 
 
-def _add_counts(out: np.ndarray, vals: np.ndarray, weights: tuple[int, ...], order: str, sign: int = 1) -> None:
+def _sparse_rows(xs: list[int], weights: tuple[int, ...], width: int, order: str) -> int:
+    """Number of low rows the kernel keeps sparse for a table `width` wide.
+
+    Row j stays a sparse sum-list while its tuples cost less than one dense
+    shift-add row; below the top row it must also hold no more entries than
+    a dense row.
+    """
+    t = len(weights)
+    for j, w in enumerate(weights):
+        size = _index_tuples(len(xs), j + 1, order)
+        cells = sum(width - w * x for x in xs if w * x < width)
+        if size * _SPARSE_COST >= cells or (j + 1 < t and size > width):
+            return j
+    return t
+
+
+def multiset_is_sparse(a, h: int, max_n: int) -> bool:
+    """True when the kernel keeps every row of the h-fold multiset table over
+    [0, max_n] sparse and the top row holds no more sums than the table has
+    cells, so ``multiset_sums`` lists them in less work than the table."""
+    xs = validate_elements(a)
+    xs = xs[xs <= max_n].tolist()
+    fits = math.comb(len(xs) + h - 1, h) <= max_n + 1
+    return fits and _sparse_rows(xs, (1,) * h, max_n + 1, _NONDECREASING) == h
+
+
+def _add_counts(
+    out: np.ndarray, vals: np.ndarray, weights: tuple[int, ...], order: str, sign: int = 1
+) -> None:
     """The counting kernel: add sign times the number of index tuples
     (i_1, ..., i_t) of the sorted array vals, in the given order, with
     weights[0] * vals[i_1] + ... + weights[t-1] * vals[i_t] = n into out[n].
 
-    Row j counts the tuples of the first j positions.  Row j stays a sparse
-    sum-list while its tuples cost less than one dense shift-add row (below
-    the top row it must also hold no more entries than a dense row).  The
-    rows above it are dense, each built by shift-adding row j-1 once per
-    element, and the top row is out itself, so no buffer outlives the call.
+    Row j counts the tuples of the first j positions; the low rows are
+    sparse sum-lists (``_sparse_rows``).  The rows above them are dense,
+    each built by shift-adding row j-1 once per element, and the top row is
+    out itself, so no buffer outlives the call.
     """
     width = out.size
     max_n = width - 1
     xs = vals.tolist()
     t = len(weights)
     one = out.dtype.type(sign)
-    sparse = 0
-    while sparse < t:
-        w = weights[sparse]
-        size = _index_tuples(len(xs), sparse + 1, order)
-        cells = sum(width - w * x for x in xs if w * x <= max_n)
-        if size * _SPARSE_COST >= cells or (sparse + 1 < t and size > width):
-            break
-        sparse += 1
-
-    if sparse == t and order == _NONDECREASING and size <= width:
-        # Every multiset fits one sparse row no wider than the table: this
-        # is the public enumeration.
-        top = multiset_sums(xs, t, limit=width)
-        np.add.at(out, top[top <= max_n], one)
-        return
+    sparse = _sparse_rows(xs, weights, width, order)
     sums, ends = np.zeros(1, dtype=np.int64), np.ones(len(xs) + 1, dtype=np.int64)  # row 0
     for w in weights[: min(sparse, t - 1)]:
         sums, ends = _next_row(sums, ends, xs, w, max_n, order)
@@ -271,12 +270,6 @@ def _add_counts(out: np.ndarray, vals: np.ndarray, weights: tuple[int, ...], ord
             np.add.at(rows[0], sums[ends[i] : ends[i + 1]], one)
 
 
-def _kernel_table(arr: np.ndarray, t: int, max_n: int, order: str, dtype) -> np.ndarray:
-    counts = np.zeros(max_n + 1, dtype=dtype)
-    _add_counts(counts, arr, (1,) * t, order)
-    return counts
-
-
 def repr_multiset(a, h: int, max_n: int, *, counts_dtype=None, backend: str = "dp") -> ReprTable:
     """Table of nondecreasing h-tuple sums: counts[n] = #{a_1 <= ... <= a_h, sum = n}."""
     if h < 1:
@@ -286,17 +279,18 @@ def repr_multiset(a, h: int, max_n: int, *, counts_dtype=None, backend: str = "d
     arr = validate_elements(a)
     arr = arr[arr <= max_n]
     dtype = _check_bound(math.comb(int(arr.size) + h - 1, h), counts_dtype)
+    counts = np.zeros(max_n + 1, dtype=dtype)
     if backend == "naive":
-        counts = _naive_multiset(arr, h, max_n, dtype)
+        _naive_multiset(counts, arr, h)
     elif backend == "dp":
-        counts = _kernel_table(arr, h, max_n, _NONDECREASING, dtype)
+        _add_counts(counts, arr, (1,) * h, _NONDECREASING)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return ReprTable(counts, ("multiset", h), int(arr.size))
 
 
-def _naive_multiset(arr: np.ndarray, h: int, max_n: int, dtype) -> np.ndarray:
-    counts = np.zeros(max_n + 1, dtype=dtype)
+def _naive_multiset(counts: np.ndarray, arr: np.ndarray, h: int) -> None:
+    max_n = counts.size - 1
     vals = arr.tolist()
 
     def rec(start: int, depth: int, total: int) -> None:
@@ -311,7 +305,6 @@ def _naive_multiset(arr: np.ndarray, h: int, max_n: int, dtype) -> np.ndarray:
 
     if vals:
         rec(0, h, 0)
-    return counts
 
 
 def repr_strict(a, k: int, max_n: int, *, counts_dtype=None, backend: str = "dp") -> ReprTable:
@@ -328,26 +321,22 @@ def repr_strict(a, k: int, max_n: int, *, counts_dtype=None, backend: str = "dp"
     arr = arr[arr <= max_n]
     # rows j < k of the kernel hold up to C(|A|, j) tuples
     dtype = _check_bound(max(math.comb(int(arr.size), j) for j in range(k + 1)), counts_dtype)
-    if k == 1:
-        counts = np.zeros(max_n + 1, dtype=dtype)
-    elif backend == "naive":
-        counts = _naive_strict(arr, k, max_n, dtype)
+    counts = np.zeros(max_n + 1, dtype=dtype)
+    if backend == "naive":
+        _naive_strict(counts, arr, k)
     elif backend == "dp":
-        counts = _kernel_table(arr, k, max_n, _STRICT, dtype)
+        if k > 1:  # for k = 1 the largest-part constraint empties every count
+            _add_counts(counts, arr, (1,) * k, _STRICT)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return ReprTable(counts, ("strict", k), int(arr.size))
 
 
-def _naive_strict(arr: np.ndarray, k: int, max_n: int, dtype) -> np.ndarray:
-    from itertools import combinations
-
-    counts = np.zeros(max_n + 1, dtype=dtype)
+def _naive_strict(counts: np.ndarray, arr: np.ndarray, k: int) -> None:
     for combo in combinations(arr.tolist(), k):
         s = sum(combo)
-        if s <= max_n:
+        if combo[-1] < s < counts.size:
             counts[s] += 1
-    return counts
 
 
 def repr_weighted(d, f, max_n: int, *, counts_dtype=None, backend: str = "dp") -> ReprTable:
@@ -365,7 +354,8 @@ def repr_weighted(d, f, max_n: int, *, counts_dtype=None, backend: str = "dp") -
     arr = validate_elements(d)
     dtype = _check_bound(math.perm(int(arr.size), len(weights)), counts_dtype)
     if backend == "naive":
-        counts = _naive_weighted(arr, weights, max_n, dtype)
+        counts = np.zeros(max_n + 1, dtype=dtype)
+        _naive_weighted(counts, arr, weights)
     elif backend == "dp":
         counts = _moebius_weighted(arr[arr <= max_n], weights, max_n).astype(dtype)
     else:
@@ -373,15 +363,11 @@ def repr_weighted(d, f, max_n: int, *, counts_dtype=None, backend: str = "dp") -
     return ReprTable(counts, ("weighted", weights), int(arr.size))
 
 
-def _naive_weighted(arr: np.ndarray, weights, max_n: int, dtype) -> np.ndarray:
-    from itertools import permutations
-
-    counts = np.zeros(max_n + 1, dtype=dtype)
+def _naive_weighted(counts: np.ndarray, arr: np.ndarray, weights) -> None:
     for tup in permutations(arr.tolist(), len(weights)):
         s = sum(w * x for w, x in zip(weights, tup))
-        if s <= max_n:
+        if s < counts.size:
             counts[s] += 1
-    return counts
 
 
 def _set_partitions(items: list[int]):
@@ -426,17 +412,15 @@ def pairsum_histogram(a, h: int, *, counts_dtype=None) -> ReprTable:
 def multiset_sums(a, h: int, *, limit: int = 8_000_000) -> np.ndarray:
     """All h-fold nondecreasing sums as a flat array (one entry per multiset).
 
-    The kernel's all-sparse path for the nondecreasing order; refuses beyond
-    `limit` outputs.
+    The kernel's sparse rows for the nondecreasing order, the top one held
+    in full rather than scattered; refuses beyond `limit` outputs.
     """
     arr = validate_elements(a)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
     total = math.comb(int(arr.size) + h - 1, h)
     if total > limit:
         raise ValueError(f"{total} multisets exceeds enumeration limit {limit}")
     xs = arr.tolist()
     sums, ends = np.zeros(1, dtype=np.int64), np.ones(len(xs) + 1, dtype=np.int64)  # row 0
     for _ in range(h):
-        sums, ends = _next_row(sums, ends, xs, 1, h * xs[-1], _NONDECREASING)
+        sums, ends = _next_row(sums, ends, xs, 1, h * int(arr.max(initial=0)), _NONDECREASING)
     return sums

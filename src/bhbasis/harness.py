@@ -121,6 +121,12 @@ def floor_exponent(h: int) -> float:
     return float(Fraction(1, 4 * h - 1))
 
 
+def _floor_min_norm(values, h: int, n_lo: int, n_hi: int) -> float:
+    """min over n in [n_lo, n_hi] of the strict 2h-count of n over n^(1/(4h-1))."""
+    counts = repr_strict(values, 2 * h, n_hi).counts[n_lo : n_hi + 1].astype(np.float64)
+    return float((counts / np.arange(n_lo, n_hi + 1, dtype=np.float64) ** floor_exponent(h)).min())
+
+
 def weighted_max_count(values, f, h: int) -> int:
     """Largest number of ordered distinct-element solutions of
     f_1 x_1 + ... + f_t x_t = m over all targets m."""
@@ -197,14 +203,7 @@ def run_construction(
         "basis_a": basis_a.to_json_dict(),
     }
 
-    if floor:
-        strict_b = repr_strict(b_vals, k, n_hi)
-        ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-        norm = strict_b.counts[n_lo : n_hi + 1].astype(np.float64) / ns ** floor_exponent(h)
-        rec["floor_min_norm"] = float(norm.min()) if norm.size else None
-    else:
-        rec["floor_min_norm"] = None
-
+    rec["floor_min_norm"] = _floor_min_norm(b_vals, h, n_lo, n_hi) if floor else None
     rec["weighted_max"] = {spec_key(f): weighted_max_count(b_vals, f, h) for f in one_sided}
 
     if audit_hi is not None:
@@ -273,16 +272,9 @@ def basis_floor_check(h: int, n: int, seeds, n_lo: int) -> dict:
     """
     if n_lo < 1 or n_lo > n:
         raise ValueError("need 1 <= n_lo <= N")
-    k = 2 * h
-    expo = floor_exponent(h)
     per_seed = {}
     for seed in sorted(set(int(s) for s in seeds)):
-        sampled = sample_set(ModelParams(h, n, seed))
-        vals = list(sampled.elements)
-        table = repr_strict(vals, k, n)
-        ns = np.arange(n_lo, n + 1, dtype=np.float64)
-        norm = table.counts[n_lo:].astype(np.float64) / ns**expo
-        per_seed[str(seed)] = float(norm.min())
+        per_seed[str(seed)] = _floor_min_norm(sample_set(ModelParams(h, n, seed)).elements, h, n_lo, n)
     vals = list(per_seed.values())
     return {
         "h": h,

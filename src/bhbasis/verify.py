@@ -19,7 +19,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import collisions as _col
-from .counting import ReprTable, repr_multiset, repr_strict, validate_elements
+from .counting import ReprTable, multiset_is_sparse, multiset_sums, validate_elements
+from .counting import repr_multiset, repr_strict
 from .fits import dyadic_fit
 
 
@@ -53,7 +54,13 @@ def is_bhg(a, h: int, g: int, max_n: int | None = None) -> BhgVerdict:
     if max_n is None:
         max_n = full
     window_limited = max_n < full
-    bad = np.flatnonzero(repr_multiset(arr, h, max_n).counts > g)
+    arr = arr[arr <= max_n]
+    if multiset_is_sparse(arr, h, max_n):
+        sums = multiset_sums(arr, h, limit=max_n + 1)
+        uniq, cnt = np.unique(sums[sums <= max_n], return_counts=True)
+        bad = uniq[cnt > g]
+    else:
+        bad = np.flatnonzero(repr_multiset(arr, h, max_n).counts > g)
     if bad.size:
         return BhgVerdict(False, int(bad[0]), window_limited, max_n)
     return BhgVerdict(True, None, window_limited, max_n)
@@ -162,12 +169,11 @@ def decomposition_audit_range(
     b, c_set, h: int, n_lo: int, n_hi: int, *, records=None
 ) -> list[DecompositionAudit]:
     """Audit every target in [n_lo, n_hi]; raises at the first violation."""
-    arrays = _decomposition_arrays(b, c_set, h, n_lo, n_hi, records)
-    audits = [DecompositionAudit(n, *row) for n, row in enumerate(zip(*(a.tolist() for a in arrays)), n_lo)]
-    lhs, r1, r2, r3 = arrays
-    bad = np.flatnonzero(lhs > r1 + r2 + r3)
-    if bad.size:
-        raise AssertionError(f"decomposition bound violated at n={audits[bad[0]].n}: {audits[bad[0]]}")
+    lhs, r1, r2, r3 = (a.tolist() for a in _decomposition_arrays(b, c_set, h, n_lo, n_hi, records))
+    audits = [DecompositionAudit(n, *row) for n, row in enumerate(zip(lhs, r1, r2, r3), n_lo)]
+    bad = next((audit for audit in audits if not audit.ok), None)
+    if bad is not None:
+        raise AssertionError(f"decomposition bound violated at n={bad.n}: {bad}")
     return audits
 
 

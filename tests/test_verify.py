@@ -22,6 +22,10 @@ def test_is_bhg_examples():
     assert bad.ok is False and bad.witness == 4
     assert is_bhg([], 3, 1).ok is True
     assert is_bhg([42], 3, 1).ok is True
+    # a few large elements: decided without a table of width h * max(a)
+    assert is_bhg([1, 10**10], 2, 1).ok is True
+    bad = is_bhg([10**10, 2 * 10**10, 3 * 10**10], 2, 1)
+    assert bad.ok is False and bad.witness == 4 * 10**10
 
 
 def test_is_bhg_window_flag():
@@ -38,7 +42,7 @@ def test_is_bhg_methods_agree():
         h = int(rng.integers(2, 4))
         g = int(rng.integers(1, 3))
         fast = is_bhg(a, h, g)
-        table = repr_multiset(a, h, h * max(a))
+        table = repr_multiset(a, h, h * max(a), backend="naive")
         dense_bad = np.nonzero(table.counts > g)[0]
         assert fast.ok == (dense_bad.size == 0)
         if not fast.ok:
