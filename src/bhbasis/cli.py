@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, required=True)
         p.add_argument("--window", type=_parse_window, help="basis window lo:hi")
         p.add_argument("--out", type=str, help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("sample", help="draw one random set")
     p.add_argument("--h", type=int, required=True)
@@ -187,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="multi-seed experiment with aggregates")
     common(p, seeds=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lemma4", help="bounded-ratio curves for the four sum inequalities")

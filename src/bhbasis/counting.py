@@ -14,14 +14,25 @@ Every table comes from one counting kernel, ``_add_counts`` (the "dp"
 backend): sparse sum-lists in its low rows, dense shift-adds above.  Each
 operation also has a naive enumeration (the oracle path, ``backend="naive"``),
 cross-validated against the kernel in the test suite.  Counts use checked
-unsigned arithmetic: an a-priori combinatorial bound on every possible entry
-is compared against the dtype maximum before computing, so wraparound is
-impossible rather than detected.  The default count dtype is the narrowest
-of uint32 and uint64 that admits the bound.
+unsigned arithmetic, so wraparound is impossible rather than detected:
+
+* an a-priori combinatorial bound on every possible entry is compared
+  against the dtype maximum before computing; an explicit ``counts_dtype``
+  too narrow for it is refused;
+* by default the kernel sizes its table once its sparse rows exist: each
+  dense row adds at most one shifted copy of the row below per element
+  that fits, so no entry exceeds (largest multiplicity in the last sparse
+  row) x (fitting elements)^(rows above it).  The table and every dense
+  row take the narrowest of uint16, uint32 and uint64 that admits the
+  smaller of the two bounds;
+* the naive oracles and ``repr_weighted`` (whose Moebius terms accumulate
+  in int64) take the narrowest of uint32 and uint64 that admits the
+  combinatorial bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 import contextlib
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -47,6 +58,9 @@ _SPARSE_COST = 20
 
 # Candidate sums per block of a sparse step (a few hundred KiB of int64).
 _BLOCK = 1 << 16
+
+# Rows per chunk of a CSV write.
+_CSV_ROWS = 1 << 16
 
 
 def validate_elements(a) -> np.ndarray:
@@ -79,8 +93,7 @@ class ReprTable:
     def to_csv(self, path) -> None:
         with _open(path, "w") as fh:
             fh.write("n,count\n")
-            for n, c in enumerate(self.counts):
-                fh.write(f"{n},{int(c)}\n")
+            write_csv_rows(fh, 0, [self.counts])
 
     def to_binary(self, path) -> None:
         """Compact dump: magic, semantics tag, max_n, little-endian u64 counts."""
@@ -115,6 +128,22 @@ class ReprTable:
             return cls(counts, semantics, source_size)
 
 
+def write_csv_rows(fh, n_lo: int, columns) -> None:
+    """Write the lines "n,c_1,...,c_k" for n = n_lo, n_lo + 1, ..., where
+    c_i is entry n - n_lo of columns[i] written as an integer; the columns
+    share one length and are formatted a chunk of rows at a time."""
+    stride = len(columns) + 1
+    line = ",".join(["%d"] * stride) + "\n"
+    for lo in range(0, len(columns[0]), _CSV_ROWS):
+        parts = [np.asarray(col[lo : lo + _CSV_ROWS]).tolist() for col in columns]
+        rows = len(parts[0])
+        cells = [0] * (rows * stride)
+        cells[::stride] = range(n_lo + lo, n_lo + lo + rows)
+        for i, part in enumerate(parts, start=1):
+            cells[i::stride] = part
+        fh.write((line * rows) % tuple(cells))
+
+
 def _open(path, mode):
     """Open a path; a file object passes through and is left open."""
     if hasattr(path, "write" if "w" in mode else "read"):
@@ -138,6 +167,20 @@ def _check_bound(bound: int, dtype=None):
             f"maximum {limit}; use a wider count dtype"
         )
     return dtype
+
+
+def _narrowest(bound: int):
+    """Narrowest of uint16, uint32 and uint64 that admits the bound."""
+    return next(t for t in (np.uint16, np.uint32, np.uint64) if bound <= np.iinfo(t).max)
+
+
+def _table(width: int, bound: int, dtype=None):
+    """The kernel's table for a checked combinatorial bound: zeros in an
+    explicit dtype, or else a function that, given the row bound, returns
+    zeros in the narrowest unsigned dtype admitting the smaller bound."""
+    if dtype is not None:
+        return np.zeros(width, dtype=dtype)
+    return lambda row_bound: np.zeros(width, dtype=_narrowest(min(bound, row_bound)))
 
 
 def _index_tuples(n: int, j: int, order: str) -> int:
@@ -216,31 +259,45 @@ def multiset_is_sparse(a, h: int, max_n: int) -> bool:
 
 
 def _add_counts(
-    out: np.ndarray, vals: np.ndarray, weights: tuple[int, ...], order: str, sign: int = 1
-) -> None:
+    width: int, vals: np.ndarray, weights: tuple[int, ...], order: str, table, sign: int = 1
+) -> np.ndarray:
     """The counting kernel: add sign times the number of index tuples
     (i_1, ..., i_t) of the sorted array vals, in the given order, with
-    weights[0] * vals[i_1] + ... + weights[t-1] * vals[i_t] = n into out[n].
+    weights[0] * vals[i_1] + ... + weights[t-1] * vals[i_t] = n into entry n
+    of the table, and return it.
 
     Row j counts the tuples of the first j positions; the low rows are
     sparse sum-lists (``_sparse_rows``).  The rows above them are dense,
     each built by shift-adding row j-1 once per element, and the top row is
-    out itself, so no buffer outlives the call.
+    the table itself, so no buffer outlives the call.  `table` is an
+    array of `width` entries, or a function that returns one given a bound
+    on every entry of every dense row, called once the sparse rows exist.
+    The dense rows take the table's dtype.
     """
-    width = out.size
     max_n = width - 1
     xs = vals.tolist()
     t = len(weights)
-    one = out.dtype.type(sign)
     sparse = _sparse_rows(xs, weights, width, order)
+    held = min(sparse, t - 1)  # the last sparse row held in full
     sums, ends = np.zeros(1, dtype=np.int64), np.ones(len(xs) + 1, dtype=np.int64)  # row 0
-    for w in weights[: min(sparse, t - 1)]:
+    for w in weights[:held]:
         sums, ends = _next_row(sums, ends, xs, w, max_n, order)
+    out = table
+    if callable(table):
+        # An entry of row j + 1 adds at most one entry of row j per element
+        # x with w x <= max_n, so a row above `held` is bounded by the
+        # largest multiplicity among held's sums times those counts.
+        bound = row_bound = int(np.bincount(sums).max(initial=0))
+        for w in weights[held:]:
+            row_bound *= bisect_right(xs, max_n // w)
+            bound = max(bound, row_bound)
+        out = table(bound)
+    one = out.dtype.type(sign)
     if sparse == t:
         # Scatter the top row block by block, never holding all of it.
         for _, _, part in _blocks(sums, ends, xs, weights[-1], max_n, order):
             np.add.at(out, part, one)
-        return
+        return out
 
     # Dense rows sparse + 1 .. t, seeded by the sparse row `sparse`.
     rows = [np.zeros(width, dtype=out.dtype) for _ in range(t - sparse)] + [out]
@@ -252,7 +309,7 @@ def _add_counts(
                 if w * x > max_n:
                     break
                 rows[j][w * x :] += rows[j - 1][: width - w * x]
-        return
+        return out
     # An ordered row j gains element i from row j-1 as it stands after
     # element i (nondecreasing) or before it (strict); the seed row gains
     # its tuples ending at i at the matching moment.
@@ -268,6 +325,7 @@ def _add_counts(
                 rows[j][w * x :] += rows[j - 1][: width - w * x]
         if order == _STRICT:
             np.add.at(rows[0], sums[ends[i] : ends[i + 1]], one)
+    return out
 
 
 def repr_multiset(a, h: int, max_n: int, *, counts_dtype=None, backend: str = "dp") -> ReprTable:
@@ -278,12 +336,14 @@ def repr_multiset(a, h: int, max_n: int, *, counts_dtype=None, backend: str = "d
         raise ValueError("max_n must be >= 0")
     arr = validate_elements(a)
     arr = arr[arr <= max_n]
-    dtype = _check_bound(math.comb(int(arr.size) + h - 1, h), counts_dtype)
-    counts = np.zeros(max_n + 1, dtype=dtype)
+    bound = math.comb(int(arr.size) + h - 1, h)
+    dtype = _check_bound(bound, counts_dtype)
     if backend == "naive":
+        counts = np.zeros(max_n + 1, dtype=dtype)
         _naive_multiset(counts, arr, h)
     elif backend == "dp":
-        _add_counts(counts, arr, (1,) * h, _NONDECREASING)
+        table = _table(max_n + 1, bound, counts_dtype)
+        counts = _add_counts(max_n + 1, arr, (1,) * h, _NONDECREASING, table)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return ReprTable(counts, ("multiset", h), int(arr.size))
@@ -320,13 +380,16 @@ def repr_strict(a, k: int, max_n: int, *, counts_dtype=None, backend: str = "dp"
     arr = validate_elements(a)
     arr = arr[arr <= max_n]
     # rows j < k of the kernel hold up to C(|A|, j) tuples
-    dtype = _check_bound(max(math.comb(int(arr.size), j) for j in range(k + 1)), counts_dtype)
-    counts = np.zeros(max_n + 1, dtype=dtype)
+    bound = max(math.comb(int(arr.size), j) for j in range(k + 1))
+    dtype = _check_bound(bound, counts_dtype)
     if backend == "naive":
+        counts = np.zeros(max_n + 1, dtype=dtype)
         _naive_strict(counts, arr, k)
+    elif backend == "dp" and k == 1:  # the largest-part constraint empties every count
+        counts = np.zeros(max_n + 1, dtype=dtype)
     elif backend == "dp":
-        if k > 1:  # for k = 1 the largest-part constraint empties every count
-            _add_counts(counts, arr, (1,) * k, _STRICT)
+        table = _table(max_n + 1, bound, counts_dtype)
+        counts = _add_counts(max_n + 1, arr, (1,) * k, _STRICT, table)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return ReprTable(counts, ("strict", k), int(arr.size))
@@ -396,7 +459,7 @@ def _moebius_weighted(arr: np.ndarray, weights, max_n: int) -> np.ndarray:
     for part in _set_partitions(list(range(t))):
         mu = math.prod((-1) ** (len(block) - 1) * math.factorial(len(block) - 1) for block in part)
         block_weights = tuple(sum(weights[i] for i in block) for block in part)
-        _add_counts(total, arr, block_weights, _UNORDERED, mu)
+        _add_counts(max_n + 1, arr, block_weights, _UNORDERED, total, mu)
     if total.min() < 0:
         raise AssertionError("partition inversion produced a negative count")
     return total

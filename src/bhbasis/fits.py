@@ -27,18 +27,20 @@ def dyadic_fit(n_lo: int, values: np.ndarray) -> tuple[float, float, int, float]
     recovers its exponent to float precision.  Returns
     (C, exponent, blocks_used, mean_sq_residual).
     """
-    vals = np.asarray(values, dtype=np.float64)
-    n_hi = n_lo + vals.size - 1
+    values = np.asarray(values)
+    n_hi = n_lo + values.size - 1
     xs, ys = [], []
     lo = n_lo
     while lo <= n_hi:
         hi = min(2 * lo - 1, n_hi)
-        block = vals[lo - n_lo : hi - n_lo + 1]
+        block = values[lo - n_lo : hi - n_lo + 1]
+        ns = np.arange(lo, hi + 1, dtype=np.float64)
         pos = block > 0
-        if pos.any():
-            ns = np.arange(lo, hi + 1, dtype=np.float64)[pos]
+        if not pos.all():
+            block, ns = block[pos], ns[pos]
+        if ns.size:
             xs.append(np.exp(np.mean(np.log(ns))))
-            ys.append(np.exp(np.mean(np.log(block[pos]))))
+            ys.append(np.exp(np.mean(np.log(block.astype(np.float64)))))
         lo = 2 * lo
     if len(xs) < 2:
         return float("nan"), float("nan"), len(xs), float("nan")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import collisions as _col
 from .counting import ReprTable, multiset_is_sparse, multiset_sums, validate_elements
-from .counting import repr_multiset, repr_strict
+from .counting import repr_multiset, repr_strict, write_csv_rows
 from .fits import dyadic_fit
 
 
@@ -200,8 +200,8 @@ def decomposition_audit(b, c_set, h: int, n: int, *, records=None) -> Decomposit
 def counts_csv(path, n_lo: int, n_hi: int, series: dict[str, np.ndarray]) -> None:
     """Plot-ready CSV of count tables over a window; columns keyed by name."""
     names = list(series)
+    if any(len(series[name]) <= n_hi for name in names):
+        raise ValueError(f"every series must cover n = {n_hi}")
     with open(path, "w") as fh:
         fh.write("n," + ",".join(names) + "\n")
-        for n in range(n_lo, n_hi + 1):
-            row = ",".join(str(int(series[name][n])) for name in names)
-            fh.write(f"{n},{row}\n")
+        write_csv_rows(fh, n_lo, [series[name][n_lo : n_hi + 1] for name in names])

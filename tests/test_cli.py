@@ -104,6 +104,14 @@ def test_replay_subcommand(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_format_only_on_sweep(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--h", "2", "--n", "200", "--seed", "1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_missing_seeds_rejected():
     with pytest.raises(SystemExit):
         main(["sweep", "--h", "2", "--n", "100"])

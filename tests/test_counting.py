@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bhbasis import counting
 from bhbasis.counting import (
     ReprTable,
     multiset_sums,
@@ -144,6 +145,70 @@ def test_overflow_is_loud():
     assert t.counts.dtype == np.uint32
 
 
+def _uint64_table(fn, a, k, max_n):
+    return fn(a, k, max_n, counts_dtype=np.uint64).counts
+
+
+# Sets whose combinatorial bound exceeds 65535 but whose row bound fits
+# uint16, with the kernel's number of sparse rows for each.
+_SPREAD = np.sort(np.random.default_rng(1).choice(np.arange(1, 100_001), 200, replace=False))
+_NARROW = {
+    repr_multiset: [
+        (np.arange(1, 36), 4, 10_000, 3),  # one dense row
+        (np.arange(1, 101), 3, 3000, 1),  # two dense rows
+        (_SPREAD, 3, 300_000, 3),  # every row sparse
+    ],
+    repr_strict: [
+        (np.arange(1, 41), 4, 10_000, 3),
+        (np.arange(1, 101), 3, 3000, 1),
+        (_SPREAD, 3, 300_000, 3),
+    ],
+}
+_ORDERS = {repr_multiset: "nondecreasing", repr_strict: "strict"}
+
+
+@pytest.mark.parametrize("fn", [repr_multiset, repr_strict])
+def test_row_bound_gives_uint16(fn):
+    for a, k, max_n, sparse in _NARROW[fn]:
+        assert counting._sparse_rows(a.tolist(), (1,) * k, max_n + 1, _ORDERS[fn]) == sparse
+        with pytest.raises(OverflowError):  # explicit dtypes keep the combinatorial check
+            fn(a, k, max_n, counts_dtype=np.uint16)
+        t = fn(a, k, max_n)
+        assert t.counts.dtype == np.uint16
+        assert np.array_equal(t.counts, _uint64_table(fn, a, k, max_n))
+    a, k, max_n, _ = _NARROW[fn][0]
+    assert np.array_equal(fn(a, k, max_n).counts, fn(a, k, max_n, backend="naive").counts)
+
+
+@pytest.mark.parametrize("fn", [repr_multiset, repr_strict])
+def test_row_bound_at_uint16_limit(fn):
+    # row 1 sparse, rows 2 and 3 dense: the row bound is m**2 for m elements
+    for m, dtype in ((255, np.uint16), (256, np.uint32)):
+        a = np.arange(1, m + 1)
+        assert counting._sparse_rows(a.tolist(), (1, 1, 1), 1000, _ORDERS[fn]) == 1
+        t = fn(a, 3, 999)
+        assert t.counts.dtype == dtype, m
+        assert np.array_equal(t.counts, _uint64_table(fn, a, 3, 999))
+
+
+def test_row_bound_covers_every_entry():
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        vals = np.sort(rng.choice(np.arange(1, 301), size=rng.integers(0, 40), replace=False))
+        order = ("nondecreasing", "strict", "unordered")[rng.integers(0, 3)]
+        t = int(rng.integers(1, 5))
+        weights = (1,) * t if order != "unordered" else tuple(rng.integers(1, 4, size=t).tolist())
+        width = int(rng.integers(10, 1500))
+        bounds = []
+
+        def table(bound):
+            bounds.append(bound)
+            return np.zeros(width, dtype=np.uint64)
+
+        out = counting._add_counts(width, vals, weights, order, table)
+        assert bounds[0] >= int(out.max()), (vals.tolist(), order, weights, width)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         repr_multiset([0, 1], 2, 10)
@@ -169,6 +234,31 @@ def test_binary_and_csv_round_trip(tmp_path):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,count"
     assert len(lines) == t.max_n + 2
+
+
+def _row_loop_csv(counts) -> str:
+    """The one-row-at-a-time writer the chunked one must match byte for byte."""
+    fh = io.StringIO()
+    fh.write("n,count\n")
+    for n, c in enumerate(counts):
+        fh.write(f"{n},{int(c)}\n")
+    return fh.getvalue()
+
+
+def test_csv_bytes_match_row_loop(tmp_path):
+    rng = np.random.default_rng(3)
+    tables = [
+        repr_multiset([1, 2, 3], 2, 6).counts,
+        repr_multiset(range(1, 30), 4, 2 * counting._CSV_ROWS + 5).counts,  # three chunks
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**31, size=counting._CSV_ROWS, dtype=np.int64),
+        np.zeros(0, dtype=np.uint32),
+    ]
+    for counts in tables:
+        t = ReprTable(counts, ("multiset", 2), 3)
+        path = tmp_path / "table.csv"
+        t.to_csv(str(path))
+        assert path.read_bytes() == _row_loop_csv(counts).encode()
 
 
 def test_multiset_sums_enumeration():

@@ -158,3 +158,22 @@ def test_counts_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n,count_b,count_a"
     assert len(lines) == 1 + (12 - 4 + 1)
+
+
+def test_counts_csv_bytes_match_row_loop(tmp_path):
+    """The chunked writer against the one-row-at-a-time one it replaced."""
+    rng = np.random.default_rng(8)
+    series = {
+        "count_b": repr_multiset(range(1, 30), 4, 150_000).counts,
+        "count_a": rng.integers(0, 2**32, size=150_001, dtype=np.uint64),
+        "wide": np.full(150_001, 2**64 - 1, dtype=np.uint64),
+    }
+    for n_lo, n_hi in ((0, 150_000), (70_000, 140_123), (5, 5)):
+        path = tmp_path / "series.csv"
+        counts_csv(str(path), n_lo, n_hi, series)
+        want = "n," + ",".join(series) + "\n"
+        for n in range(n_lo, n_hi + 1):
+            want += f"{n}," + ",".join(str(int(series[name][n])) for name in series) + "\n"
+        assert path.read_bytes() == want.encode()
+    with pytest.raises(ValueError):
+        counts_csv(str(path), 4, 150_001, series)
