@@ -103,7 +103,13 @@ def cmd_sweep(args) -> int:
     return 0 if report["aggregate"]["all_bh1_ok"] else 1
 
 
+_LEMMA4_FLAGS = {"i": ("alpha", "beta"), "ii": ("alpha", "beta"), "iii": ("h", "l"), "iv": ("h", "s", "t")}
+
+
 def cmd_lemma4(args) -> int:
+    missing = [f"--{name}" for name in _LEMMA4_FLAGS[args.part] if getattr(args, name) is None]
+    if missing:
+        args.usage_error(f"--part {args.part} needs {' '.join(missing)}")
     kwargs = {
         "alpha": args.alpha,
         "beta": args.beta,
@@ -115,9 +121,12 @@ def cmd_lemma4(args) -> int:
     }
     if args.tail_eps is not None:
         kwargs["tail_eps"] = args.tail_eps
-    if args.part in ("ii", "iv") and args.grid == "geometric":
-        grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
-        kwargs["grid"] = [-m for m in grid] + grid
+    if args.part in ("ii", "iv"):
+        if args.grid == "geometric":
+            grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
+            kwargs["grid"] = [-m for m in grid] + grid
+        else:
+            kwargs["grid"] = range(-args.mmax, args.mmax + 1)
     curve = ratio_bounds.ratio_curve(args.part, **{k: v for k, v in kwargs.items() if v is not None})
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -201,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-eps", type=float, default=None)
     p.add_argument("--grid", choices=("full", "geometric"), default="geometric")
     p.add_argument("--out", type=str)
-    p.set_defaults(func=cmd_lemma4)
+    p.set_defaults(func=cmd_lemma4, usage_error=p.error)
 
     p = sub.add_parser("lemma568", help="floor statistic and nested-window boundedness")
     p.add_argument("--h", type=int, required=True)

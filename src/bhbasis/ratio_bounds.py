@@ -176,14 +176,13 @@ def _series_integral(u: float, a: float, b: float, alpha: float, beta: float) ->
     if u < 4 * r:
         raise ValueError("series integral needs u >= 4 max(|a|, |b|, 1)")
     kk = _SERIES_TERMS
-    pa = np.zeros(kk + 1)
-    pb = np.zeros(kk + 1)
-    pa[0] = pb[0] = 1.0
-    for j in range(1, kk + 1):
-        pa[j] = pa[j - 1] * (-(alpha + j - 1) / j) * a
-        pb[j] = pb[j - 1] * (-(beta + j - 1) / j) * b
-    ck = np.convolve(pa, pb)[: kk + 1]
     k_arr = np.arange(kk + 1, dtype=np.float64)
+    j = k_arr[1:]
+    pa = np.ones(kk + 1)
+    pb = np.ones(kk + 1)
+    np.cumprod(-(alpha + j - 1) / j * a, out=pa[1:])
+    np.cumprod(-(beta + j - 1) / j * b, out=pb[1:])
+    ck = np.convolve(pa, pb)[: kk + 1]
     with np.errstate(under="ignore"):
         terms = ck * u ** (1.0 - s - k_arr) / (s + k_arr - 1.0)
     val = float(math.fsum(terms.tolist()))
@@ -300,7 +299,15 @@ def _weight_array(h: int, length: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _composition_table(h: int, l: int, length: int) -> np.ndarray:
     """S_l indexed by value: sum over ordered l-compositions of the index of
-    the product weight; exact double-precision convolutions."""
+    the product weight.
+
+    Entries below l are exact zeros.  Tables with (length + 1)^2 <= 4e7 are
+    built by direct convolution, exact up to double-precision summation.
+    Longer ones are built by FFT, which is not exact: its roundoff is
+    absolute, a few ulps of the table's largest entry, so the smallest
+    entries (near index l) carry the largest relative error, below 1e-12
+    for h <= 3 at length 8192.
+    """
     w = _weight_array(h, length)
     if l == 1:
         out = w.copy()
@@ -309,22 +316,45 @@ def _composition_table(h: int, l: int, length: int) -> np.ndarray:
         if (length + 1) ** 2 <= 40_000_000:
             out = np.convolve(prev, w)[: length + 1]
         else:
-            out = _fft_convolve_trunc(prev, w, length + 1)
+            # index 0 of both factors is zero, so convolve from index 1 on
+            # (half the transform size) and shift the result by two
+            out = np.zeros(length + 1)
+            out[2:] = _fft_convolve_trunc(
+                prev[1:], w[1:], length - 1, fb=_weight_spectrum(h, length)
+            )
+        out[:l] = 0.0
     out.flags.writeable = False
     return out
 
 
-def _fft_convolve_trunc(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _weight_spectrum(h: int, length: int) -> np.ndarray:
+    """rfft of w[1:], shared by every order of the (h, length) tables."""
+    n = _fft_size(2 * length - 1)
+    return np.fft.rfft(_weight_array(h, length)[1:], n)
+
+
+def _fft_size(n_linear: int) -> int:
     n = 1
-    while n < len(a) + len(b) - 1:
+    while n < n_linear:
         n <<= 1
-    fa = np.fft.rfft(a, n)
-    fb = np.fft.rfft(b, n)
-    return np.fft.irfft(fa * fb, n)[:n_out]
+    return n
+
+
+def _fft_convolve_trunc(
+    a: np.ndarray, b: np.ndarray, n_out: int, fb: np.ndarray | None = None
+) -> np.ndarray:
+    """First n_out entries of the linear convolution a * b; fb, when given,
+    is b's rfft at the transform size this helper picks."""
+    n = _fft_size(len(a) + len(b) - 1)
+    if fb is None:
+        fb = np.fft.rfft(b, n)
+    return np.fft.irfft(np.fft.rfft(a, n) * fb, n)[:n_out]
 
 
 def composition_curve(l: int, h: int, m_max: int) -> RatioCurve:
-    """Part iii: exact iterated convolution of the weight sequence."""
+    """Part iii: iterated convolution of the weight sequence (accuracy as
+    in _composition_table)."""
     if not 1 <= l <= 2 * h:
         raise ValueError(f"l must lie in [1, 2h] = [1, {2 * h}]")
     if m_max < l:

@@ -74,6 +74,38 @@ def test_lemma4_part_iv(capsys):
     assert "sup_ratio=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "part, flags",
+    [
+        ("ii", ["--alpha", "0.7", "--beta", "0.8"]),
+        ("iv", ["--h", "2", "--s", "1", "--t", "2"]),
+    ],
+)
+def test_lemma4_grid_choice(part, flags, capsys):
+    counts = {}
+    for grid in ("full", "geometric"):
+        assert main(["lemma4", "--part", part, *flags, "--mmax", "300", "--grid", grid]) == 0
+        counts[grid] = int(capsys.readouterr().out.split()[0].removeprefix("points="))
+    assert counts["full"] == 601
+    assert counts["geometric"] < counts["full"]
+
+
+@pytest.mark.parametrize(
+    "part, flags, missing",
+    [
+        ("i", ["--alpha", "0.7"], "--beta"),
+        ("ii", [], "--alpha --beta"),
+        ("iii", ["--h", "2"], "--l"),
+        ("iv", ["--s", "1"], "--h --t"),
+    ],
+)
+def test_lemma4_missing_part_flags(part, flags, missing, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma4", "--part", part, *flags, "--mmax", "300"])
+    assert exc.value.code == 2
+    assert f"--part {part} needs {missing}" in capsys.readouterr().err
+
+
 def test_lemma568_subcommand(tmp_path, capsys):
     rc = main(
         [

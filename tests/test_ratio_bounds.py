@@ -13,7 +13,13 @@ from bhbasis.ratio_bounds import (
     split_sum_curve,
     weight_exponent,
 )
-from bhbasis.ratio_bounds import _composition_table, _fft_convolve_trunc
+from bhbasis.ratio_bounds import (
+    _SERIES_TERMS,
+    _composition_table,
+    _fft_convolve_trunc,
+    _series_integral,
+    _weight_array,
+)
 
 
 Q2 = float(weight_exponent(2))  # 5/7
@@ -148,6 +154,61 @@ def test_fft_convolution_matches_direct():
     direct = np.convolve(a, b)[:3000]
     fft = _fft_convolve_trunc(a, b, 3000)
     assert np.max(np.abs(direct - fft)) < 1e-9
+
+
+def test_fft_tables_match_iterated_convolution():
+    # 8192 is just above the direct-convolution threshold, so every order
+    # here is built by the half-size FFT from the shared weight spectrum
+    length = 8192
+    assert (length + 1) ** 2 > 40_000_000
+    for h in (2, 3):
+        w = _weight_array(h, length)
+        direct = w.copy()
+        for l in range(2, 2 * h + 1):
+            direct = np.convolve(direct, w)[: length + 1]
+            table = _composition_table(h, l, length)
+            assert np.all(table[:l] == 0.0), (h, l)
+            assert np.all(table >= 0.0), (h, l)
+            rel = np.abs(table[l:] - direct[l:]) / direct[l:]
+            assert rel.max() < 1e-12, (h, l, rel.max())
+
+
+def _series_integral_loop(u, a, b, alpha, beta):
+    """The coefficient loop _series_integral used before it was vectorised."""
+    s = alpha + beta
+    r = max(abs(a), abs(b), 1.0)
+    kk = _SERIES_TERMS
+    pa = np.zeros(kk + 1)
+    pb = np.zeros(kk + 1)
+    pa[0] = pb[0] = 1.0
+    for j in range(1, kk + 1):
+        pa[j] = pa[j - 1] * (-(alpha + j - 1) / j) * a
+        pb[j] = pb[j - 1] * (-(beta + j - 1) / j) * b
+    ck = np.convolve(pa, pb)[: kk + 1]
+    k_arr = np.arange(kk + 1, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        terms = ck * u ** (1.0 - s - k_arr) / (s + k_arr - 1.0)
+    val = float(math.fsum(terms.tolist()))
+    rho = r / u
+    err = (u ** (1.0 - s) / (s + kk)) * (rho ** (kk + 1)) * (kk + 2) / (1 - rho) ** 2
+    return val, 2.0 * abs(err)
+
+
+def test_series_integral_matches_coefficient_loop():
+    cases = [
+        (17.0, 0.0, 0.0, Q2, Q2),
+        (16.5, 3.0, 0.0, Q2, Q2),
+        (40.0, -9.5, 0.0, 0.8, 0.9),
+        (40.0, -9.5, 7.25, 0.8, 0.9),
+        (1025.0, 256.0, -100.0, 0.6, 0.7),
+        (524289.0, 131072.0, 0.0, 0.5714285714285714, 0.7142857142857143),
+        (12.5, 2.0, -3.0, 0.3, 0.95),
+    ]
+    for u, a, b, alpha, beta in cases:
+        val, err = _series_integral(u, a, b, alpha, beta)
+        want_val, want_err = _series_integral_loop(u, a, b, alpha, beta)
+        assert val == pytest.approx(want_val, rel=1e-13), (u, a, b)
+        assert err == pytest.approx(want_err, rel=1e-13), (u, a, b)
 
 
 def test_signed_delegation_matches_composition_exactly():
