@@ -54,7 +54,6 @@ from .verify import (
     BhgVerdict,
     DecompositionAudit,
     basis_window,
-    decomposition_audit,
     decomposition_audit_range,
     decomposition_summary,
     is_bhg,
@@ -83,7 +82,6 @@ __all__ = [
     "canonicalize",
     "composition_curve",
     "construct_a",
-    "decomposition_audit",
     "decomposition_audit_range",
     "decomposition_summary",
     "deletion_set",

@@ -1,9 +1,9 @@
 """Seeded experiment orchestration with reproducible reports.
 
 A report is a pure function of its configuration: per-seed records are
-computed independently (seeds may run concurrently; assembly is a
-deterministic reduction ordered by seed value) and serialized as canonical
-JSON, so replaying a stored report reproduces it byte for byte.
+computed independently, one seed after another in order of seed value, and
+serialized as canonical JSON, so replaying a stored report reproduces it
+byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import collisions as _col
 from . import verify as _ver
-from .counting import repr_multiset, repr_strict, repr_weighted
+from .counting import ReprTable, repr_multiset, repr_strict, repr_weighted
 from .sampling import ModelParams, expected_count, sample_set
 
 SCHEMA_VERSION = 1
@@ -121,9 +121,9 @@ def floor_exponent(h: int) -> float:
     return float(Fraction(1, 4 * h - 1))
 
 
-def _floor_min_norm(values, h: int, n_lo: int, n_hi: int) -> float:
+def _floor_min_norm(strict: ReprTable, h: int, n_lo: int, n_hi: int) -> float:
     """min over n in [n_lo, n_hi] of the strict 2h-count of n over n^(1/(4h-1))."""
-    counts = repr_strict(values, 2 * h, n_hi).counts[n_lo : n_hi + 1].astype(np.float64)
+    counts = strict.counts[n_lo : n_hi + 1].astype(np.float64)
     return float((counts / np.arange(n_lo, n_hi + 1, dtype=np.float64) ** floor_exponent(h)).min())
 
 
@@ -162,6 +162,9 @@ def run_construction(
 
     Any invariant failure (a cleaned set that is not B_h[1], or a violated
     decomposition bound) raises rather than reporting quietly.
+
+    Each 2h-fold table is built once, here; the multiset tables of B and A
+    (`_tables`, with `keep_tables`) cover [0, max(n_hi, audit bound)].
     """
     params = ModelParams(h, n, seed)
     sampled = sample_set(params)
@@ -180,10 +183,13 @@ def run_construction(
     if not 1 <= n_lo <= n_hi <= n:
         raise ValueError("window must satisfy 1 <= lo <= hi <= N")
     k = 2 * h
-    table_b = repr_multiset(b_vals, k, n_hi)
-    table_a = repr_multiset(a_vals, k, n_hi)
-    basis_b = _ver.basis_window(b_vals, k, n_lo, n_hi, table=table_b)
-    basis_a = _ver.basis_window(a_vals, k, n_lo, n_hi, table=table_a)
+    audit = audit_hi is not None
+    hi = min(audit_hi, n) if audit else 0
+    table_b = repr_multiset(b_vals, k, max(n_hi, hi))
+    table_a = repr_multiset(a_vals, k, max(n_hi, hi))
+    strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi)) if floor or audit else None
+    basis_b = _ver.basis_window(table_b, n_lo, n_hi)
+    basis_a = _ver.basis_window(table_a, n_lo, n_hi)
 
     rec = {
         "h": h,
@@ -203,13 +209,12 @@ def run_construction(
         "basis_a": basis_a.to_json_dict(),
     }
 
-    rec["floor_min_norm"] = _floor_min_norm(b_vals, h, n_lo, n_hi) if floor else None
+    rec["floor_min_norm"] = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
     rec["weighted_max"] = {spec_key(f): weighted_max_count(b_vals, f, h) for f in one_sided}
 
-    if audit_hi is not None:
-        hi = min(audit_hi, n)
+    if audit:
         rec["decomposition"] = _ver.decomposition_summary(
-            b_vals, c_set, h, 1, hi, records=records
+            b_vals, c_set, h, 1, hi, (table_b, table_a, strict_b), records=records
         )
         if rec["decomposition"]["violations"]:
             raise AssertionError(f"decomposition bound violated at seed {seed}")
@@ -274,7 +279,8 @@ def basis_floor_check(h: int, n: int, seeds, n_lo: int) -> dict:
         raise ValueError("need 1 <= n_lo <= N")
     per_seed = {}
     for seed in sorted(set(int(s) for s in seeds)):
-        per_seed[str(seed)] = _floor_min_norm(sample_set(ModelParams(h, n, seed)).elements, h, n_lo, n)
+        strict = repr_strict(sample_set(ModelParams(h, n, seed)).elements, 2 * h, n)
+        per_seed[str(seed)] = _floor_min_norm(strict, h, n_lo, n)
     vals = list(per_seed.values())
     return {
         "h": h,

@@ -516,9 +516,7 @@ def ratio_curve(part: str, **kwargs) -> RatioCurve:
         return composition_curve(kwargs["l"], kwargs["h"], kwargs["m_max"])
     if part == "iv":
         grid = kwargs.get("grid")
-        if grid is None:
-            grid = geometric_grid(1, kwargs["m_max"], include=(100,))
-            grid = [-m for m in grid] + grid
+        grid = range(-kwargs["m_max"], kwargs["m_max"] + 1) if grid is None else grid
         return signed_composition_curve(
             kwargs["s"], kwargs["t"], kwargs["h"], grid, kwargs.get("tail_eps"),
         )

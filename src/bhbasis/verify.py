@@ -14,6 +14,7 @@ full A at all targets n <= N.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -84,23 +85,20 @@ class BasisReport:
         return asdict(self)
 
 
-def basis_window(a, k: int, n_lo: int, n_hi: int, *, table: ReprTable | None = None) -> BasisReport:
-    """Report last zero, coverage, and dyadic power-law fit of k-fold counts
-    over [n_lo, n_hi].
+def basis_window(table: ReprTable, n_lo: int, n_hi: int) -> BasisReport:
+    """Report last zero, coverage, and dyadic power-law fit of a k-fold
+    multiset table over [n_lo, n_hi]; k is read from the table.
 
-    A precomputed multiset table may be passed to avoid recomputation; its
-    semantics and length are checked.  n_hi must not exceed the provenance
-    window of a, so that truncation is exact.
+    The table's semantics and length are checked.  n_hi must not exceed the
+    provenance window of the table's set, so that truncation is exact.
     """
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("window must satisfy 1 <= n_lo <= n_hi")
-    if table is None:
-        table = repr_multiset(a, k, n_hi)
-    else:
-        if table.semantics != ("multiset", k):
-            raise ValueError(f"table semantics {table.semantics} != ('multiset', {k})")
-        if table.max_n < n_hi:
-            raise ValueError("table too short for requested window")
+    kind, k = table.semantics
+    if kind != "multiset":
+        raise ValueError(f"table semantics {table.semantics} are not multiset counts")
+    if table.max_n < n_hi:
+        raise ValueError("table too short for requested window")
     window = table.counts[n_lo : n_hi + 1]
     zeros = np.nonzero(window == 0)[0]
     last_zero = int(zeros.max()) + n_lo if zeros.size else None
@@ -135,13 +133,10 @@ class DecompositionAudit:
         return d
 
 
-def _decomposition_arrays(b, c_set, h: int, n_lo: int, n_hi: int, records=None):
-    """lhs, r1, r2, r3 over [n_lo, n_hi] from five shared count tables.
-
-    r1 is (all 2h-multisets) - (strictly increasing ones); r2 and r3 count
-    strict tuples meeting the case conditions by complement against the
-    tuples avoiding the respective deletion branch.
-    """
+def _decomposition_arrays(b, c_set, h: int, n_lo: int, n_hi: int, tables, records=None):
+    """lhs, r1, r2, r3 over [n_lo, n_hi]: lhs and r1 are differences of the
+    shared `tables`; r2 and r3 count strict tuples meeting the case conditions
+    by complement against the tuples avoiding the respective deletion branch."""
     arr = validate_elements(b)
     if records is None:
         records = _col.enumerate_collisions(arr, h)
@@ -150,26 +145,33 @@ def _decomposition_arrays(b, c_set, h: int, n_lo: int, n_hi: int, records=None):
         raise ValueError("c_set does not match the deletion set of b")
     c1 = {r.largest for r in records if r.kind == _col.DISTINCT_2H}
     c2 = {r.largest for r in records if r.kind == _col.WEIGHTED}
-    vals = arr.tolist()
     k = 2 * h
+    vals = arr.tolist()
+    a_vals = [x for x in vals if x not in expected_c]
+    for table, kind, source in zip(tables, ("multiset", "multiset", "strict"), (vals, a_vals, vals)):
+        if table.semantics != (kind, k) or table.max_n < n_hi:
+            raise ValueError(f"need a {(kind, k)} table up to {n_hi}, got {table.semantics} up to {table.max_n}")
+        if table.source_size != bisect_right(source, table.max_n):
+            raise ValueError(f"{kind} table was not built from the expected set")
 
-    def table(repr_fn, drop):
-        kept = [x for x in vals if x not in drop]
-        return repr_fn(kept, k, n_hi).counts[n_lo : n_hi + 1].astype(np.int64)
+    def window(table):
+        return table.counts[n_lo : n_hi + 1].astype(np.int64)
 
-    full, strict_all = table(repr_multiset, ()), table(repr_strict, ())
-    lhs = full - table(repr_multiset, expected_c)
+    full, full_a, strict_all = (window(t) for t in tables)
+    lhs = full - full_a
     r1 = full - strict_all
-    r2 = strict_all - table(repr_strict, c1)
-    r3 = strict_all - table(repr_strict, c2)
+    r2 = strict_all - window(repr_strict([x for x in vals if x not in c1], k, n_hi))
+    r3 = strict_all - window(repr_strict([x for x in vals if x not in c2], k, n_hi))
     return lhs, r1, r2, r3
 
 
 def decomposition_audit_range(
-    b, c_set, h: int, n_lo: int, n_hi: int, *, records=None
+    b, c_set, h: int, n_lo: int, n_hi: int, tables, *, records=None
 ) -> list[DecompositionAudit]:
-    """Audit every target in [n_lo, n_hi]; raises at the first violation."""
-    lhs, r1, r2, r3 = (a.tolist() for a in _decomposition_arrays(b, c_set, h, n_lo, n_hi, records))
+    """Audit every target in [n_lo, n_hi]; raises at the first violation.
+    `tables` are the 2h-fold tables (multiset of B, multiset of A = B \\ C,
+    strict of B) covering n_hi; another kind, length or set raises ValueError."""
+    lhs, r1, r2, r3 = (a.tolist() for a in _decomposition_arrays(b, c_set, h, n_lo, n_hi, tables, records))
     audits = [DecompositionAudit(n, *row) for n, row in enumerate(zip(lhs, r1, r2, r3), n_lo)]
     bad = next((audit for audit in audits if not audit.ok), None)
     if bad is not None:
@@ -177,10 +179,10 @@ def decomposition_audit_range(
     return audits
 
 
-def decomposition_summary(b, c_set, h: int, n_lo: int, n_hi: int, *, records=None) -> dict:
+def decomposition_summary(b, c_set, h: int, n_lo: int, n_hi: int, tables, *, records=None) -> dict:
     """Sweep of the decomposition bound; reports violations (none expected)
     and the largest slack r1 + r2 + r3 - lhs seen."""
-    lhs, r1, r2, r3 = _decomposition_arrays(b, c_set, h, n_lo, n_hi, records)
+    lhs, r1, r2, r3 = _decomposition_arrays(b, c_set, h, n_lo, n_hi, tables, records)
     slack = r1 + r2 + r3 - lhs
     return {
         "n_lo": n_lo,
@@ -190,11 +192,6 @@ def decomposition_summary(b, c_set, h: int, n_lo: int, n_hi: int, *, records=Non
         "max_slack": int(slack.max()) if slack.size else 0,
         "lhs_total": int(lhs.sum()),
     }
-
-
-def decomposition_audit(b, c_set, h: int, n: int, *, records=None) -> DecompositionAudit:
-    """Single-target audit; see decomposition_audit_range."""
-    return decomposition_audit_range(b, c_set, h, n, n, records=records)[0]
 
 
 def counts_csv(path, n_lo: int, n_hi: int, series: dict[str, np.ndarray]) -> None:

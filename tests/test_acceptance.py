@@ -39,6 +39,7 @@ from bhbasis.sampling import ModelParams, sample_set
 from bhbasis.verify import decomposition_audit_range, is_bhg
 
 from tests.oracles import oracle_decomposition_all
+from tests.tables import audit_tables
 
 
 def _line(tag: str, ok: bool, detail: str) -> bool:
@@ -201,7 +202,8 @@ def test_criterion_6_decomposition_audit():
         c1 = {r.largest for r in records if r.kind == DISTINCT_2H}
         c2 = {r.largest for r in records if r.kind != DISTINCT_2H}
         want = oracle_decomposition_all(b, c1, c2, 2)
-        audits = decomposition_audit_range(b, c, 2, 1, 4 * max(b), records=records)
+        tables = audit_tables(b, c, 2, 4 * max(b))
+        audits = decomposition_audit_range(b, c, 2, 1, 4 * max(b), tables, records=records)
         for audit in audits:
             lhs, r1, r2, r3 = want.get(audit.n, (0, 0, 0, 0))
             assert (audit.lhs, audit.r1, audit.r2, audit.r3) == (lhs, r1, r2, r3)

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from bhbasis.collisions import WeightSpec
+import bhbasis.harness as harness_mod
+import bhbasis.verify as verify_mod
+from bhbasis.collisions import WeightSpec, deletion_set
+from bhbasis.counting import repr_multiset, repr_strict
 from bhbasis.harness import (
     ExperimentConfig,
     basis_floor_check,
@@ -20,9 +23,13 @@ from bhbasis.harness import (
     validate_report,
     weighted_max_count,
 )
-from bhbasis.sampling import ModelParams, expected_count
+from bhbasis.sampling import ModelParams, expected_count, sample_set
+from bhbasis.verify import basis_window, decomposition_summary
 
 from tests.oracles import oracle_two_sided_total, oracle_weighted_max
+from tests.tables import audit_tables
+
+GOLDEN_SEED = dict(window=(1000, 20_000), audit_hi=2000, one_sided=((1, 1), (2, 1)))
 
 
 def test_run_construction_deterministic():
@@ -168,3 +175,45 @@ def test_keep_tables_side_channel():
     tables = rec["_tables"]
     assert tables["basis_b"].counts.shape == tables["basis_a"].counts.shape
     assert "_tables" not in json.loads(canonical_json(rec))
+
+
+@pytest.mark.parametrize("floor", [True, False])
+def test_each_2h_fold_table_built_once(monkeypatch, floor):
+    # multiset(B), multiset(A) and strict(B) once each for the window, the
+    # floor and the audit, plus the audit's own strict(B \ C1), strict(B \ C2)
+    builds = []
+
+    def spy(fn):
+        def wrapper(a, k, max_n, **kwargs):
+            table = fn(a, k, max_n, **kwargs)
+            builds.append((table.semantics, tuple(sorted(int(x) for x in a))))
+            return table
+
+        return wrapper
+
+    for mod in (harness_mod, verify_mod):
+        monkeypatch.setattr(mod, "repr_multiset", spy(repr_multiset))
+        monkeypatch.setattr(mod, "repr_strict", spy(repr_strict))
+    rec = run_construction(2, 20_000, 1, floor=floor, **GOLDEN_SEED)
+    b = tuple(sample_set(ModelParams(2, 20_000, 1)).elements)
+    a = tuple(x for x in b if x not in deletion_set(b, 2))
+    assert rec["c_size"] > 0
+    assert len(builds) == len(set(builds)) == 5
+    assert {(("multiset", 4), b), (("multiset", 4), a), (("strict", 4), b)} < set(builds)
+
+
+@pytest.mark.parametrize("floor", [True, False])
+@pytest.mark.parametrize("audit_hi", [2000, 20_000])
+def test_shared_tables_match_fresh_ones(floor, audit_hi):
+    # the audit inside (2000) and beyond (20000) the window [1000, 3000]
+    n, n_lo, n_hi = 20_000, 1000, 3000
+    rec = run_construction(2, n, 4, window=(n_lo, n_hi), audit_hi=audit_hi, floor=floor, keep_tables=True)
+    b = sample_set(ModelParams(2, n, 4)).elements
+    c = deletion_set(b, 2)
+    assert rec["decomposition"] == decomposition_summary(b, c, 2, 1, audit_hi, audit_tables(b, c, 2, audit_hi))
+    assert rec["_tables"]["basis_b"].max_n == max(n_hi, audit_hi)
+    fresh_b, fresh_a, fresh_strict = audit_tables(b, c, 2, n_hi)
+    assert rec["basis_b"] == basis_window(fresh_b, n_lo, n_hi).to_json_dict()
+    assert rec["basis_a"] == basis_window(fresh_a, n_lo, n_hi).to_json_dict()
+    want_floor = harness_mod._floor_min_norm(fresh_strict, 2, n_lo, n_hi) if floor else None
+    assert rec["floor_min_norm"] == want_floor

@@ -280,3 +280,11 @@ def test_dispatcher_and_csv(tmp_path):
     assert curve2.part == "i"
     with pytest.raises(ValueError):
         ratio_curve("v")
+
+
+def test_default_sweeps_of_parts_ii_and_iv_match():
+    # without a grid both signed parts sweep every integer of [-m_max, m_max]
+    ii = ratio_curve("ii", alpha=0.6, beta=0.7, m_max=30)
+    iv = ratio_curve("iv", s=1, t=2, h=2, m_max=30)
+    assert ii.m.size == iv.m.size == 61
+    assert np.array_equal(ii.m, iv.m)

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from bhbasis.collisions import DISTINCT_2H, deletion_set, enumerate_collisions
-from bhbasis.counting import ReprTable, repr_multiset
+from bhbasis.counting import ReprTable, repr_multiset, repr_strict
 from bhbasis.fits import dyadic_fit, theil_sen_slope
 from bhbasis.verify import (
     basis_window,
     counts_csv,
-    decomposition_audit,
     decomposition_audit_range,
     decomposition_summary,
     is_bhg,
 )
 
 from tests.oracles import oracle_decomposition
+from tests.tables import audit_tables
 
 
 def test_is_bhg_examples():
@@ -51,7 +51,8 @@ def test_is_bhg_methods_agree():
 
 def test_basis_window_dense_set():
     n = 512
-    rep = basis_window(range(1, n + 1), 4, 1, n)
+    rep = basis_window(repr_multiset(range(1, n + 1), 4, n), 1, n)
+    assert rep.k == 4
     assert rep.last_zero == 3
     assert rep.coverage == pytest.approx((n - 3) / n)
 
@@ -72,25 +73,25 @@ def test_injected_ceil_power_law_table():
     n_lo, n_hi = 1 << 17, 1 << 26
     counts = np.ceil(np.arange(0, n_hi + 1, dtype=np.float64) ** (1.0 / 7.0)).astype(np.uint8)
     table = ReprTable(counts, ("multiset", 4), 0)
-    rep = basis_window(None, 4, n_lo, n_hi, table=table)
+    rep = basis_window(table, n_lo, n_hi)
     assert abs(rep.fit_exp - 1.0 / 7.0) < 0.01
     assert rep.coverage == 1.0 and rep.last_zero is None
 
 
 def test_basis_window_validation():
-    with pytest.raises(ValueError):
-        basis_window([1, 2], 2, 5, 4)
     table = repr_multiset([1, 2], 2, 10)
     with pytest.raises(ValueError):
-        basis_window(None, 3, 1, 10, table=table)
+        basis_window(table, 5, 4)
     with pytest.raises(ValueError):
-        basis_window(None, 2, 1, 50, table=table)
+        basis_window(repr_strict([1, 2], 2, 10), 1, 10)
+    with pytest.raises(ValueError):
+        basis_window(table, 1, 50)
 
 
 def test_decomposition_small_example():
     b = [1, 2, 3, 4]
     c = deletion_set(b, 2)
-    audit = decomposition_audit(b, c, 2, 10)
+    audit = decomposition_audit_range(b, c, 2, 10, 10, audit_tables(b, c, 2, 10))[0]
     assert (audit.lhs, audit.r1, audit.r2, audit.r3) == (5, 4, 1, 1)
     assert audit.ok
 
@@ -98,13 +99,30 @@ def test_decomposition_small_example():
 def test_decomposition_clean_set_is_all_zero_lhs():
     b = [1, 2, 5, 11]
     assert deletion_set(b, 2) == frozenset()
-    for audit in decomposition_audit_range(b, (), 2, 1, 4 * 11):
+    for audit in decomposition_audit_range(b, (), 2, 1, 4 * 11, audit_tables(b, (), 2, 4 * 11)):
         assert audit.lhs == 0 and audit.ok
 
 
 def test_decomposition_contract_violation():
     with pytest.raises(ValueError):
-        decomposition_audit([1, 2, 3, 4], {4}, 2, 10)
+        decomposition_audit_range([1, 2, 3, 4], {4}, 2, 10, 10, audit_tables([1, 2, 3, 4], {4}, 2, 10))
+
+
+def test_decomposition_table_guards():
+    b = [1, 2, 3, 4, 7, 11, 13]
+    c = deletion_set(b, 2)
+    full_b, full_a, strict_b = audit_tables(b, c, 2, 40)
+    # longer tables are sliced: the same audit as tables ending at n_hi
+    longer = decomposition_audit_range(b, c, 2, 1, 40, audit_tables(b, c, 2, 60))
+    assert longer == decomposition_audit_range(b, c, 2, 1, 40, (full_b, full_a, strict_b))
+    for tables in (
+        (strict_b, full_a, strict_b),  # wrong semantics
+        (full_b, full_a, repr_strict(b, 6, 40)),  # wrong fold
+        audit_tables(b, c, 2, 39),  # shorter than n_hi
+        (full_b, full_b, strict_b),  # the A table is not built from B minus C
+    ):
+        with pytest.raises(ValueError):
+            decomposition_audit_range(b, c, 2, 1, 40, tables)
 
 
 def test_decomposition_vs_oracle():
@@ -115,7 +133,8 @@ def test_decomposition_vs_oracle():
         c = deletion_set(b, 2, records=records)
         c1 = {r.largest for r in records if r.kind == DISTINCT_2H}
         c2 = {r.largest for r in records if r.kind != DISTINCT_2H}
-        audits = decomposition_audit_range(b, c, 2, 1, 4 * max(b), records=records)
+        tables = audit_tables(b, c, 2, 4 * max(b))
+        audits = decomposition_audit_range(b, c, 2, 1, 4 * max(b), tables, records=records)
         for audit in audits:
             want = oracle_decomposition(b, c1, c2, 2, audit.n)
             assert (audit.lhs, audit.r1, audit.r2, audit.r3) == want, (b, audit.n)
@@ -125,8 +144,8 @@ def test_decomposition_vs_oracle():
 def test_decomposition_summary_matches_range():
     b = [1, 2, 3, 4, 7, 11, 13]
     c = deletion_set(b, 2)
-    summary = decomposition_summary(b, c, 2, 1, 40)
-    audits = decomposition_audit_range(b, c, 2, 1, 40)
+    summary = decomposition_summary(b, c, 2, 1, 40, audit_tables(b, c, 2, 40))
+    audits = decomposition_audit_range(b, c, 2, 1, 40, audit_tables(b, c, 2, 40))
     assert summary["checked"] == len(audits) == 40
     assert summary["violations"] == 0
     assert summary["max_slack"] == max(a.r1 + a.r2 + a.r3 - a.lhs for a in audits)
