@@ -16,15 +16,30 @@ descending weight then descending element; the side containing the overall
 largest element is placed on the d side (swapping sides if necessary, which
 is sound because the two sides have equal weight sums) with the largest
 element's slot first.
+
+Collisions are found spec by spec with an equal-sum join on numpy arrays.
+Each side's canonical assignments are rows of element values (one
+increasing combination per run of equal weights, rows with a value repeated
+across runs dropped), their weighted sums are int64, and the join sorts the
+d sums stably and matches sums against them: the e sums by ``searchsorted``
+when the weights differ, pairs inside each group of equal d sums when they
+agree.  Only the disjoint pairs are decoded to tuples and become records.
+The join's yield order is part of its contract (see ``equal_sum_pairs``):
+records are deduplicated first-seen, and one element set can satisfy two
+assignments of a spec, so the order decides which assignment is reported.
+Values whose side sums could leave int64 are refused up front.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import groupby, product
 import json
 import logging
+import math
+
+import numpy as np
 
 from .counting import validate_elements
 
@@ -32,6 +47,8 @@ log = logging.getLogger("bhbasis.collisions")
 
 DISTINCT_2H = "distinct_2h"
 WEIGHTED = "weighted"
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -79,7 +96,7 @@ class WeightSpec:
         """Ordered solutions per pair yielded by ``equal_sum_pairs``: slots of
         equal weight permute within a side, and equal sides swap."""
         swaps = 2 if self.d == self.e else 1
-        return swaps * _orderings_multiplier(self.d) * _orderings_multiplier(self.e)
+        return swaps * math.prod(math.factorial(c) for side in (self.d, self.e) for _, c in _runs(side))
 
 
 def one_sided_weights(h: int) -> list[tuple[int, ...]]:
@@ -273,72 +290,117 @@ def records_from_jsonl(text: str) -> list[CollisionRecord]:
     return [CollisionRecord.from_json_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
-def _side_assignments(values: list[int], weights: tuple[int, ...]):
-    """Canonical element assignments for one side of an equation.
+def _runs(weights: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(weight, length) of each run of equal adjacent weights."""
+    return [(w, len(list(run))) for w, run in groupby(weights)]
 
-    Weights are grouped into runs of equal value; elements within a run are
-    chosen as increasing combinations (one canonical order per multiset of
-    slots), and cross-run clashes are filtered so the side is pairwise
-    distinct.  Yields (weighted_sum, elements_in_slot_order).
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """range(start, start + count) for each pair, concatenated in order."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def _combination_rows(n: int, c: int) -> np.ndarray:
+    """Increasing index c-tuples of range(n), one per row, in
+    ``itertools.combinations`` (lexicographic) order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k in range(c):
+        first = rows[:, -1] + 1 if k else np.zeros(1, dtype=np.int64)
+        # prefixes the c - k - 1 later slots cannot complete are never built
+        counts = np.maximum(n - (c - k - 1) - first, 0)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), _ranges(first, counts)])
+    return rows
+
+
+def _disjoint(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose `left` values all differ from their `right` values."""
+    keep = np.ones(len(left), dtype=bool)
+    for i in range(left.shape[1]):
+        for j in range(right.shape[1]):
+            keep &= left[:, i] != right[:, j]
+    return keep
+
+
+def _side_rows(vals: np.ndarray, weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical element assignments of one side: (elements, weighted sums).
+
+    Each run of equal weights takes an increasing combination of values
+    (one canonical order per multiset of slots).  The runs combine in
+    row-major order, first run outermost, and a row is dropped when a value
+    repeats across runs, so each side is pairwise distinct.  Row i of
+    `elements` lists its assignment in slot order.
     """
-    runs: list[tuple[int, int]] = []
-    for w in weights:
-        if runs and runs[-1][0] == w:
-            runs[-1] = (w, runs[-1][1] + 1)
-        else:
-            runs.append((w, 1))
-
-    def rec(run_idx: int, used: set[int], acc_sum: int, acc_elems: tuple[int, ...]):
-        w, cnt = runs[run_idx]
-        last = run_idx + 1 == len(runs)
-        for combo in combinations(values, cnt):
-            if not used.isdisjoint(combo):
-                continue
-            if last:  # yield here rather than through one more generator
-                yield acc_sum + w * sum(combo), acc_elems + combo
-                continue
-            yield from rec(
-                run_idx + 1,
-                used | set(combo),
-                acc_sum + w * sum(combo),
-                acc_elems + combo,
-            )
-
-    yield from rec(0, set(), 0, ())
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _, c in _runs(weights):
+        combo = vals[_combination_rows(len(vals), c)]
+        rows, combo = np.repeat(rows, len(combo), axis=0), np.tile(combo, (len(rows), 1))
+        keep = _disjoint(rows, combo)
+        rows = np.hstack([rows[keep], combo[keep]])
+    sums = np.zeros(len(rows), dtype=np.int64)
+    for i, w in enumerate(weights):
+        sums += w * rows[:, i]
+    return rows, sums
 
 
-def _orderings_multiplier(weights: tuple[int, ...]) -> int:
-    """Number of ordered tuples per canonical assignment (equal-weight runs permute)."""
-    import math as _m
+def _equal_sum_rows(values, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Element rows (d side, e side) of the pairs ``equal_sum_pairs`` yields,
+    in its order.
 
-    mult = 1
-    run = 1
-    for i in range(1, len(weights) + 1):
-        if i < len(weights) and weights[i] == weights[i - 1]:
-            run += 1
-        else:
-            mult *= _m.factorial(run)
-            run = 1
-    return mult
-
-
-def equal_sum_pairs(values: list[int], spec: WeightSpec):
-    """Disjoint pairs (d_elements, e_elements) of canonical side assignments
-    with equal weighted sums: a hash join on the d side's sums.
-
-    When both sides carry the same weights each unordered pair is yielded
-    once.
+    Sums are int64; a spec and values whose largest side sum could leave
+    int64 are refused before any row is built.
     """
-    buckets: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for s, elems in _side_assignments(values, spec.d):
-        buckets[s].append(elems)
+    vals = np.asarray(values, dtype=np.int64)
+    if vals.size:
+        bound = max(sum(spec.d), sum(spec.e)) * max(abs(int(vals.min())), abs(int(vals.max())))
+        if bound > _INT64_MAX:
+            raise OverflowError(f"side sums of {spec.d}|{spec.e} may reach {bound}, beyond int64")
+    d_rows, d_sums = _side_rows(vals, spec.d)
+    order = np.argsort(d_sums, kind="stable")
+    sorted_sums = d_sums[order]
     if spec.d == spec.e:
-        pairs = (pair for group in buckets.values() for pair in combinations(group, 2))
+        # groups of equal sums that hold a pair, in first-member order; a
+        # member at sorted position p pairs with the later members p+1, ...
+        starts = np.flatnonzero(np.r_[True, sorted_sums[1:] != sorted_sums[:-1]])
+        sizes = np.diff(np.r_[starts, len(sorted_sums)])
+        starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+        rank = np.argsort(order[starts])
+        starts, sizes = starts[rank], sizes[rank]
+        slots = _ranges(starts, sizes)
+        later = np.repeat(starts + sizes, sizes) - slots - 1
+        left = d_rows[order[np.repeat(slots, later)]]
+        right = d_rows[order[_ranges(slots + 1, later)]]
     else:
-        pairs = ((de, ee) for s, ee in _side_assignments(values, spec.e) for de in buckets.get(s, ()))
-    for de, ee in pairs:
-        if set(de).isdisjoint(ee):
-            yield de, ee
+        e_rows, e_sums = _side_rows(vals, spec.e)
+        lo = np.searchsorted(sorted_sums, e_sums, side="left")
+        hits = np.searchsorted(sorted_sums, e_sums, side="right") - lo
+        left = d_rows[order[_ranges(lo, hits)]]
+        right = np.repeat(e_rows, hits, axis=0)
+    keep = _disjoint(left, right)
+    return left[keep], right[keep]
+
+
+def equal_sum_pairs(values, spec: WeightSpec):
+    """Disjoint pairs (d_elements, e_elements) of canonical side assignments
+    with equal weighted sums, as an iterator of tuples.
+
+    The join is a sort-and-match on index arrays: each side's assignments
+    are rows built with numpy (see ``_side_rows``), the d sums are sorted
+    stably, and the e sums are matched into them with ``searchsorted``.
+    When both sides carry the same weights each unordered pair is yielded
+    once, taken inside a group of equal d sums.  Only the disjoint pairs
+    are decoded to tuples.
+
+    Yield order: for d != e, by e assignment, then by d assignment; for
+    d == e, groups by where their first member appears, then pairs (i, j)
+    in ``combinations`` order; assignments count in generation order
+    (``_side_rows``).  The order matters: ``enumerate_collisions`` keeps the
+    first pair it sees for each (largest, kind, weights, element set), and
+    one element set can satisfy two assignments of a spec (at h = 3,
+    {1, 5, 17, 25} has 2·1+25 = 2·5+17 and 2·5+25 = 2·17+1).
+    """
+    left, right = _equal_sum_rows(values, spec)
+    return zip(map(tuple, left.tolist()), map(tuple, right.tolist()))
 
 
 def enumerate_collisions(b, h: int) -> list[CollisionRecord]:

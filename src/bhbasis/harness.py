@@ -141,10 +141,11 @@ def weighted_max_count(values, f, h: int) -> int:
 
 def solution_total(values, spec: _col.WeightSpec, h: int) -> int:
     """Total ordered distinct-element solutions of the two-sided equation
-    given by `spec` inside `values`."""
+    given by `spec` inside `values`, counted on the join's rows without
+    decoding a pair."""
     if not spec.is_reduced_form(h):
         raise ValueError(f"not a reduced two-sided spec for h={h}: {spec}")
-    return spec.orderings() * sum(1 for _ in _col.equal_sum_pairs(list(values), spec))
+    return spec.orderings() * len(_col._equal_sum_rows(list(values), spec)[0])
 
 
 def run_construction(

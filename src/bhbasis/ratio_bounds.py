@@ -450,10 +450,18 @@ def signed_composition_curve(
     """Part iv: signed-constraint composition sums over a grid of integers M.
 
     s = 0 and s = t reduce to part iii evaluated at |M| (the constraint
-    becomes a plain composition), computed exactly.  Interior cases use the
-    exact head plus certified tail; negative M folds onto the mirrored
-    parameter (t-s, t) at -M.  Grid points where the lhs vanishes (only the
-    degenerate |M| < t delegation points) are dropped.
+    becomes a plain composition), read from one composition table with no
+    series to truncate.  Interior cases use the exact head plus certified
+    tail; negative M folds onto the mirrored parameter (t-s, t) at -M.  Grid
+    points where the lhs vanishes (only the degenerate |M| < t delegation
+    points) are dropped.
+
+    `tail_err` certifies series truncation only, so it is 0.0 for s = 0 and
+    s = t.  FFT roundoff is not yet certified: composition tables of length
+    6324 and more are built by FFT (see ``_composition_table``), which
+    affects the s = 0 and s = t values once max|M| >= 6324 and the interior
+    heads at the default `length`.  ROADMAP "Certify every part-iii/iv
+    number" holds the planned bound.
     """
     if not 0 <= s <= t:
         raise ValueError("need 0 <= s <= t")

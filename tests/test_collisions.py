@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bhbasis import collisions
 from bhbasis.collisions import (
     DISTINCT_2H,
     WEIGHTED,
@@ -10,6 +11,7 @@ from bhbasis.collisions import (
     construct_a,
     deletion_set,
     enumerate_collisions,
+    equal_sum_pairs,
     normalize_largest,
     one_sided_weights,
     records_from_jsonl,
@@ -17,8 +19,11 @@ from bhbasis.collisions import (
     reduced_weight_pairs,
     validate_one_sided,
 )
+from bhbasis.harness import solution_total
+from bhbasis.sampling import ModelParams, sample_set
 from bhbasis.verify import is_bhg
 
+from tests import join_oracle
 from tests.oracles import oracle_collision_signatures, oracle_deletion_set
 
 
@@ -234,3 +239,77 @@ def test_jsonl_round_trip():
     recs = enumerate_collisions([1, 2, 3, 4, 7, 9], 2)
     text = records_to_jsonl(recs)
     assert records_from_jsonl(text) == recs
+
+
+def _all_specs(h):
+    return [WeightSpec.distinct_2h(h)] + reduced_weight_pairs(h)
+
+
+def _oracle_records(b, h, monkeypatch):
+    """enumerate_collisions with the generator join put back in."""
+    with monkeypatch.context() as m:
+        m.setattr(collisions, "equal_sum_pairs", join_oracle.equal_sum_pairs)
+        return enumerate_collisions(b, h)
+
+
+def test_join_matches_generator_order():
+    # same pairs in the same order, spec by spec: the empty set, sets with
+    # fewer values than slots, arithmetic progressions (many repeated sums)
+    # and random sets, unsorted ones included
+    rng = np.random.default_rng(77)
+    sets = [[], [5], [3, 9], [1, 2, 3], list(range(1, 13)), list(range(4, 40, 3))]
+    for _ in range(60):
+        top = int(rng.integers(3, 70))
+        size = int(rng.integers(0, min(13, top)))
+        sets.append(rng.choice(np.arange(1, top), size=size, replace=False).tolist())
+    total = 0
+    for h in (2, 3, 4):
+        for spec in _all_specs(h):
+            for b in sets:
+                if h == 4 and len(b) > 10:
+                    b = b[:10]
+                got = list(equal_sum_pairs(b, spec))
+                assert got == list(join_oracle.equal_sum_pairs(b, spec)), (b, spec)
+                total += len(got)
+    assert total > 1000
+
+
+def test_join_first_seen_cases(monkeypatch):
+    # one element set, two assignments of one spec: the record keeps the
+    # first pair the join yields
+    spec = WeightSpec((2, 1), (2, 1))
+    assert list(equal_sum_pairs([1, 5, 17, 25], spec)) == [((1, 25), (5, 17)), ((5, 25), (17, 1))]
+    recs = enumerate_collisions([1, 5, 17, 25], 3)
+    assert [r.elements for r in recs if r.spec == WeightSpec((1, 2), (2, 1))] == [(25, 1, 5, 17)]
+    assert recs == _oracle_records([1, 5, 17, 25], 3, monkeypatch)
+
+    spec = WeightSpec((2, 1), (1, 1, 1))
+    assert list(equal_sum_pairs([1, 3, 4, 6, 10], spec)) == [((4, 6), (1, 3, 10)), ((6, 3), (1, 4, 10))]
+    recs = enumerate_collisions([1, 3, 4, 6, 10], 3)
+    assert [r.elements for r in recs if r.spec == WeightSpec((1, 1, 1), (2, 1))] == [(10, 3, 1, 4, 6)]
+    assert recs == _oracle_records([1, 3, 4, 6, 10], 3, monkeypatch)
+
+
+def test_records_match_generator_join_on_theorem_sets(monkeypatch):
+    # theorem-shaped sets (N = 1e5): the serialized records are identical
+    for seed in range(1, 21):
+        for h in (2, 3):
+            b = list(sample_set(ModelParams(h, 10**5, seed)).elements)
+            got = records_to_jsonl(enumerate_collisions(b, h))
+            assert got == records_to_jsonl(_oracle_records(b, h, monkeypatch)), (seed, h)
+
+
+def test_join_refuses_int64_overflow():
+    big = [2**62, 2**62 + 1, 2**62 + 3]
+    spec = WeightSpec((2,), (1, 1))
+    with pytest.raises(OverflowError):
+        equal_sum_pairs(big, spec)
+    with pytest.raises(OverflowError):
+        enumerate_collisions(big, 2)
+    with pytest.raises(OverflowError):
+        solution_total(big, spec, 2)
+    # just inside the limit the sums are exact
+    near = [2**61 + k for k in (1, 2, 3, 4, 6)]
+    for s in _all_specs(2):
+        got = list(equal_sum_pairs(near, s))
+        assert got and got == list(join_oracle.equal_sum_pairs(near, s))
