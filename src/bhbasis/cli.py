@@ -22,11 +22,19 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _parse_seeds(args) -> tuple[int, ...]:
+    """The seeds of --seeds (taking precedence) or --seed; a missing,
+    malformed or repeated seed is a usage error (exit 2)."""
     if args.seeds:
-        return tuple(int(s) for s in args.seeds.split(","))
+        try:
+            seeds = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            args.usage_error(f"--seeds {args.seeds!r} is not a comma-separated list of integers")
+        if len(set(seeds)) != len(seeds):
+            args.usage_error(f"--seeds {args.seeds!r} repeats a seed")
+        return seeds
     if args.seed is not None:
         return (args.seed,)
-    raise SystemExit("need --seed or --seeds")
+    args.usage_error("need --seed or --seeds")
 
 
 def _write_or_print(text: str, out: str | None, name: str) -> None:
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="multi-seed experiment with aggregates")
     common(p, seeds=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("lemma4", help="bounded-ratio curves for the four sum inequalities")
     p.add_argument("--part", choices=("i", "ii", "iii", "iv"), required=True)
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=str)
     p.add_argument("--n-lo", type=int, default=1000)
     p.add_argument("--out", type=str)
-    p.set_defaults(func=cmd_lemma568)
+    p.set_defaults(func=cmd_lemma568, usage_error=p.error)
 
     p = sub.add_parser("replay", help="re-run a stored report and byte-compare")
     p.add_argument("--report", type=str, required=True)

@@ -14,20 +14,17 @@ Every table comes from one counting kernel, ``_add_counts`` (the "dp"
 backend): sparse sum-lists in its low rows, dense shift-adds above.  Each
 operation also has a naive enumeration (the oracle path, ``backend="naive"``),
 cross-validated against the kernel in the test suite.  Counts use checked
-unsigned arithmetic, so wraparound is impossible rather than detected:
-
-* an a-priori combinatorial bound on every possible entry is compared
-  against the dtype maximum before computing; an explicit ``counts_dtype``
-  too narrow for it is refused;
-* by default the kernel sizes its table once its sparse rows exist: each
-  dense row adds at most one shifted copy of the row below per element
-  that fits, so no entry exceeds (largest multiplicity in the last sparse
-  row) x (fitting elements)^(rows above it).  The table and every dense
-  row take the narrowest of uint16, uint32 and uint64 that admits the
-  smaller of the two bounds;
-* the naive oracles and ``repr_weighted`` (whose Moebius terms accumulate
-  in int64) take the narrowest of uint32 and uint64 that admits the
-  combinatorial bound.
+unsigned arithmetic, so wraparound is impossible rather than detected: every
+table takes the narrowest of uint16, uint32 and uint64 that admits the
+smallest bound on its entries known before it is allocated, and a bound
+beyond uint64 raises ``OverflowError`` before any work.  That bound is the
+combinatorial one (the number of tuples counted; for strict(k) the largest
+C(|A|, j), j <= k, which covers every kernel row) except for kernel-built
+``repr_multiset`` and ``repr_strict`` tables, which the kernel sizes once
+its sparse rows exist: each dense row adds at most one shifted copy of the
+row below per element that fits, so no entry exceeds (largest multiplicity
+in the last sparse row) x (fitting elements)^(rows above it), and the table
+and every dense row take the smaller of the two bounds.
 """
 
 from __future__ import annotations
@@ -112,20 +109,35 @@ class ReprTable:
 
     @classmethod
     def from_binary(cls, path) -> "ReprTable":
+        """Load a ``to_binary`` dump; a bad magic, an unknown semantics code
+        or a dump shorter than its header promises raises ValueError."""
         with _open(path, "rb") as fh:
             if fh.read(8) != _MAGIC:
                 raise ValueError("bad magic in table dump")
-            code = struct.unpack("<B", fh.read(1))[0]
+            (code,) = _unpack(fh, "<B")
+            if code not in _KIND_NAMES:
+                raise ValueError(f"unknown semantics code {code} in table dump")
             kind = _KIND_NAMES[code]
             if kind == "weighted":
-                t = struct.unpack("<I", fh.read(4))[0]
-                weights = struct.unpack(f"<{t}I", fh.read(4 * t))
-                semantics = ("weighted", tuple(int(w) for w in weights))
+                (t,) = _unpack(fh, "<I")
+                semantics = ("weighted", tuple(int(w) for w in _unpack(fh, f"<{t}I")))
             else:
-                semantics = (kind, struct.unpack("<I", fh.read(4))[0])
-            max_n, source_size = struct.unpack("<QQ", fh.read(16))
-            counts = np.frombuffer(fh.read(8 * (max_n + 1)), dtype="<u8").astype(np.uint64)
+                semantics = (kind, _unpack(fh, "<I")[0])
+            max_n, source_size = _unpack(fh, "<QQ")
+            counts = np.frombuffer(_read(fh, 8 * (max_n + 1)), dtype="<u8").astype(np.uint64)
             return cls(counts, semantics, source_size)
+
+
+def _read(fh, size: int) -> bytes:
+    """Exactly `size` bytes of a dump; fewer means it was cut short."""
+    data = fh.read(size)
+    if len(data) < size:
+        raise ValueError(f"table dump truncated: {len(data)} of {size} bytes")
+    return data
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
 
 
 def write_csv_rows(fh, n_lo: int, columns) -> None:
@@ -151,36 +163,13 @@ def _open(path, mode):
     return open(path, mode)
 
 
-def _check_bound(bound: int, dtype=None):
-    """Refuse before computing if any entry could exceed the dtype.
-
-    Every entry of every kernel row is at most the bound, so wraparound is
-    ruled out entirely.  Returns the dtype, which defaults to the narrowest
-    of uint32 and uint64 that admits the bound.
-    """
-    if dtype is None:
-        dtype = np.uint32 if bound <= np.iinfo(np.uint32).max else np.uint64
-    limit = int(np.iinfo(dtype).max)
-    if bound > limit:
-        raise OverflowError(
-            f"count bound {bound} exceeds dtype {np.dtype(dtype).name} "
-            f"maximum {limit}; use a wider count dtype"
-        )
-    return dtype
-
-
-def _narrowest(bound: int):
-    """Narrowest of uint16, uint32 and uint64 that admits the bound."""
-    return next(t for t in (np.uint16, np.uint32, np.uint64) if bound <= np.iinfo(t).max)
-
-
-def _table(width: int, bound: int, dtype=None):
-    """The kernel's table for a checked combinatorial bound: zeros in an
-    explicit dtype, or else a function that, given the row bound, returns
-    zeros in the narrowest unsigned dtype admitting the smaller bound."""
-    if dtype is not None:
-        return np.zeros(width, dtype=dtype)
-    return lambda row_bound: np.zeros(width, dtype=_narrowest(min(bound, row_bound)))
+def _count_dtype(bound: int):
+    """Narrowest of uint16, uint32 and uint64 that admits every entry up to
+    the bound; refuses a larger bound before anything is allocated."""
+    for dtype in (np.uint16, np.uint32, np.uint64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise OverflowError(f"count bound {bound} exceeds the uint64 maximum {np.iinfo(np.uint64).max}")
 
 
 def _index_tuples(n: int, j: int, order: str) -> int:
@@ -328,7 +317,7 @@ def _add_counts(
     return out
 
 
-def repr_multiset(a, h: int, max_n: int, *, counts_dtype=None, backend: str = "dp") -> ReprTable:
+def repr_multiset(a, h: int, max_n: int, *, backend: str = "dp") -> ReprTable:
     """Table of nondecreasing h-tuple sums: counts[n] = #{a_1 <= ... <= a_h, sum = n}."""
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -337,12 +326,15 @@ def repr_multiset(a, h: int, max_n: int, *, counts_dtype=None, backend: str = "d
     arr = validate_elements(a)
     arr = arr[arr <= max_n]
     bound = math.comb(int(arr.size) + h - 1, h)
-    dtype = _check_bound(bound, counts_dtype)
+    dtype = _count_dtype(bound)
     if backend == "naive":
         counts = np.zeros(max_n + 1, dtype=dtype)
         _naive_multiset(counts, arr, h)
     elif backend == "dp":
-        table = _table(max_n + 1, bound, counts_dtype)
+
+        def table(row_bound):
+            return np.zeros(max_n + 1, dtype=_count_dtype(min(bound, row_bound)))
+
         counts = _add_counts(max_n + 1, arr, (1,) * h, _NONDECREASING, table)
     else:
         raise ValueError(f"unknown backend {backend!r}")
@@ -367,7 +359,7 @@ def _naive_multiset(counts: np.ndarray, arr: np.ndarray, h: int) -> None:
         rec(0, h, 0)
 
 
-def repr_strict(a, k: int, max_n: int, *, counts_dtype=None, backend: str = "dp") -> ReprTable:
+def repr_strict(a, k: int, max_n: int, *, backend: str = "dp") -> ReprTable:
     """Table of strictly increasing k-tuple sums with largest part < n.
 
     For k >= 2 the largest-part constraint is automatic (the other parts are
@@ -381,14 +373,17 @@ def repr_strict(a, k: int, max_n: int, *, counts_dtype=None, backend: str = "dp"
     arr = arr[arr <= max_n]
     # rows j < k of the kernel hold up to C(|A|, j) tuples
     bound = max(math.comb(int(arr.size), j) for j in range(k + 1))
-    dtype = _check_bound(bound, counts_dtype)
+    dtype = _count_dtype(bound)
     if backend == "naive":
         counts = np.zeros(max_n + 1, dtype=dtype)
         _naive_strict(counts, arr, k)
     elif backend == "dp" and k == 1:  # the largest-part constraint empties every count
         counts = np.zeros(max_n + 1, dtype=dtype)
     elif backend == "dp":
-        table = _table(max_n + 1, bound, counts_dtype)
+
+        def table(row_bound):
+            return np.zeros(max_n + 1, dtype=_count_dtype(min(bound, row_bound)))
+
         counts = _add_counts(max_n + 1, arr, (1,) * k, _STRICT, table)
     else:
         raise ValueError(f"unknown backend {backend!r}")
@@ -402,7 +397,7 @@ def _naive_strict(counts: np.ndarray, arr: np.ndarray, k: int) -> None:
             counts[s] += 1
 
 
-def repr_weighted(d, f, max_n: int, *, counts_dtype=None, backend: str = "dp") -> ReprTable:
+def repr_weighted(d, f, max_n: int, *, backend: str = "dp") -> ReprTable:
     """Table of weighted sums over ordered tuples of pairwise-distinct elements.
 
     counts[n] = #{(x_1, ..., x_t) : x_i in D pairwise distinct,
@@ -415,7 +410,7 @@ def repr_weighted(d, f, max_n: int, *, counts_dtype=None, backend: str = "dp") -
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     arr = validate_elements(d)
-    dtype = _check_bound(math.perm(int(arr.size), len(weights)), counts_dtype)
+    dtype = _count_dtype(math.perm(int(arr.size), len(weights)))
     if backend == "naive":
         counts = np.zeros(max_n + 1, dtype=dtype)
         _naive_weighted(counts, arr, weights)
@@ -454,7 +449,9 @@ def _moebius_weighted(arr: np.ndarray, weights, max_n: int) -> np.ndarray:
     """
     t = len(weights)
     # the running sum never exceeds sum |mu| * |D|^t = t! |D|^t in magnitude
-    _check_bound(math.factorial(t) * int(arr.size) ** t, np.int64)
+    bound = math.factorial(t) * int(arr.size) ** t
+    if bound > np.iinfo(np.int64).max:
+        raise OverflowError(f"Moebius sum bound {bound} exceeds the int64 maximum")
     total = np.zeros(max_n + 1, dtype=np.int64)
     for part in _set_partitions(list(range(t))):
         mu = math.prod((-1) ** (len(block) - 1) * math.factorial(len(block) - 1) for block in part)
@@ -465,11 +462,11 @@ def _moebius_weighted(arr: np.ndarray, weights, max_n: int) -> np.ndarray:
     return total
 
 
-def pairsum_histogram(a, h: int, *, counts_dtype=None) -> ReprTable:
+def pairsum_histogram(a, h: int) -> ReprTable:
     """Dense histogram of all h-fold nondecreasing sums of a finite set."""
     arr = validate_elements(a)
     top = int(arr[-1]) * h if arr.size else 0
-    return repr_multiset(arr, h, top, counts_dtype=counts_dtype)
+    return repr_multiset(arr, h, top)
 
 
 def multiset_sums(a, h: int, *, limit: int = 8_000_000) -> np.ndarray:

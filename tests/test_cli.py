@@ -144,6 +144,16 @@ def test_format_only_on_sweep(command, capsys):
     assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
-def test_missing_seeds_rejected():
-    with pytest.raises(SystemExit):
-        main(["sweep", "--h", "2", "--n", "100"])
+def test_missing_seeds_rejected(capsys):
+    # a missing or repeated seed is a usage error (exit 2), not the exit 1 of a FAIL verdict
+    cases = [
+        (["sweep", "--h", "2", "--n", "100"], "need --seed or --seeds"),
+        (["lemma568", "--h", "2", "--n-list", "400"], "need --seed or --seeds"),
+        (["sweep", "--h", "2", "--n", "100", "--seeds", "1,1"], "repeats a seed"),
+        (["lemma568", "--h", "2", "--n-list", "400", "--seeds", "2,3,2"], "repeats a seed"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err

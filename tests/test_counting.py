@@ -138,15 +138,91 @@ def test_mass_conservation_and_monotonicity():
 
 
 def test_overflow_is_loud():
-    with pytest.raises(OverflowError):
-        repr_multiset(range(1, 40), 3, 200, counts_dtype=np.uint8)
-    # uint32 is fine when the combinatorial bound fits
-    t = repr_multiset(range(1, 40), 3, 200, counts_dtype=np.uint32)
-    assert t.counts.dtype == np.uint32
+    # C(10005, 6) ~ 1.4e21 multisets: beyond uint64, refused before any table exists
+    with pytest.raises(OverflowError, match="uint64"):
+        repr_multiset(range(1, 10001), 6, 10000)
 
 
-def _uint64_table(fn, a, k, max_n):
-    return fn(a, k, max_n, counts_dtype=np.uint64).counts
+_BUILDERS = {"multiset": repr_multiset, "strict": repr_strict, "weighted": repr_weighted}
+_ORACLES = {"multiset": oracle_multiset, "strict": oracle_strict, "weighted": oracle_weighted}
+# One element far below max_n and 10000 just under it: C(10003, 3) > 2**32
+# multisets, of which only about 2e4 have a sum <= max_n.
+_TOP_HEAVY = [1, *range(10**6 - 9999, 10**6 + 1)]
+# Per semantics, inputs whose documented bound lands in uint16, past it and
+# (where cheap) past uint32, each tagged (cheap to enumerate, cheap for the
+# oracle).  The oracle sees only elements <= max_n: larger ones reach no target.
+_POLICY_CASES = {
+    "multiset": [
+        (([1, 2, 3], 2, 10), True, True),  # 6
+        ((range(1, 363), 2, 400), True, True),  # C(363, 2) = 65703
+        ((_TOP_HEAVY, 3, 10**6), True, False),  # C(10003, 3) ~ 1.7e11
+    ],
+    "strict": [
+        (([4, 9, 11], 1, 30), True, True),  # 3
+        ((range(1, 65537), 1, 65536), True, True),  # 65536
+        (([1, 2, 3, 4], 2, 10), True, True),  # C(4, 2) = 6
+        ((range(1, 364), 2, 400), True, True),  # C(363, 2) = 65703
+    ],
+    "weighted": [
+        (([1, 2, 9], (1, 1, 2), 50), True, True),  # 3! = 6
+        ((range(1, 258), (1, 1), 300), True, True),  # 257 * 256 = 65792
+        ((range(1, 65538), (1, 1), 20), False, True),  # 65537 * 65536 > 2**32
+    ],
+}
+_BEYOND_UINT64 = {
+    "multiset": (range(1, 10001), 6, 10000),  # C(10005, 6) ~ 1.4e21
+    "strict": (range(1, 10001), 6, 10000),  # C(10000, 6) ~ 1.4e21
+    "weighted": (range(1, 10001), (1,) * 6, 10000),  # 10000! / 9994! ~ 1.0e24
+}
+
+
+def _narrowest(bound: int):
+    return next(t for t in (np.uint16, np.uint32, np.uint64) if bound < 2 ** (8 * np.dtype(t).itemsize))
+
+
+def _documented_bound(kind: str, backend: str, a, k, max_n: int) -> int:
+    """The bound the counting module's docstring sizes each table from."""
+    vals = [x for x in a if x <= max_n]
+    if kind == "weighted":
+        return math.perm(len(a), len(k))
+    if kind == "multiset":
+        bound = math.comb(len(vals) + k - 1, k)
+    else:
+        bound = max(math.comb(len(vals), j) for j in range(k + 1))
+    if backend == "naive" or (kind == "strict" and k == 1):
+        return bound
+    row_bounds = []
+
+    def table(row_bound):
+        row_bounds.append(row_bound)
+        return np.zeros(max_n + 1, dtype=np.uint64)
+
+    order = "nondecreasing" if kind == "multiset" else "strict"
+    counting._add_counts(max_n + 1, np.array(vals, dtype=np.int64), (1,) * k, order, table)
+    return min(bound, row_bounds[0])
+
+
+@pytest.mark.parametrize("backend", ["dp", "naive"])
+@pytest.mark.parametrize("kind", ["multiset", "strict", "weighted"])
+def test_one_count_dtype_policy(kind, backend):
+    build = _BUILDERS[kind]
+    other = "naive" if backend == "dp" else "dp"
+    dtypes = []
+    for (a, k, max_n), enumerable, oracle in _POLICY_CASES[kind]:
+        if backend == "naive" and not enumerable:
+            continue
+        counts = build(a, k, max_n, backend=backend).counts
+        dtypes.append(counts.dtype)
+        assert counts.dtype == _narrowest(_documented_bound(kind, backend, a, k, max_n)), (a, k)
+        if oracle:
+            want = _ORACLES[kind]([x for x in a if x <= max_n], k, max_n)
+        else:
+            want = build(a, k, max_n, backend=other).counts
+        assert np.array_equal(counts, want), (a, k)
+    assert dtypes[0] == np.uint16  # on both backends, for every semantics
+    with pytest.raises(OverflowError, match="uint64") as exc:
+        build(*_BEYOND_UINT64[kind], backend=backend)
+    assert "wider count dtype" not in str(exc.value)
 
 
 # Sets whose combinatorial bound exceeds 65535 but whose row bound fits
@@ -165,17 +241,16 @@ _NARROW = {
     ],
 }
 _ORDERS = {repr_multiset: "nondecreasing", repr_strict: "strict"}
+_REFERENCES = {repr_multiset: oracle_multiset, repr_strict: oracle_strict}
 
 
 @pytest.mark.parametrize("fn", [repr_multiset, repr_strict])
 def test_row_bound_gives_uint16(fn):
     for a, k, max_n, sparse in _NARROW[fn]:
         assert counting._sparse_rows(a.tolist(), (1,) * k, max_n + 1, _ORDERS[fn]) == sparse
-        with pytest.raises(OverflowError):  # explicit dtypes keep the combinatorial check
-            fn(a, k, max_n, counts_dtype=np.uint16)
         t = fn(a, k, max_n)
         assert t.counts.dtype == np.uint16
-        assert np.array_equal(t.counts, _uint64_table(fn, a, k, max_n))
+        assert np.array_equal(t.counts, _REFERENCES[fn](a.tolist(), k, max_n))
     a, k, max_n, _ = _NARROW[fn][0]
     assert np.array_equal(fn(a, k, max_n).counts, fn(a, k, max_n, backend="naive").counts)
 
@@ -188,7 +263,7 @@ def test_row_bound_at_uint16_limit(fn):
         assert counting._sparse_rows(a.tolist(), (1, 1, 1), 1000, _ORDERS[fn]) == 1
         t = fn(a, 3, 999)
         assert t.counts.dtype == dtype, m
-        assert np.array_equal(t.counts, _uint64_table(fn, a, 3, 999))
+        assert np.array_equal(t.counts, fn(a, 3, 999, backend="naive").counts)
 
 
 def test_row_bound_covers_every_entry():
@@ -234,6 +309,22 @@ def test_binary_and_csv_round_trip(tmp_path):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,count"
     assert len(lines) == t.max_n + 2
+
+
+def test_corrupt_binary_dumps_refused():
+    buf = io.BytesIO()
+    repr_weighted([1, 2, 9], (1, 1, 2), 50).to_binary(buf)
+    dump = buf.getvalue()
+    kind_at = len(counting._MAGIC)
+    corrupt = [
+        dump[:-40],  # counts cut short: the header still says max_n = 50
+        dump[: kind_at + 3],  # cut inside the weights' length
+        dump[:kind_at] + bytes([9]) + dump[kind_at + 1 :],  # unknown semantics code
+    ]
+    for data in corrupt:
+        with pytest.raises(ValueError):
+            ReprTable.from_binary(io.BytesIO(data))
+    assert ReprTable.from_binary(io.BytesIO(dump)).max_n == 50
 
 
 def _row_loop_csv(counts) -> str:
