@@ -37,7 +37,6 @@ from .ratio_bounds import (
     TailBoundError,
     composition_curve,
     geometric_grid,
-    ratio_curve,
     shifted_tail_curve,
     signed_composition_curve,
     split_sum_curve,
@@ -94,7 +93,6 @@ __all__ = [
     "normalize_largest",
     "one_sided_weights",
     "pairsum_histogram",
-    "ratio_curve",
     "reduced_weight_pairs",
     "replay_report",
     "repr_multiset",

@@ -84,7 +84,7 @@ def cmd_verify(args) -> int:
     rec = harness.run_construction(args.h, args.n, args.seed, window=args.window)
     checks = {
         "bh1_ok": bool(rec["bh1"]["ok"]),
-        "decomposition_ok": rec["decomposition"] is None or rec["decomposition"]["violations"] == 0,
+        "decomposition_ok": rec["decomposition"]["violations"] == 0,
         "coverage_a_positive": rec["basis_a"]["coverage"] > 0,
     }
     for name, ok in checks.items():
@@ -118,24 +118,20 @@ def cmd_lemma4(args) -> int:
     missing = [f"--{name}" for name in _LEMMA4_FLAGS[args.part] if getattr(args, name) is None]
     if missing:
         args.usage_error(f"--part {args.part} needs {' '.join(missing)}")
-    kwargs = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "m_max": args.mmax,
-        "h": args.h,
-        "l": args.l,
-        "s": args.s,
-        "t": args.t,
-    }
-    if args.tail_eps is not None:
-        kwargs["tail_eps"] = args.tail_eps
-    if args.part in ("ii", "iv"):
-        if args.grid == "geometric":
-            grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
-            kwargs["grid"] = [-m for m in grid] + grid
-        else:
-            kwargs["grid"] = range(-args.mmax, args.mmax + 1)
-    curve = ratio_bounds.ratio_curve(args.part, **{k: v for k, v in kwargs.items() if v is not None})
+    tail = {} if args.tail_eps is None else {"tail_eps": args.tail_eps}
+    if args.grid == "geometric":
+        grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
+        grid = [-m for m in grid] + grid
+    else:
+        grid = range(-args.mmax, args.mmax + 1)
+    if args.part == "i":
+        curve = ratio_bounds.split_sum_curve(args.alpha, args.beta, args.mmax)
+    elif args.part == "ii":
+        curve = ratio_bounds.shifted_tail_curve(args.alpha, args.beta, -args.mmax, args.mmax, grid=grid, **tail)
+    elif args.part == "iii":
+        curve = ratio_bounds.composition_curve(args.l, args.h, args.mmax)
+    else:
+        curve = ratio_bounds.signed_composition_curve(args.s, args.t, args.h, grid, **tail)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"ratio_{args.part}.csv")

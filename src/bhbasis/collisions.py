@@ -167,7 +167,6 @@ class CanonicalEquation:
     spec: WeightSpec
     d_elements: tuple[int, ...]
     e_elements: tuple[int, ...]
-    swapped: bool = False
 
     def participants(self) -> tuple[int, ...]:
         return self.d_elements + self.e_elements
@@ -218,16 +217,13 @@ def canonicalize(ms1, ms2) -> CanonicalEquation | None:
 def normalize_largest(eq: CanonicalEquation) -> CanonicalEquation:
     """Move the side holding the overall largest element to d, largest first.
 
-    Swapping sides is harmless since the weighted sums are equal; the
-    `swapped` flag records that the input had the largest element on e.
+    Swapping sides is harmless since the weighted sums are equal.
     """
     big = eq.largest()
-    swapped = eq.swapped
     d_pairs = list(zip(eq.spec.d, eq.d_elements))
     e_pairs = list(zip(eq.spec.e, eq.e_elements))
     if big in eq.e_elements:
         d_pairs, e_pairs = e_pairs, d_pairs
-        swapped = not swapped
     head = next(p for p in d_pairs if p[1] == big)
     rest = sorted((p for p in d_pairs if p[1] != big), key=lambda wx: (-wx[0], -wx[1]))
     d_pairs = [head] + rest
@@ -236,7 +232,6 @@ def normalize_largest(eq: CanonicalEquation) -> CanonicalEquation:
         WeightSpec(tuple(w for w, _ in d_pairs), tuple(w for w, _ in e_pairs)),
         tuple(x for _, x in d_pairs),
         tuple(x for _, x in e_pairs),
-        swapped,
     )
 
 

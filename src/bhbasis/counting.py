@@ -109,8 +109,9 @@ class ReprTable:
 
     @classmethod
     def from_binary(cls, path) -> "ReprTable":
-        """Load a ``to_binary`` dump; a bad magic, an unknown semantics code
-        or a dump shorter than its header promises raises ValueError."""
+        """Load a ``to_binary`` dump, one dump per file; a bad magic, an
+        unknown semantics code, or a dump shorter or longer than its header
+        promises raises ValueError."""
         with _open(path, "rb") as fh:
             if fh.read(8) != _MAGIC:
                 raise ValueError("bad magic in table dump")
@@ -125,6 +126,8 @@ class ReprTable:
                 semantics = (kind, _unpack(fh, "<I")[0])
             max_n, source_size = _unpack(fh, "<QQ")
             counts = np.frombuffer(_read(fh, 8 * (max_n + 1)), dtype="<u8").astype(np.uint64)
+            if fh.read(1):
+                raise ValueError("trailing bytes after table dump")
             return cls(counts, semantics, source_size)
 
 

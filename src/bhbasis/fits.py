@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_THEIL_SEN_POINTS = 400
+
 
 def ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least squares of log y on log x: returns (C, exponent, mean sq residual)
@@ -48,18 +50,18 @@ def dyadic_fit(n_lo: int, values: np.ndarray) -> tuple[float, float, int, float]
     return c, expo, len(xs), resid
 
 
-def theil_sen_slope(x: np.ndarray, y: np.ndarray, *, max_points: int = 400) -> float:
+def theil_sen_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Median of pairwise slopes; robust trend estimate.
 
-    Inputs longer than max_points are thinned evenly first to keep the
-    O(P^2) pair set small.
+    Inputs longer than _THEIL_SEN_POINTS are thinned evenly first to keep
+    the O(P^2) pair set small.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise ValueError("need two same-length vectors")
-    if x.size > max_points:
-        idx = np.linspace(0, x.size - 1, max_points).astype(int)
+    if x.size > _THEIL_SEN_POINTS:
+        idx = np.linspace(0, x.size - 1, _THEIL_SEN_POINTS).astype(int)
         x, y = x[idx], y[idx]
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]

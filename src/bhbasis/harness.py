@@ -3,7 +3,12 @@
 A report is a pure function of its configuration: per-seed records are
 computed independently, one seed after another in order of seed value, and
 serialized as canonical JSON, so replaying a stored report reproduces it
-byte for byte.
+byte for byte.  Every record carries the decomposition audit over
+[1, min(audit_hi, N)]; audit_hi is a positive integer, 50,000 by default.
+
+`ExperimentConfig`, `basis_floor_check` and `boundedness_check` share one
+seed rule (`seed_list`): a nonempty collection of distinct integers, run in
+increasing order; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import json
 import math
+import operator
 import os
 import statistics
 
@@ -23,6 +29,7 @@ from .counting import ReprTable, repr_multiset, repr_strict, repr_weighted
 from .sampling import ModelParams, expected_count, sample_set
 
 SCHEMA_VERSION = 1
+_ONE_SIDED_ARITY = 3
 
 def _jsonify(obj):
     if isinstance(obj, dict):
@@ -59,9 +66,26 @@ def pair_key(spec: _col.WeightSpec) -> str:
     return spec_key(spec.d) + "|" + spec_key(spec.e)
 
 
-def default_one_sided(h: int, max_arity: int = 3) -> tuple[tuple[int, ...], ...]:
+def default_one_sided(h: int) -> tuple[tuple[int, ...], ...]:
     """Tracked single-equation weight vectors; arity capped for tractability."""
-    return tuple(f for f in _col.one_sided_weights(h) if len(f) <= max_arity)
+    return tuple(f for f in _col.one_sided_weights(h) if len(f) <= _ONE_SIDED_ARITY)
+
+
+def seed_list(seeds) -> tuple[int, ...]:
+    """The seeds in increasing order; raises ValueError unless they are a
+    nonempty collection of distinct integers."""
+    try:
+        vals = sorted(operator.index(s) for s in seeds)
+    except TypeError:
+        raise ValueError("seeds must be integers") from None
+    if not vals or len(set(vals)) != len(vals):
+        raise ValueError("seeds must be a nonempty list of distinct integers")
+    return tuple(vals)
+
+
+def _check_audit_hi(audit_hi) -> None:
+    if not isinstance(audit_hi, int) or audit_hi < 1:
+        raise ValueError(f"audit_hi must be a positive integer, got {audit_hi!r}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +96,7 @@ class ExperimentConfig:
     n: int
     seeds: tuple[int, ...]
     window: tuple[int, int] | None = None
-    audit_hi: int | None = 50_000
+    audit_hi: int = 50_000
     floor: bool = True
     one_sided: tuple[tuple[int, ...], ...] = ()
     out_dir: str | None = None
@@ -82,8 +106,8 @@ class ExperimentConfig:
             raise ValueError("h must be >= 2")
         if self.n < 10:
             raise ValueError("N must be >= 10")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be a nonempty list of distinct integers")
+        seed_list(self.seeds)
+        _check_audit_hi(self.audit_hi)
         for f in self.one_sided:
             _col.validate_one_sided(f, self.h)
 
@@ -109,7 +133,7 @@ class ExperimentConfig:
             n=int(d["n"]),
             seeds=tuple(int(s) for s in d["seeds"]),
             window=tuple(d["window"]) if d.get("window") is not None else None,
-            audit_hi=d.get("audit_hi"),
+            audit_hi=d["audit_hi"],
             floor=bool(d.get("floor", True)),
             one_sided=tuple(tuple(f) for f in d.get("one_sided", [])),
             out_dir=d.get("out_dir"),
@@ -154,7 +178,7 @@ def run_construction(
     seed: int,
     *,
     window: tuple[int, int] | None = None,
-    audit_hi: int | None = 50_000,
+    audit_hi: int = 50_000,
     floor: bool = True,
     one_sided: tuple[tuple[int, ...], ...] = (),
     keep_tables: bool = False,
@@ -167,6 +191,7 @@ def run_construction(
     Each 2h-fold table is built once, here; the multiset tables of B and A
     (`_tables`, with `keep_tables`) cover [0, max(n_hi, audit bound)].
     """
+    _check_audit_hi(audit_hi)
     params = ModelParams(h, n, seed)
     sampled = sample_set(params)
     b_vals = list(sampled.elements)
@@ -184,11 +209,10 @@ def run_construction(
     if not 1 <= n_lo <= n_hi <= n:
         raise ValueError("window must satisfy 1 <= lo <= hi <= N")
     k = 2 * h
-    audit = audit_hi is not None
-    hi = min(audit_hi, n) if audit else 0
+    hi = min(audit_hi, n)
     table_b = repr_multiset(b_vals, k, max(n_hi, hi))
     table_a = repr_multiset(a_vals, k, max(n_hi, hi))
-    strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi)) if floor or audit else None
+    strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi))
     basis_b = _ver.basis_window(table_b, n_lo, n_hi)
     basis_a = _ver.basis_window(table_a, n_lo, n_hi)
 
@@ -213,14 +237,11 @@ def run_construction(
     rec["floor_min_norm"] = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
     rec["weighted_max"] = {spec_key(f): weighted_max_count(b_vals, f, h) for f in one_sided}
 
-    if audit:
-        rec["decomposition"] = _ver.decomposition_summary(
-            b_vals, c_set, h, 1, hi, (table_b, table_a, strict_b), records=records
-        )
-        if rec["decomposition"]["violations"]:
-            raise AssertionError(f"decomposition bound violated at seed {seed}")
-    else:
-        rec["decomposition"] = None
+    rec["decomposition"] = _ver.decomposition_summary(
+        b_vals, c_set, h, 1, hi, (table_b, table_a, strict_b), records=records
+    )
+    if rec["decomposition"]["violations"]:
+        raise AssertionError(f"decomposition bound violated at seed {seed}")
 
     if keep_tables:
         rec["_tables"] = {"basis_b": table_b, "basis_a": table_a}
@@ -239,7 +260,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             floor=config.floor,
             one_sided=config.one_sided,
         )
-        for seed in sorted(config.seeds)
+        for seed in seed_list(config.seeds)
     ]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -279,7 +300,7 @@ def basis_floor_check(h: int, n: int, seeds, n_lo: int) -> dict:
     if n_lo < 1 or n_lo > n:
         raise ValueError("need 1 <= n_lo <= N")
     per_seed = {}
-    for seed in sorted(set(int(s) for s in seeds)):
+    for seed in seed_list(seeds):
         strict = repr_strict(sample_set(ModelParams(h, n, seed)).elements, 2 * h, n)
         per_seed[str(seed)] = _floor_min_norm(strict, h, n_lo, n)
     vals = list(per_seed.values())
@@ -293,29 +314,23 @@ def basis_floor_check(h: int, n: int, seeds, n_lo: int) -> dict:
     }
 
 
-def boundedness_check(h: int, n_list, seeds, one_sided=None, two_sided=None) -> dict:
+def boundedness_check(h: int, n_list, seeds) -> dict:
     """Weighted-solution statistics across nested windows.
 
-    For each window bound N, each tracked one-sided weight vector reports
-    the max-over-targets solution count, and each two-sided spec the total
-    solution count; sets are nested because the sampler is prefix
-    consistent, so growth across N is meaningful per seed.
+    For each window bound N, each one-sided weight vector of
+    `default_one_sided(h)` reports the max-over-targets solution count, and
+    each reduced two-sided spec the total solution count; sets are nested
+    because the sampler is prefix consistent, so growth across N is
+    meaningful per seed.
     """
     n_values = sorted(set(int(x) for x in n_list))
-    if one_sided is None:
-        one_sided = default_one_sided(h)
-    else:
-        one_sided = tuple(_col.validate_one_sided(f, h) for f in one_sided)
-    if two_sided is None:
-        two_sided = tuple(_col.reduced_weight_pairs(h))
-    else:
-        for spec in two_sided:
-            if not spec.is_reduced_form(h):
-                raise ValueError(f"invalid two-sided spec for h={h}: {spec}")
+    seeds = seed_list(seeds)
+    one_sided = default_one_sided(h)
+    two_sided = tuple(_col.reduced_weight_pairs(h))
     n_max = n_values[-1]
     l6 = {spec_key(f): {str(nv): [] for nv in n_values} for f in one_sided}
     l8 = {pair_key(s): {str(nv): [] for nv in n_values} for s in two_sided}
-    for seed in sorted(set(int(s) for s in seeds)):
+    for seed in seeds:
         sampled = sample_set(ModelParams(h, n_max, seed))
         for nv in n_values:
             vals = [x for x in sampled.elements if x <= nv]
@@ -326,7 +341,7 @@ def boundedness_check(h: int, n_list, seeds, one_sided=None, two_sided=None) -> 
     out = {
         "h": h,
         "n_values": n_values,
-        "seeds": sorted(set(int(s) for s in seeds)),
+        "seeds": list(seeds),
         "one_sided": {
             key: {"max": rows, "median": {nv: statistics.median(v) for nv, v in rows.items()}}
             for key, rows in l6.items()
@@ -408,7 +423,7 @@ def validate_report(report: dict) -> None:
     need(report.get("schema_version") == SCHEMA_VERSION, "bad schema_version")
     cfg = report.get("config")
     need(isinstance(cfg, dict), "missing config")
-    for key, typ in (("h", int), ("n", int), ("seeds", list), ("window", list)):
+    for key, typ in (("h", int), ("n", int), ("seeds", list), ("window", list), ("audit_hi", int)):
         need(isinstance(cfg.get(key), typ), f"config.{key} must be {typ.__name__}")
     recs = report.get("records")
     need(isinstance(recs, list) and recs, "records must be a nonempty list")
@@ -416,6 +431,7 @@ def validate_report(report: dict) -> None:
         for key in ("h", "n", "seed", "b_size", "c_size", "a_size", "bh1", "basis_b", "basis_a"):
             need(key in r, f"record missing {key}")
         need(isinstance(r["bh1"], dict) and "ok" in r["bh1"], "record.bh1 malformed")
+        need(isinstance(r.get("decomposition"), dict), "record.decomposition must be an object")
         for basis in ("basis_b", "basis_a"):
             for key in ("k", "n_lo", "n_hi", "coverage"):
                 need(key in r[basis], f"record.{basis} missing {key}")

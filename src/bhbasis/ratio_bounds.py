@@ -502,30 +502,3 @@ def signed_composition_curve(
         rhs,
         np.array(err),
     )
-
-
-# -------------------------------------------------------------- dispatch
-
-
-def ratio_curve(part: str, **kwargs) -> RatioCurve:
-    """Uniform entry point used by the command line: part in {i, ii, iii, iv}."""
-    if part == "i":
-        return split_sum_curve(kwargs["alpha"], kwargs["beta"], kwargs["m_max"])
-    if part == "ii":
-        return shifted_tail_curve(
-            kwargs["alpha"],
-            kwargs["beta"],
-            kwargs.get("m_lo", -kwargs["m_max"]),
-            kwargs.get("m_hi", kwargs["m_max"]),
-            kwargs.get("tail_eps", 1e-6),
-            kwargs.get("grid"),
-        )
-    if part == "iii":
-        return composition_curve(kwargs["l"], kwargs["h"], kwargs["m_max"])
-    if part == "iv":
-        grid = kwargs.get("grid")
-        grid = range(-kwargs["m_max"], kwargs["m_max"] + 1) if grid is None else grid
-        return signed_composition_curve(
-            kwargs["s"], kwargs["t"], kwargs["h"], grid, kwargs.get("tail_eps"),
-        )
-    raise ValueError(f"unknown part {part!r}")

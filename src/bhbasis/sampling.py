@@ -92,9 +92,6 @@ class ModelParams:
         """float of alpha - 1 = -(4h-3)/(4h-1)."""
         return float(self.alpha - 1)
 
-    def with_window(self, n_max: int) -> "ModelParams":
-        return ModelParams(self.h, n_max, self.seed)
-
 
 def inclusion_probability(n: int, params: ModelParams) -> float:
     """Probability that index n is included: n^(-(4h-3)/(4h-1)) in (0, 1].
@@ -141,15 +138,6 @@ class SampledSet:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def window(self, n_max: int) -> "SampledSet":
-        """Restriction to [1, n_max]; exact by the per-index stream contract."""
-        if n_max >= self.N:
-            raise ValueError("window must shrink the set")
-        import bisect
-
-        cut = bisect.bisect_right(self.elements, n_max)
-        return SampledSet(self.elements[:cut], self.params.with_window(n_max))
 
     def to_json_dict(self) -> dict:
         return {

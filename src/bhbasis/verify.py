@@ -154,14 +154,14 @@ def _decomposition_arrays(b, c_set, h: int, n_lo: int, n_hi: int, tables, record
         if table.source_size != bisect_right(source, table.max_n):
             raise ValueError(f"{kind} table was not built from the expected set")
 
-    def window(table):
+    def rows(table):
         return table.counts[n_lo : n_hi + 1].astype(np.int64)
 
-    full, full_a, strict_all = (window(t) for t in tables)
+    full, full_a, strict_all = (rows(t) for t in tables)
     lhs = full - full_a
     r1 = full - strict_all
-    r2 = strict_all - window(repr_strict([x for x in vals if x not in c1], k, n_hi))
-    r3 = strict_all - window(repr_strict([x for x in vals if x not in c2], k, n_hi))
+    r2 = strict_all - rows(repr_strict([x for x in vals if x not in c1], k, n_hi))
+    r3 = strict_all - rows(repr_strict([x for x in vals if x not in c2], k, n_hi))
     return lhs, r1, r2, r3
 
 

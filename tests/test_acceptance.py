@@ -99,7 +99,7 @@ def test_criterion_3_basis_half_desk_scale():
     coverages = []
     mean_b = np.zeros(n + 1, dtype=np.float64)
     for seed in seeds:
-        rec = run_construction(2, n, seed, window=window, floor=False, audit_hi=None, keep_tables=True)
+        rec = run_construction(2, n, seed, window=window, floor=False, keep_tables=True)
         coverages.append(rec["basis_a"]["coverage"])
         mean_b += rec["_tables"]["basis_b"].counts.astype(np.float64)
         del rec

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bhbasis import ratio_bounds
 from bhbasis.cli import main
 
 
@@ -72,6 +73,37 @@ def test_lemma4_part_iv(capsys):
     rc = main(["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "2", "--mmax", "500"])
     assert rc == 0
     assert "sup_ratio=" in capsys.readouterr().out
+
+
+_GRID = ratio_bounds.geometric_grid(1, 60, include=(100,))
+_SIGNED = [-m for m in _GRID] + _GRID
+
+
+_LEMMA4_CASES = {
+    "i": (["--alpha", "0.6", "--beta", "0.7"], lambda **kw: ratio_bounds.split_sum_curve(0.6, 0.7, 60)),
+    "ii": (
+        ["--alpha", "0.6", "--beta", "0.7"],
+        lambda **kw: ratio_bounds.shifted_tail_curve(0.6, 0.7, -60, 60, grid=_SIGNED, **kw),
+    ),
+    "iii": (["--h", "2", "--l", "2"], lambda **kw: ratio_bounds.composition_curve(2, 2, 60)),
+    "iv": (
+        ["--h", "2", "--s", "1", "--t", "2"],
+        lambda **kw: ratio_bounds.signed_composition_curve(1, 2, 2, _SIGNED, **kw),
+    ),
+}
+
+
+@pytest.mark.parametrize("tail_eps", [None, "0.02"])
+@pytest.mark.parametrize("part", sorted(_LEMMA4_CASES))
+def test_lemma4_csv_matches_direct_call(part, tail_eps, tmp_path):
+    # each part's CSV is the direct curve call's; --tail-eps reaches ii and iv only
+    flags, direct = _LEMMA4_CASES[part]
+    extra = [] if tail_eps is None else ["--tail-eps", tail_eps]
+    assert main(["lemma4", "--part", part, *flags, "--mmax", "60", *extra, "--out", str(tmp_path / "cli")]) == 0
+    kwargs = {"tail_eps": float(tail_eps)} if tail_eps is not None and part in ("ii", "iv") else {}
+    direct(**kwargs).to_csv(str(tmp_path / "direct.csv"))
+    cli_bytes = (tmp_path / "cli" / f"ratio_{part}.csv").read_bytes()
+    assert cli_bytes == (tmp_path / "direct.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -63,12 +63,11 @@ def test_normalize_largest_swaps_sides():
     eq = canonicalize((1, 5, 5), (2, 2, 7))
     norm = normalize_largest(eq)
     assert norm.d_elements[0] == 7
-    assert norm.swapped is True
     assert norm.holds()
-    # already-largest-side input is not swapped
+    # already-largest-side input keeps its sides
     eq2 = canonicalize((2, 9, 9), (5, 7, 8))
     norm2 = normalize_largest(eq2)
-    assert norm2.d_elements[0] == 9 and norm2.swapped is False
+    assert norm2.d_elements[0] == 9
 
 
 def test_canonicalize_random_pairs_properties():

@@ -320,6 +320,7 @@ def test_corrupt_binary_dumps_refused():
         dump[:-40],  # counts cut short: the header still says max_n = 50
         dump[: kind_at + 3],  # cut inside the weights' length
         dump[:kind_at] + bytes([9]) + dump[kind_at + 1 :],  # unknown semantics code
+        dump + bytes(8),  # trailing bytes: one dump per file
     ]
     for data in corrupt:
         with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def test_dyadic_fit_matches_golden_fits():
     for rec in golden["records"]:
         run = run_construction(
             2, golden["config"]["n"], rec["seed"], window=(n_lo, n_hi),
-            audit_hi=None, floor=False, keep_tables=True,
+            floor=False, keep_tables=True,
         )
         for name in ("basis_b", "basis_a"):
             window = run["_tables"][name].counts[n_lo : n_hi + 1]

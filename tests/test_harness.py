@@ -68,7 +68,7 @@ def test_size_concentration_at_scale():
     v = expected_count(ModelParams(3, 10**6, 0), 1, 10**6)
     sizes, dels = [], []
     for seed in range(1, 21):
-        rec = run_construction(3, 10**6, seed, floor=False, audit_hi=None)
+        rec = run_construction(3, 10**6, seed, floor=False)
         sizes.append(rec["b_size"])
         dels.append(rec["c_size"])
     assert abs(np.mean(sizes) - v) <= 3 * math.sqrt(v)
@@ -88,7 +88,7 @@ def test_weighted_max_and_totals_vs_oracle():
 
 
 def test_boundedness_check_shape_and_nesting():
-    out = boundedness_check(2, [500, 2000], range(4), one_sided=[(1, 1)], two_sided=None)
+    out = boundedness_check(2, [500, 2000], range(4))
     assert out["n_values"] == [500, 2000]
     key = "1,1"
     assert len(out["one_sided"][key]["max"]["500"]) == 4
@@ -98,11 +98,28 @@ def test_boundedness_check_shape_and_nesting():
         assert out["two_sided"]["2|1,1"]["total"]["2000"][i] >= out["two_sided"]["2|1,1"]["total"]["500"][i]
 
 
-def test_boundedness_check_rejects_bad_specs():
-    with pytest.raises(ValueError):
-        boundedness_check(2, [100], [1], one_sided=[(1, 1, 1, 1)])
-    with pytest.raises(ValueError):
-        boundedness_check(2, [100], [1], two_sided=[WeightSpec((1, 1), (1, 1))])
+@pytest.mark.parametrize("seeds", [[3, 3], [1, 2, 1], [], [1.5]])
+def test_both_checks_refuse_bad_seeds(seeds):
+    # one seed rule for ExperimentConfig and both lemma checks
+    with pytest.raises(ValueError, match="seeds"):
+        basis_floor_check(2, 2000, seeds, 1)
+    with pytest.raises(ValueError, match="seeds"):
+        boundedness_check(2, [100], seeds)
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(h=2, n=100, seeds=tuple(seeds))
+
+
+def test_checks_run_seeds_in_order():
+    assert list(basis_floor_check(2, 600, [3, 1], 1)["per_seed"]) == ["1", "3"]
+    assert boundedness_check(2, [100], (3, 1))["seeds"] == [1, 3]
+
+
+@pytest.mark.parametrize("audit_hi", [0, -5, None])
+def test_audit_hi_must_be_positive(audit_hi):
+    with pytest.raises(ValueError, match="audit_hi"):
+        ExperimentConfig(h=2, n=100, seeds=(1,), audit_hi=audit_hi)
+    with pytest.raises(ValueError, match="audit_hi"):
+        run_construction(2, 100, 1, audit_hi=audit_hi)
 
 
 def test_basis_floor_zero_below_onset():

@@ -7,7 +7,6 @@ from bhbasis.ratio_bounds import (
     TailBoundError,
     composition_curve,
     geometric_grid,
-    ratio_curve,
     shifted_tail_curve,
     signed_composition_curve,
     split_sum_curve,
@@ -267,24 +266,3 @@ def test_geometric_grid():
     grid = geometric_grid(1, 10_000, include=(100,))
     assert grid[0] == 1 and grid[-1] == 10_000 and 100 in grid
     assert all(b > a for a, b in zip(grid, grid[1:]))
-
-
-def test_dispatcher_and_csv(tmp_path):
-    curve = ratio_curve("iii", l=2, h=2, m_max=200)
-    path = tmp_path / "curve.csv"
-    curve.to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "M,lhs,rhs,ratio"
-    assert len(lines) == curve.m.size + 1
-    curve2 = ratio_curve("i", alpha=0.6, beta=0.7, m_max=64)
-    assert curve2.part == "i"
-    with pytest.raises(ValueError):
-        ratio_curve("v")
-
-
-def test_default_sweeps_of_parts_ii_and_iv_match():
-    # without a grid both signed parts sweep every integer of [-m_max, m_max]
-    ii = ratio_curve("ii", alpha=0.6, beta=0.7, m_max=30)
-    iv = ratio_curve("iv", s=1, t=2, h=2, m_max=30)
-    assert ii.m.size == iv.m.size == 61
-    assert np.array_equal(ii.m, iv.m)
