@@ -111,19 +111,36 @@ def cmd_sweep(args) -> int:
     return 0 if report["aggregate"]["all_bh1_ok"] else 1
 
 
-_LEMMA4_FLAGS = {"i": ("alpha", "beta"), "ii": ("alpha", "beta"), "iii": ("h", "l"), "iv": ("h", "s", "t")}
+# the per-part flags each part reads; the others are refused.  tail_eps and
+# grid may be left out, every other flag a part reads is required
+_LEMMA4_FLAGS = {
+    "i": ("alpha", "beta"),
+    "ii": ("alpha", "beta", "tail_eps", "grid"),
+    "iii": ("h", "l"),
+    "iv": ("h", "s", "t", "tail_eps", "grid"),
+}
+_LEMMA4_OPTIONAL = ("tail_eps", "grid")
+
+
+def _flags(names) -> str:
+    return " ".join("--" + name.replace("_", "-") for name in names)
 
 
 def cmd_lemma4(args) -> int:
-    missing = [f"--{name}" for name in _LEMMA4_FLAGS[args.part] if getattr(args, name) is None]
+    reads = _LEMMA4_FLAGS[args.part]
+    missing = [name for name in reads if name not in _LEMMA4_OPTIONAL and getattr(args, name) is None]
     if missing:
-        args.usage_error(f"--part {args.part} needs {' '.join(missing)}")
+        args.usage_error(f"--part {args.part} needs {_flags(missing)}")
+    every = dict.fromkeys(name for names in _LEMMA4_FLAGS.values() for name in names)
+    unread = [name for name in every if name not in reads and getattr(args, name) is not None]
+    if unread:
+        args.usage_error(f"--part {args.part} does not read {_flags(unread)}")
     tail = {} if args.tail_eps is None else {"tail_eps": args.tail_eps}
-    if args.grid == "geometric":
+    if args.grid == "full":
+        grid = range(-args.mmax, args.mmax + 1)
+    else:
         grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
         grid = [-m for m in grid] + grid
-    else:
-        grid = range(-args.mmax, args.mmax + 1)
     if args.part == "i":
         curve = ratio_bounds.split_sum_curve(args.alpha, args.beta, args.mmax)
     elif args.part == "ii":
@@ -212,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--mmax", type=int, default=10_000)
     p.add_argument("--tail-eps", type=float, default=None)
-    p.add_argument("--grid", choices=("full", "geometric"), default="geometric")
+    p.add_argument("--grid", choices=("full", "geometric"), help="M grid of parts ii, iv (default geometric)")
     p.add_argument("--out", type=str)
     p.set_defaults(func=cmd_lemma4, usage_error=p.error)
 

@@ -72,9 +72,6 @@ class WeightSpec:
     def is_balanced(self) -> bool:
         return sum(self.d) == sum(self.e)
 
-    def is_distinct_form(self, h: int) -> bool:
-        return self.d == (1,) * h and self.e == (1,) * h
-
     def is_reduced_form(self, h: int) -> bool:
         """Valid reduced (weighted-branch) spec: sum(d) = sum(e) <= h, arity <= 2h-1."""
         return (
@@ -158,87 +155,13 @@ def reduced_weight_pairs(h: int) -> list[WeightSpec]:
 
 
 @dataclass(frozen=True)
-class CanonicalEquation:
-    """A reduced equality with its element assignment.
-
-    d_elements[i] carries weight spec.d[i]; likewise for the e side.
-    """
-
-    spec: WeightSpec
-    d_elements: tuple[int, ...]
-    e_elements: tuple[int, ...]
-
-    def participants(self) -> tuple[int, ...]:
-        return self.d_elements + self.e_elements
-
-    def largest(self) -> int:
-        return max(self.participants())
-
-    def holds(self) -> bool:
-        lhs = sum(w * x for w, x in zip(self.spec.d, self.d_elements))
-        rhs = sum(w * x for w, x in zip(self.spec.e, self.e_elements))
-        parts = self.participants()
-        return lhs == rhs and len(set(parts)) == len(parts)
-
-
-def canonicalize(ms1, ms2) -> CanonicalEquation | None:
-    """Reduce two equal-sum h-multisets by cancelling common terms and
-    grouping repeats.
-
-    Returns None when the multisets are equal (no violation); raises on
-    unequal sums.  The d side keeps ms1's residue; within each side slots
-    are ordered by descending weight, then descending element.
-    """
-    m1, m2 = Counter(ms1), Counter(ms2)
-    if sum(ms1) != sum(ms2):
-        raise ValueError("multisets must have equal sums")
-    if len(ms1) != len(ms2):
-        raise ValueError("multisets must have equal size")
-    left: list[tuple[int, int]] = []
-    right: list[tuple[int, int]] = []
-    for v in sorted(set(m1) | set(m2)):
-        net = m1[v] - m2[v]
-        if net > 0:
-            left.append((net, v))
-        elif net < 0:
-            right.append((-net, v))
-    if not left:
-        return None
-    left.sort(key=lambda wx: (-wx[0], -wx[1]))
-    right.sort(key=lambda wx: (-wx[0], -wx[1]))
-    spec = WeightSpec(tuple(w for w, _ in left), tuple(w for w, _ in right))
-    return CanonicalEquation(
-        spec,
-        tuple(x for _, x in left),
-        tuple(x for _, x in right),
-    )
-
-
-def normalize_largest(eq: CanonicalEquation) -> CanonicalEquation:
-    """Move the side holding the overall largest element to d, largest first.
-
-    Swapping sides is harmless since the weighted sums are equal.
-    """
-    big = eq.largest()
-    d_pairs = list(zip(eq.spec.d, eq.d_elements))
-    e_pairs = list(zip(eq.spec.e, eq.e_elements))
-    if big in eq.e_elements:
-        d_pairs, e_pairs = e_pairs, d_pairs
-    head = next(p for p in d_pairs if p[1] == big)
-    rest = sorted((p for p in d_pairs if p[1] != big), key=lambda wx: (-wx[0], -wx[1]))
-    d_pairs = [head] + rest
-    e_pairs = sorted(e_pairs, key=lambda wx: (-wx[0], -wx[1]))
-    return CanonicalEquation(
-        WeightSpec(tuple(w for w, _ in d_pairs), tuple(w for w, _ in e_pairs)),
-        tuple(x for _, x in d_pairs),
-        tuple(x for _, x in e_pairs),
-    )
-
-
-@dataclass(frozen=True)
 class CollisionRecord:
-    """One witnessed equality: its kind, weights, element assignment, and
-    the largest participant (the element the deletion set removes)."""
+    """One reduced equality: its kind, weights, element assignment, and the
+    largest participant (the element the deletion set removes).
+
+    elements lists the d side's slots, then the e side's; elements[i]
+    carries weight spec.d[i] (likewise for the e side after them).
+    """
 
     kind: str
     spec: WeightSpec
@@ -252,8 +175,12 @@ class CollisionRecord:
         return self.elements[len(self.spec.d) :]
 
     def holds(self) -> bool:
-        eq = CanonicalEquation(self.spec, self.d_elements(), self.e_elements())
-        return eq.holds() and self.largest == max(self.elements)
+        """The weighted sides are equal over pairwise-distinct elements and
+        `largest` is the largest of them."""
+        lhs = sum(w * x for w, x in zip(self.spec.d, self.elements))
+        rhs = sum(w * x for w, x in zip(self.spec.e, self.e_elements()))
+        parts = self.elements
+        return lhs == rhs and len(set(parts)) == len(parts) and self.largest == max(parts)
 
     def sort_key(self) -> tuple:
         return (self.largest, self.kind, self.spec.d, self.spec.e, self.elements)
@@ -275,6 +202,61 @@ class CollisionRecord:
             tuple(d["elements"]),
             d["largest"],
         )
+
+
+def _slot_order(slots) -> list[tuple[int, int]]:
+    """(weight, element) slots by descending weight, then descending element."""
+    return sorted(slots, reverse=True)
+
+
+def _record(kind: str, d_slots: list[tuple[int, int]], e_slots: list[tuple[int, int]]) -> CollisionRecord:
+    elements = tuple(x for _, x in d_slots) + tuple(x for _, x in e_slots)
+    spec = WeightSpec(tuple(w for w, _ in d_slots), tuple(w for w, _ in e_slots))
+    return CollisionRecord(kind, spec, elements, max(elements))
+
+
+def canonicalize(ms1, ms2) -> CollisionRecord | None:
+    """Reduce two equal-sum h-multisets by cancelling common terms and
+    grouping repeats.
+
+    Returns None when the multisets are equal (no violation); raises on
+    unequal sums.  The d side keeps ms1's residue, in slot order (see
+    ``_slot_order``); the kind is distinct_2h exactly when all 2h terms
+    survive the cancellation.
+    """
+    m1, m2 = Counter(ms1), Counter(ms2)
+    if sum(ms1) != sum(ms2):
+        raise ValueError("multisets must have equal sums")
+    if len(ms1) != len(ms2):
+        raise ValueError("multisets must have equal size")
+    left: list[tuple[int, int]] = []
+    right: list[tuple[int, int]] = []
+    for v in set(m1) | set(m2):
+        net = m1[v] - m2[v]
+        if net > 0:
+            left.append((net, v))
+        elif net < 0:
+            right.append((-net, v))
+    if not left:
+        return None
+    kind = DISTINCT_2H if len(left) + len(right) == 2 * len(ms1) else WEIGHTED
+    return _record(kind, _slot_order(left), _slot_order(right))
+
+
+def normalize_largest(rec: CollisionRecord) -> CollisionRecord:
+    """Move the side holding the largest element to d, largest first, the
+    other slots in slot order.
+
+    Swapping sides is harmless since the weighted sums are equal.
+    """
+    k = len(rec.spec.d)
+    d = list(zip(rec.spec.d, rec.elements[:k]))
+    e = list(zip(rec.spec.e, rec.elements[k:]))
+    if rec.largest not in rec.elements[:k]:
+        d, e = e, d
+    head = next(p for p in d if p[1] == rec.largest)
+    d.remove(head)
+    return _record(rec.kind, [head] + _slot_order(d), _slot_order(e))
 
 
 def records_to_jsonl(records) -> str:
@@ -408,28 +390,18 @@ def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
     arr = validate_elements(b)
     values = [int(x) for x in arr]
     seen: dict[tuple, CollisionRecord] = {}
-
-    def add(eq: CanonicalEquation, kind: str) -> None:
-        norm = normalize_largest(eq)
-        key = (
-            norm.largest(),
-            kind,
-            norm.spec.d,
-            norm.spec.e,
-            tuple(sorted(norm.participants())),
-        )
-        if key not in seen:
-            rec = CollisionRecord(kind, norm.spec, norm.participants(), norm.largest())
-            if not rec.holds():
-                raise AssertionError(f"unsound collision record: {rec}")
-            seen[key] = rec
-
     # the distinct-2h branch, then every reduced weighted branch
     for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
         (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
     ]:
         for de, ee in equal_sum_pairs(values, spec):
-            add(CanonicalEquation(spec, de, ee), kind)
+            elements = de + ee
+            rec = normalize_largest(CollisionRecord(kind, spec, elements, max(elements)))
+            key = (rec.largest, kind, rec.spec.d, rec.spec.e, tuple(sorted(elements)))
+            if key not in seen:
+                if not rec.holds():
+                    raise AssertionError(f"unsound collision record: {rec}")
+                seen[key] = rec
         log.debug("%s spec %s|%s done: %d records so far", kind, spec.d, spec.e, len(seen))
 
     return sorted(seen.values(), key=CollisionRecord.sort_key)

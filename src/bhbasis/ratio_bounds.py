@@ -99,13 +99,16 @@ class RatioCurve:
         return float(self.ratio[idx[0]])
 
     def slope(self, m_min: int = 100, side: str = "pos") -> float:
-        """Robust trend of log ratio against log |M| beyond m_min."""
+        """Robust trend of log ratio against log |M| beyond m_min, on the
+        "pos", "neg" or "both" side of the grid."""
         if side == "pos":
             sel = self.m >= m_min
         elif side == "neg":
             sel = self.m <= -m_min
-        else:
+        elif side == "both":
             sel = np.abs(self.m) >= m_min
+        else:
+            raise ValueError(f"side must be 'pos', 'neg' or 'both', not {side!r}")
         if sel.sum() < 2:
             raise ValueError("not enough points beyond m_min")
         return theil_sen_slope(np.log(np.abs(self.m[sel])), np.log(self.ratio[sel]))

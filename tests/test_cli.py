@@ -96,11 +96,18 @@ _LEMMA4_CASES = {
 @pytest.mark.parametrize("tail_eps", [None, "0.02"])
 @pytest.mark.parametrize("part", sorted(_LEMMA4_CASES))
 def test_lemma4_csv_matches_direct_call(part, tail_eps, tmp_path):
-    # each part's CSV is the direct curve call's; --tail-eps reaches ii and iv only
+    # each part's CSV is the direct curve call's; --tail-eps reaches ii and
+    # iv, and the parts without a tail refuse it
     flags, direct = _LEMMA4_CASES[part]
     extra = [] if tail_eps is None else ["--tail-eps", tail_eps]
-    assert main(["lemma4", "--part", part, *flags, "--mmax", "60", *extra, "--out", str(tmp_path / "cli")]) == 0
-    kwargs = {"tail_eps": float(tail_eps)} if tail_eps is not None and part in ("ii", "iv") else {}
+    argv = ["lemma4", "--part", part, *flags, "--mmax", "60", *extra, "--out", str(tmp_path / "cli")]
+    if tail_eps is not None and part in ("i", "iii"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return
+    assert main(argv) == 0
+    kwargs = {} if tail_eps is None else {"tail_eps": float(tail_eps)}
     direct(**kwargs).to_csv(str(tmp_path / "direct.csv"))
     cli_bytes = (tmp_path / "cli" / f"ratio_{part}.csv").read_bytes()
     assert cli_bytes == (tmp_path / "direct.csv").read_bytes()
@@ -136,6 +143,23 @@ def test_lemma4_missing_part_flags(part, flags, missing, capsys):
         main(["lemma4", "--part", part, *flags, "--mmax", "300"])
     assert exc.value.code == 2
     assert f"--part {part} needs {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "part, flags, unread",
+    [
+        ("i", ["--alpha", "0.6", "--beta", "0.7", "--tail-eps", "0.02", "--grid", "full"], "--tail-eps --grid"),
+        ("ii", ["--alpha", "0.6", "--beta", "0.7", "--h", "2"], "--h"),
+        ("iii", ["--h", "2", "--l", "2", "--alpha", "0.3"], "--alpha"),
+        ("iii", ["--h", "2", "--l", "2", "--grid", "geometric"], "--grid"),
+        ("iv", ["--h", "2", "--s", "1", "--t", "2", "--beta", "0.7", "--l", "2"], "--beta --l"),
+    ],
+)
+def test_lemma4_refuses_flags_the_part_does_not_read(part, flags, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma4", "--part", part, *flags, "--mmax", "60"])
+    assert exc.value.code == 2
+    assert f"--part {part} does not read {unread}" in capsys.readouterr().err
 
 
 def test_lemma568_subcommand(tmp_path, capsys):

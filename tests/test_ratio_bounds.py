@@ -116,6 +116,15 @@ def test_shifted_tail_divergence_error():
         shifted_tail_curve(0.4, 0.5, 0, 10)
 
 
+def test_slope_sides():
+    curve = shifted_tail_curve(0.7, 0.8, -300, 300)
+    assert curve.slope(100) == curve.slope(100, side="pos")
+    assert all(math.isfinite(curve.slope(100, side=side)) for side in ("neg", "both"))
+    for side in ("ngative", "Both", ""):
+        with pytest.raises(ValueError, match="side must be"):
+            curve.slope(100, side=side)
+
+
 def test_composition_single_factor_ratio_is_exactly_one():
     for h in (2, 3):
         curve = composition_curve(1, h, 500)
