@@ -12,7 +12,6 @@ from .collisions import (
     WEIGHTED,
     CollisionRecord,
     WeightSpec,
-    canonicalize,
     construct_a,
     deletion_set,
     enumerate_collisions,
@@ -20,7 +19,7 @@ from .collisions import (
     one_sided_weights,
     reduced_weight_pairs,
 )
-from .counting import ReprTable, pairsum_histogram, repr_multiset, repr_strict, repr_weighted
+from .counting import ReprTable, repr_multiset, repr_strict, repr_weighted
 from .harness import (
     ExperimentConfig,
     basis_floor_check,
@@ -78,7 +77,6 @@ __all__ = [
     "basis_window",
     "boundedness_check",
     "canonical_json",
-    "canonicalize",
     "composition_curve",
     "construct_a",
     "decomposition_audit_range",
@@ -92,7 +90,6 @@ __all__ = [
     "is_bhg",
     "normalize_largest",
     "one_sided_weights",
-    "pairsum_histogram",
     "reduced_weight_pairs",
     "replay_report",
     "repr_multiset",

@@ -49,26 +49,28 @@ def _write_or_print(text: str, out: str | None, name: str) -> None:
 
 
 def cmd_sample(args) -> int:
-    params = ModelParams(args.h, args.n, args.seed)
-    sampled = sample_set(params)
-    _write_or_print(sampled.to_json(), args.out, f"sample_h{args.h}_n{args.n}_s{args.seed}.json")
+    sampled = sample_set(ModelParams(args.h, args.n, args.seed))
+    text = harness.canonical_json(sampled.to_json_dict())
+    _write_or_print(text, args.out, f"sample_h{args.h}_n{args.n}_s{args.seed}.json")
     return 0
 
 
 def cmd_construct(args) -> int:
+    if args.series and not args.out:
+        args.usage_error("--series needs --out")
     rec = harness.run_construction(
         args.h,
         args.n,
         args.seed,
         window=args.window,
         one_sided=harness.default_one_sided(args.h),
-        keep_tables=bool(args.out and args.series),
+        keep_tables=args.series,
     )
-    tables = rec.get("_tables")
     text = harness.canonical_json(rec)
     _write_or_print(text, args.out, f"construct_h{args.h}_n{args.n}_s{args.seed}.json")
-    if args.out and args.series and tables:
-        n_lo, n_hi = args.window if args.window else harness.default_window(args.n)
+    if args.series:
+        tables = rec["_tables"]
+        n_lo, n_hi = args.window or harness.default_window(args.n)
         path = os.path.join(args.out, f"series_h{args.h}_n{args.n}_s{args.seed}.csv")
         verify.counts_csv(
             path,
@@ -207,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="sample, clean, verify one seed")
     common(p)
-    p.add_argument("--series", action="store_true", help="also write (n, count) series CSV")
-    p.set_defaults(func=cmd_construct)
+    p.add_argument("--series", action="store_true", help="also write (n, count) series CSV; needs --out")
+    p.set_defaults(func=cmd_construct, usage_error=p.error)
 
     p = sub.add_parser("verify", help="run one seed and print PASS/FAIL lines")
     common(p)

@@ -32,7 +32,6 @@ Values whose side sums could leave int64 are refused up front.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, product
 import json
@@ -194,53 +193,10 @@ class CollisionRecord:
             "largest": self.largest,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CollisionRecord":
-        return cls(
-            d["kind"],
-            WeightSpec(tuple(d["d"]), tuple(d["e"])),
-            tuple(d["elements"]),
-            d["largest"],
-        )
-
 
 def _slot_order(slots) -> list[tuple[int, int]]:
     """(weight, element) slots by descending weight, then descending element."""
     return sorted(slots, reverse=True)
-
-
-def _record(kind: str, d_slots: list[tuple[int, int]], e_slots: list[tuple[int, int]]) -> CollisionRecord:
-    elements = tuple(x for _, x in d_slots) + tuple(x for _, x in e_slots)
-    spec = WeightSpec(tuple(w for w, _ in d_slots), tuple(w for w, _ in e_slots))
-    return CollisionRecord(kind, spec, elements, max(elements))
-
-
-def canonicalize(ms1, ms2) -> CollisionRecord | None:
-    """Reduce two equal-sum h-multisets by cancelling common terms and
-    grouping repeats.
-
-    Returns None when the multisets are equal (no violation); raises on
-    unequal sums.  The d side keeps ms1's residue, in slot order (see
-    ``_slot_order``); the kind is distinct_2h exactly when all 2h terms
-    survive the cancellation.
-    """
-    m1, m2 = Counter(ms1), Counter(ms2)
-    if sum(ms1) != sum(ms2):
-        raise ValueError("multisets must have equal sums")
-    if len(ms1) != len(ms2):
-        raise ValueError("multisets must have equal size")
-    left: list[tuple[int, int]] = []
-    right: list[tuple[int, int]] = []
-    for v in set(m1) | set(m2):
-        net = m1[v] - m2[v]
-        if net > 0:
-            left.append((net, v))
-        elif net < 0:
-            right.append((-net, v))
-    if not left:
-        return None
-    kind = DISTINCT_2H if len(left) + len(right) == 2 * len(ms1) else WEIGHTED
-    return _record(kind, _slot_order(left), _slot_order(right))
 
 
 def normalize_largest(rec: CollisionRecord) -> CollisionRecord:
@@ -256,15 +212,14 @@ def normalize_largest(rec: CollisionRecord) -> CollisionRecord:
         d, e = e, d
     head = next(p for p in d if p[1] == rec.largest)
     d.remove(head)
-    return _record(rec.kind, [head] + _slot_order(d), _slot_order(e))
+    d, e = [head] + _slot_order(d), _slot_order(e)
+    elements = tuple(x for _, x in d + e)
+    spec = WeightSpec(tuple(w for w, _ in d), tuple(w for w, _ in e))
+    return CollisionRecord(rec.kind, spec, elements, max(elements))
 
 
 def records_to_jsonl(records) -> str:
     return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
-
-
-def records_from_jsonl(text: str) -> list[CollisionRecord]:
-    return [CollisionRecord.from_json_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
 def _runs(weights: tuple[int, ...]) -> list[tuple[int, int]]:

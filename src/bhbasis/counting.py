@@ -30,17 +30,11 @@ and every dense row take the smaller of the two bounds.
 from __future__ import annotations
 
 from bisect import bisect_right
-import contextlib
 from dataclasses import dataclass
 from itertools import combinations, permutations
 import math
-import struct
 
 import numpy as np
-
-_MAGIC = b"BHREPR01"
-_KIND_CODES = {"multiset": 1, "strict": 2, "weighted": 3}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 # Index orders the kernel counts tuples in.
 _NONDECREASING = "nondecreasing"
@@ -87,61 +81,6 @@ class ReprTable:
     def max_n(self) -> int:
         return len(self.counts) - 1
 
-    def to_csv(self, path) -> None:
-        with _open(path, "w") as fh:
-            fh.write("n,count\n")
-            write_csv_rows(fh, 0, [self.counts])
-
-    def to_binary(self, path) -> None:
-        """Compact dump: magic, semantics tag, max_n, little-endian u64 counts."""
-        kind = self.semantics[0]
-        with _open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<B", _KIND_CODES[kind]))
-            if kind == "weighted":
-                weights = self.semantics[1]
-                fh.write(struct.pack("<I", len(weights)))
-                fh.write(struct.pack(f"<{len(weights)}I", *weights))
-            else:
-                fh.write(struct.pack("<I", self.semantics[1]))
-            fh.write(struct.pack("<QQ", self.max_n, self.source_size))
-            fh.write(self.counts.astype("<u8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path) -> "ReprTable":
-        """Load a ``to_binary`` dump, one dump per file; a bad magic, an
-        unknown semantics code, or a dump shorter or longer than its header
-        promises raises ValueError."""
-        with _open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
-                raise ValueError("bad magic in table dump")
-            (code,) = _unpack(fh, "<B")
-            if code not in _KIND_NAMES:
-                raise ValueError(f"unknown semantics code {code} in table dump")
-            kind = _KIND_NAMES[code]
-            if kind == "weighted":
-                (t,) = _unpack(fh, "<I")
-                semantics = ("weighted", tuple(int(w) for w in _unpack(fh, f"<{t}I")))
-            else:
-                semantics = (kind, _unpack(fh, "<I")[0])
-            max_n, source_size = _unpack(fh, "<QQ")
-            counts = np.frombuffer(_read(fh, 8 * (max_n + 1)), dtype="<u8").astype(np.uint64)
-            if fh.read(1):
-                raise ValueError("trailing bytes after table dump")
-            return cls(counts, semantics, source_size)
-
-
-def _read(fh, size: int) -> bytes:
-    """Exactly `size` bytes of a dump; fewer means it was cut short."""
-    data = fh.read(size)
-    if len(data) < size:
-        raise ValueError(f"table dump truncated: {len(data)} of {size} bytes")
-    return data
-
-
-def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
-
 
 def write_csv_rows(fh, n_lo: int, columns) -> None:
     """Write the lines "n,c_1,...,c_k" for n = n_lo, n_lo + 1, ..., where
@@ -157,13 +96,6 @@ def write_csv_rows(fh, n_lo: int, columns) -> None:
         for i, part in enumerate(parts, start=1):
             cells[i::stride] = part
         fh.write((line * rows) % tuple(cells))
-
-
-def _open(path, mode):
-    """Open a path; a file object passes through and is left open."""
-    if hasattr(path, "write" if "w" in mode else "read"):
-        return contextlib.nullcontext(path)
-    return open(path, mode)
 
 
 def _count_dtype(bound: int):
@@ -463,13 +395,6 @@ def _moebius_weighted(arr: np.ndarray, weights, max_n: int) -> np.ndarray:
     if total.min() < 0:
         raise AssertionError("partition inversion produced a negative count")
     return total
-
-
-def pairsum_histogram(a, h: int) -> ReprTable:
-    """Dense histogram of all h-fold nondecreasing sums of a finite set."""
-    arr = validate_elements(a)
-    top = int(arr[-1]) * h if arr.size else 0
-    return repr_multiset(arr, h, top)
 
 
 def multiset_sums(a, h: int, *, limit: int = 8_000_000) -> np.ndarray:

@@ -88,6 +88,13 @@ def _check_audit_hi(audit_hi) -> None:
         raise ValueError(f"audit_hi must be a positive integer, got {audit_hi!r}")
 
 
+def _check_window(window, n: int) -> None:
+    if window is not None:
+        lo, hi = window
+        if not 1 <= lo <= hi <= n:
+            raise ValueError(f"window must satisfy 1 <= lo <= hi <= N = {n}, got {lo}:{hi}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of a seeded construction experiment."""
@@ -107,6 +114,7 @@ class ExperimentConfig:
         if self.n < 10:
             raise ValueError("N must be >= 10")
         seed_list(self.seeds)
+        _check_window(self.window, self.n)
         _check_audit_hi(self.audit_hi)
         for f in self.one_sided:
             _col.validate_one_sided(f, self.h)
@@ -191,6 +199,7 @@ def run_construction(
     Each 2h-fold table is built once, here; the multiset tables of B and A
     (`_tables`, with `keep_tables`) cover [0, max(n_hi, audit bound)].
     """
+    _check_window(window, n)
     _check_audit_hi(audit_hi)
     params = ModelParams(h, n, seed)
     sampled = sample_set(params)
@@ -206,8 +215,6 @@ def run_construction(
         )
 
     n_lo, n_hi = window if window is not None else default_window(n)
-    if not 1 <= n_lo <= n_hi <= n:
-        raise ValueError("window must satisfy 1 <= lo <= hi <= N")
     k = 2 * h
     hi = min(audit_hi, n)
     table_b = repr_multiset(b_vals, k, max(n_hi, hi))

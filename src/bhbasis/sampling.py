@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 import math
 
 import numpy as np
@@ -124,18 +123,6 @@ class SampledSet:
         if self.elements and self.elements[-1] > self.params.N:
             raise ValueError("elements exceed window bound N")
 
-    @property
-    def h(self) -> int:
-        return self.params.h
-
-    @property
-    def N(self) -> int:
-        return self.params.N
-
-    @property
-    def seed(self) -> int:
-        return self.params.seed
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -146,14 +133,6 @@ class SampledSet:
             "seed": self.params.seed,
             "elements": list(self.elements),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SampledSet":
-        params = ModelParams(int(d["h"]), int(d["N"]), int(d["seed"]))
-        return cls(tuple(int(x) for x in d["elements"]), params)
 
 
 def sample_set(params: ModelParams) -> SampledSet:

@@ -12,6 +12,8 @@ def test_sample_stdout(capsys):
     d = json.loads(out)
     assert set(d) == {"h", "N", "seed", "elements"}
     assert d["N"] == 200 and d["elements"][0] == 1
+    # the sample JSON bytes: sorted keys, 2-space indent, trailing newline
+    assert out == json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
 def test_sample_to_dir(tmp_path, capsys):
@@ -37,6 +39,15 @@ def test_construct_and_series(tmp_path, capsys):
     series = open(lines[1]).read().splitlines()
     assert series[0] == "n,count_b,count_a"
     assert len(series) == 1 + (2000 - 100 + 1)
+
+
+def test_series_needs_out(capsys):
+    # without --out there is nowhere to write the series: a usage error,
+    # raised before any sampling
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--h", "2", "--n", "2000", "--seed", "11", "--series"])
+    assert exc.value.code == 2
+    assert "--series needs --out" in capsys.readouterr().err
 
 
 def test_verify_pass(capsys):

@@ -9,14 +9,12 @@ from bhbasis.collisions import (
     WEIGHTED,
     CollisionRecord,
     WeightSpec,
-    canonicalize,
     construct_a,
     deletion_set,
     enumerate_collisions,
     equal_sum_pairs,
     normalize_largest,
     one_sided_weights,
-    records_from_jsonl,
     records_to_jsonl,
     reduced_weight_pairs,
     validate_one_sided,
@@ -29,56 +27,33 @@ from tests import join_oracle
 from tests.oracles import oracle_collision_signatures, oracle_deletion_set
 
 
-def _pairs(eq):
-    return {
-        "d": sorted(zip(eq.spec.d, eq.d_elements())),
-        "e": sorted(zip(eq.spec.e, eq.e_elements())),
-    }
-
-
-def test_canonicalize_weighted_reduction():
-    eq = canonicalize((1, 5, 5), (2, 2, 7))
-    assert eq is not None
-    assert _pairs(eq) == {"d": [(1, 1), (2, 5)], "e": [(1, 7), (2, 2)]}
-    assert eq.holds()
-
-
-def test_canonicalize_cancels_common_terms():
-    eq = canonicalize((1, 2, 9), (2, 3, 7))
-    assert _pairs(eq) == {"d": [(1, 1), (1, 9)], "e": [(1, 3), (1, 7)]}
-    assert eq.spec.d == (1, 1) and eq.spec.e == (1, 1)
-    # unit weights after a cancellation are a weighted-branch equality
-    assert eq.kind == WEIGHTED
-    assert canonicalize((1, 2, 9), (3, 4, 5)).kind == DISTINCT_2H
-
-
-def test_canonicalize_identical_is_no_violation():
-    assert canonicalize((3, 4), (3, 4)) is None
-    assert canonicalize((2, 2, 5), (2, 5, 2)) is None
-
-
-def test_canonicalize_contract_errors():
-    with pytest.raises(ValueError):
-        canonicalize((1, 2), (1, 3))
-    with pytest.raises(ValueError):
-        canonicalize((1, 2, 3), (6,))
+def _by_hand(kind, d_slots, e_slots):
+    """A record from its (weight, element) slots, d side first."""
+    elements = tuple(x for _, x in d_slots) + tuple(x for _, x in e_slots)
+    spec = WeightSpec(tuple(w for w, _ in d_slots), tuple(w for w, _ in e_slots))
+    return CollisionRecord(kind, spec, elements, max(elements))
 
 
 def test_normalize_largest_swaps_sides():
-    eq = canonicalize((1, 5, 5), (2, 2, 7))
+    # 2*5 + 1 = 2*2 + 7, the reduction of (1, 5, 5) against (2, 2, 7)
+    eq = _by_hand(WEIGHTED, [(2, 5), (1, 1)], [(2, 2), (1, 7)])
     norm = normalize_largest(eq)
     assert norm.d_elements()[0] == 7
     assert norm.holds()
-    # already-largest-side input keeps its sides
-    eq2 = canonicalize((2, 9, 9), (5, 7, 8))
+    # already-largest-side input keeps its sides: (2, 9, 9) against (5, 7, 8)
+    eq2 = _by_hand(WEIGHTED, [(2, 9), (1, 2)], [(1, 8), (1, 7), (1, 5)])
     norm2 = normalize_largest(eq2)
     assert norm2.d_elements()[0] == 9
+    assert norm2 == eq2
 
 
 def test_canonicalize_random_pairs_properties():
-    # random equal-sum multiset pairs: the reduction must be a true
-    # equality over pairwise-distinct elements, obey the reduced-form
-    # bounds, and agree with the independent Counter-based reducer
+    # random equal-sum multiset pairs, reduced by the independent
+    # Counter-based reducer: the reduction is a true equality over
+    # pairwise-distinct elements within the reduced-form bounds, and
+    # largest-normalization, from either side order, puts the largest
+    # element first, keeps the (weight, element) content, keeps the
+    # equality true and is idempotent
     from tests.oracles import reduce_multiset_pair
 
     rng = np.random.default_rng(42)
@@ -90,30 +65,32 @@ def test_canonicalize_random_pairs_properties():
         if sum(ms1) != sum(ms2):
             continue
         tried += 1
-        eq = canonicalize(ms1, ms2)
         want = reduce_multiset_pair(ms1, ms2)
-        if eq is None:
-            assert want is None
+        if want is None:
+            assert ms1 == ms2
             continue
-        assert eq.holds()
-        assert sum(eq.spec.d) == sum(eq.spec.e) <= h
-        parts = eq.elements
-        assert len(set(parts)) == len(parts)
-        if eq.kind == DISTINCT_2H:
-            assert len(parts) == 2 * h
-        else:
-            assert eq.spec.arity <= 2 * h - 1
-        # same (weight, element) content as the oracle reducer
-        got_sides = {
-            frozenset(zip(eq.spec.d, eq.d_elements())),
-            frozenset(zip(eq.spec.e, eq.e_elements())),
-        }
-        want_sides = {frozenset(want[0]), frozenset(want[1])}
-        assert got_sides == want_sides
-        # largest-normalization is idempotent and keeps the equality true
-        norm = normalize_largest(eq)
-        assert norm.holds() and norm.d_elements()[0] == max(parts)
-        assert normalize_largest(norm) == norm
+        left, right = want
+        kind = DISTINCT_2H if len(left) + len(right) == 2 * h else WEIGHTED
+        first = normalize_largest(_by_hand(kind, left, right))
+        for d_slots, e_slots in ((left, right), (right, left)):
+            eq = _by_hand(kind, d_slots, e_slots)
+            assert eq.holds()
+            assert sum(eq.spec.d) == sum(eq.spec.e) <= h
+            parts = eq.elements
+            assert len(set(parts)) == len(parts)
+            if kind == DISTINCT_2H:
+                assert len(parts) == 2 * h
+            else:
+                assert eq.spec.arity <= 2 * h - 1
+            norm = normalize_largest(eq)
+            got_sides = {
+                frozenset(zip(norm.spec.d, norm.d_elements())),
+                frozenset(zip(norm.spec.e, norm.e_elements())),
+            }
+            assert got_sides == {frozenset(left), frozenset(right)}
+            assert norm.holds() and norm.d_elements()[0] == max(parts)
+            assert normalize_largest(norm) == norm
+            assert norm == first
 
 
 def test_enumerate_collisions_small_example():
@@ -237,12 +214,6 @@ def test_one_sided_validation():
         validate_one_sided((5,), 2)
     with pytest.raises(ValueError):
         validate_one_sided((), 2)
-
-
-def test_jsonl_round_trip():
-    recs = enumerate_collisions([1, 2, 3, 4, 7, 9], 2)
-    text = records_to_jsonl(recs)
-    assert records_from_jsonl(text) == recs
 
 
 def _all_specs(h):

@@ -6,9 +6,7 @@ import pytest
 
 from bhbasis import counting
 from bhbasis.counting import (
-    ReprTable,
     multiset_sums,
-    pairsum_histogram,
     repr_multiset,
     repr_strict,
     repr_weighted,
@@ -115,14 +113,6 @@ def test_weighted_wide_tuple_partition_backend():
     f = (1, 1, 2, 1)
     got = repr_weighted(d, f, 60).counts
     assert np.array_equal(got, oracle_weighted(d, f, 60))
-
-
-def test_pairsum_histogram():
-    t = pairsum_histogram([1, 2], 1)
-    assert t.counts.tolist() == [0, 1, 1]
-    t = pairsum_histogram([1, 2, 3], 2)
-    assert {n: int(c) for n, c in enumerate(t.counts) if c} == {2: 1, 3: 1, 4: 2, 5: 1, 6: 1}
-    assert int(t.counts.sum()) == math.comb(3 + 2 - 1, 2)
 
 
 def test_mass_conservation_and_monotonicity():
@@ -295,49 +285,15 @@ def test_validation_errors():
         repr_weighted([1, 2], (1, 0), 10)
 
 
-def test_binary_and_csv_round_trip(tmp_path):
-    t = repr_weighted([1, 2, 9], (1, 1, 2), 50)
-    path = tmp_path / "table.bin"
-    t.to_binary(str(path))
-    back = ReprTable.from_binary(str(path))
-    assert back.semantics == t.semantics
-    assert back.source_size == t.source_size
-    assert np.array_equal(back.counts, t.counts)
-
-    buf = io.StringIO()
-    t.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,count"
-    assert len(lines) == t.max_n + 2
-
-
-def test_corrupt_binary_dumps_refused():
-    buf = io.BytesIO()
-    repr_weighted([1, 2, 9], (1, 1, 2), 50).to_binary(buf)
-    dump = buf.getvalue()
-    kind_at = len(counting._MAGIC)
-    corrupt = [
-        dump[:-40],  # counts cut short: the header still says max_n = 50
-        dump[: kind_at + 3],  # cut inside the weights' length
-        dump[:kind_at] + bytes([9]) + dump[kind_at + 1 :],  # unknown semantics code
-        dump + bytes(8),  # trailing bytes: one dump per file
-    ]
-    for data in corrupt:
-        with pytest.raises(ValueError):
-            ReprTable.from_binary(io.BytesIO(data))
-    assert ReprTable.from_binary(io.BytesIO(dump)).max_n == 50
-
-
 def _row_loop_csv(counts) -> str:
     """The one-row-at-a-time writer the chunked one must match byte for byte."""
     fh = io.StringIO()
-    fh.write("n,count\n")
     for n, c in enumerate(counts):
         fh.write(f"{n},{int(c)}\n")
     return fh.getvalue()
 
 
-def test_csv_bytes_match_row_loop(tmp_path):
+def test_csv_bytes_match_row_loop():
     rng = np.random.default_rng(3)
     tables = [
         repr_multiset([1, 2, 3], 2, 6).counts,
@@ -347,10 +303,9 @@ def test_csv_bytes_match_row_loop(tmp_path):
         np.zeros(0, dtype=np.uint32),
     ]
     for counts in tables:
-        t = ReprTable(counts, ("multiset", 2), 3)
-        path = tmp_path / "table.csv"
-        t.to_csv(str(path))
-        assert path.read_bytes() == _row_loop_csv(counts).encode()
+        fh = io.StringIO()
+        counting.write_csv_rows(fh, 0, [counts])
+        assert fh.getvalue() == _row_loop_csv(counts)
 
 
 def test_multiset_sums_enumeration():

@@ -114,6 +114,19 @@ def test_checks_run_seeds_in_order():
     assert boundedness_check(2, [100], (3, 1))["seeds"] == [1, 3]
 
 
+@pytest.mark.parametrize("window", [(0, 50), (60, 50), (50, 101), (-3, -1)])
+def test_window_checked_before_sampling(window, monkeypatch):
+    # a window outside 1 <= lo <= hi <= N is refused before any seed runs
+    def no_sampling(params):
+        raise AssertionError("sampled before checking the window")
+
+    monkeypatch.setattr(harness_mod, "sample_set", no_sampling)
+    with pytest.raises(ValueError, match="window"):
+        ExperimentConfig(h=2, n=100, seeds=(1,), window=window)
+    with pytest.raises(ValueError, match="window"):
+        run_construction(2, 100, 1, window=window)
+
+
 @pytest.mark.parametrize("audit_hi", [0, -5, None])
 def test_audit_hi_must_be_positive(audit_hi):
     with pytest.raises(ValueError, match="audit_hi"):

