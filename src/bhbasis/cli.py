@@ -37,6 +37,18 @@ def _parse_seeds(args) -> tuple[int, ...]:
     args.usage_error("need --seed or --seeds")
 
 
+def _check_model_flags(args, n_min: int = 1) -> None:
+    """--h, --n and --window outside the model's range are usage errors
+    (exit 2), refused before any sampling."""
+    if args.h < 2:
+        args.usage_error(f"--h must be >= 2, got {args.h}")
+    if args.n < n_min:
+        args.usage_error(f"--n must be >= {n_min}, got {args.n}")
+    window = getattr(args, "window", None)
+    if window is not None and not 1 <= window[0] <= window[1] <= args.n:
+        args.usage_error(f"--window must satisfy 1 <= lo <= hi <= N = {args.n}, got {window[0]}:{window[1]}")
+
+
 def _write_or_print(text: str, out: str | None, name: str) -> None:
     if out:
         os.makedirs(out, exist_ok=True)
@@ -49,6 +61,7 @@ def _write_or_print(text: str, out: str | None, name: str) -> None:
 
 
 def cmd_sample(args) -> int:
+    _check_model_flags(args)
     sampled = sample_set(ModelParams(args.h, args.n, args.seed))
     text = harness.canonical_json(sampled.to_json_dict())
     _write_or_print(text, args.out, f"sample_h{args.h}_n{args.n}_s{args.seed}.json")
@@ -56,6 +69,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    _check_model_flags(args)
     if args.series and not args.out:
         args.usage_error("--series needs --out")
     rec = harness.run_construction(
@@ -83,6 +97,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_model_flags(args)
     rec = harness.run_construction(args.h, args.n, args.seed, window=args.window)
     checks = {
         "bh1_ok": bool(rec["bh1"]["ok"]),
@@ -95,6 +110,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_model_flags(args, harness.EXPERIMENT_MIN_N)
     config = harness.ExperimentConfig(
         h=args.h,
         n=args.n,
@@ -205,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", type=str)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, usage_error=p.error)
 
     p = sub.add_parser("construct", help="sample, clean, verify one seed")
     common(p)
@@ -214,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one seed and print PASS/FAIL lines")
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("sweep", help="multi-seed experiment with aggregates")
     common(p, seeds=True)

@@ -88,6 +88,10 @@ def _check_audit_hi(audit_hi) -> None:
         raise ValueError(f"audit_hi must be a positive integer, got {audit_hi!r}")
 
 
+# the smallest window bound N an ExperimentConfig accepts
+EXPERIMENT_MIN_N = 10
+
+
 def _check_window(window, n: int) -> None:
     if window is not None:
         lo, hi = window
@@ -111,8 +115,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.h < 2:
             raise ValueError("h must be >= 2")
-        if self.n < 10:
-            raise ValueError("N must be >= 10")
+        if self.n < EXPERIMENT_MIN_N:
+            raise ValueError(f"N must be >= {EXPERIMENT_MIN_N}")
         seed_list(self.seeds)
         _check_window(self.window, self.n)
         _check_audit_hi(self.audit_hi)

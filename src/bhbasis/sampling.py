@@ -6,6 +6,14 @@ Inclusion decisions are made by a counter-based generator keyed by
 (seed, n); the decision for index n does not depend on the window bound N
 or on iteration order, so windows of different N with the same seed agree
 on their common prefix.
+
+The sampler works in blocks of _CHUNK indices with reused buffers.  It
+evaluates the power threshold only for candidates: indices whose uniform
+lies below the block's first threshold widened by a relative 2^-40.  The
+thresholds decrease in n and a double-precision pow is off by at most a few
+ulps, so no index that passes the rule is ever filtered out, and each
+candidate meets the unchanged rule u < n^(alpha-1) through the same pow on
+the same inputs.  The set B is therefore the one the rule defines.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ _MIX2 = 0x94D049BB133111EB
 # 53-bit mantissa uniform step: value >> 11 scaled into [0, 1)
 _INV53 = 2.0 ** -53
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
+# relative widening of a block's first threshold in the candidate filter
+_MARGIN = 1.0 + 2.0 ** -40
 
 
 def mix64(x: int) -> int:
@@ -45,16 +55,24 @@ def stream_uniform(seed: int, n: int) -> float:
     return (mix64(state) >> 11) * _INV53
 
 
-def _stream_uniform_block(seed: int, n: np.ndarray) -> np.ndarray:
-    """Vectorized stream_uniform for a uint64 index array."""
+def _stream_uniform_block(seed: int, n: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Vectorized stream_uniform for a uint64 index array, as 53-bit integers.
+
+    Hashes in place into the uint64 buffers out and tmp (each n's length)
+    and returns out, holding k = mix64(state) >> 11, so that the uniform of
+    n is k * 2^-53.
+    """
     with np.errstate(over="ignore"):
-        x = (np.uint64(mix64(seed)) + n * np.uint64(_GOLDEN)).astype(np.uint64)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_MIX1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_MIX2)
-        x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)).astype(np.float64) * _INV53
+        np.multiply(n, np.uint64(_GOLDEN), out=out)
+        out += np.uint64(mix64(seed))
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(out, np.uint64(shift), out=tmp)
+            out ^= tmp
+            out *= np.uint64(mult)
+        np.right_shift(out, np.uint64(31), out=tmp)
+        out ^= tmp
+    out >>= np.uint64(11)
+    return out
 
 
 def alpha_fraction(h: int) -> Fraction:
@@ -97,6 +115,9 @@ def inclusion_probability(n: int, params: ModelParams) -> float:
 
     Evaluated in double precision through the same power routine used by
     sample_set, so scalar queries match the sampler's thresholds bit for bit.
+    sample_set evaluates it only for candidates, indices whose uniform is
+    below their block's first threshold widened by 2^-40; every index it
+    keeps meets u < inclusion_probability(n) and every other index fails it.
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
@@ -143,19 +164,30 @@ def sample_set(params: ModelParams) -> SampledSet:
     inclusion probability is exactly 1 and uniforms are strictly below 1.
     """
     expo = np.float64(params.inclusion_exponent)
+    idx = np.arange(1, min(_CHUNK, params.N) + 1, dtype=np.uint64)
+    bits, tmp = np.empty_like(idx), np.empty_like(idx)
     kept: list[np.ndarray] = []
     for lo in range(1, params.N + 1, _CHUNK):
-        hi = min(params.N, lo + _CHUNK - 1)
-        idx = np.arange(lo, hi + 1, dtype=np.uint64)
-        u = _stream_uniform_block(params.seed, idx)
-        thresh = idx.astype(np.float64) ** expo
-        kept.append(idx[u < thresh])
+        m = min(params.N - lo + 1, _CHUNK)
+        k = _stream_uniform_block(params.seed, idx[:m], bits[:m], tmp[:m])
+        # every n in the block has threshold(n) <= threshold(lo) * _MARGIN,
+        # so each k with k * 2^-53 < threshold(n) is a candidate
+        widest = math.ceil(float(np.float64(lo) ** expo) * _MARGIN * 2.0**53)
+        if widest < 1 << 53:
+            cand = np.flatnonzero(k < np.uint64(widest))
+            survivors, k = idx[cand], k[cand]
+        else:  # the first block, where every index is a candidate
+            survivors = idx[:m]
+        u = k.astype(np.float64) * _INV53
+        kept.append(survivors[u < survivors.astype(np.float64) ** expo])
+        idx += np.uint64(_CHUNK)  # the next block's indices
     elements = tuple(int(x) for x in np.concatenate(kept))
     return SampledSet(elements, params)
 
 
-def _exact_parts(x: np.ndarray) -> list[float]:
-    """Floats whose exact sum is the exact sum of x (at most _CHUNK entries).
+def _exact_parts(x: np.ndarray, q: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of the float64 array x (at most
+    _CHUNK entries); x is consumed and q, of x's length, is scratch.
 
     Error-free extraction (Rump, Ogita and Oishi 2008, ExtractVector): with
     sigma a power of two above _CHUNK * max|x|, q = (sigma + x) - sigma
@@ -166,8 +198,6 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     """
     if x.size > _CHUNK:
         raise ValueError("at most _CHUNK terms per extraction")
-    x = x.astype(np.float64)  # a private copy: the loop consumes it
-    q = np.empty_like(x)
     parts = []
     top = float(np.abs(x).max(initial=0.0))
     while top:
@@ -192,9 +222,12 @@ def expected_count(params: ModelParams, lo: int, hi: int) -> float:
     if lo > hi:
         return 0.0
     expo = np.float64(params.inclusion_exponent)
+    size = min(_CHUNK, hi - lo + 1)
+    offsets = np.arange(size, dtype=np.float64)
+    terms, scratch = np.empty(size), np.empty(size)
     parts: list[float] = []
     for start in range(lo, hi + 1, _CHUNK):
-        stop = min(hi, start + _CHUNK - 1)
-        idx = np.arange(start, stop + 1, dtype=np.float64)
-        parts += _exact_parts(idx**expo)
+        m = min(hi - start + 1, _CHUNK)
+        x = np.add(offsets[:m], start, out=terms[:m])
+        parts += _exact_parts(np.power(x, expo, out=x), scratch[:m])
     return math.fsum(parts)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bhbasis import ratio_bounds
+from bhbasis import cli, harness, ratio_bounds
 from bhbasis.cli import main
 
 
@@ -224,3 +224,29 @@ def test_missing_seeds_rejected(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert message in capsys.readouterr().err
+
+
+def _model_argv(command, h="2", n="2000", window=None):
+    argv = [command, "--h", h, "--n", n, "--seed" if command != "sweep" else "--seeds", "1"]
+    return argv + (["--window", window] if window else [])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        *[(_model_argv(c, window=w), "--window") for c in ("construct", "verify", "sweep") for w in ("0:10", "50:40", "10:2001")],
+        *[(_model_argv(c, n="0"), "--n") for c in ("sample", "construct", "verify", "sweep")],
+        *[(_model_argv(c, h="1"), "--h") for c in ("sample", "construct", "verify", "sweep")],
+    ],
+)
+def test_model_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, capsys):
+    # refused with exit 2 (not the exit 1 of a FAIL verdict) before any sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the flags were checked")
+
+    monkeypatch.setattr(cli, "sample_set", no_sampling)
+    monkeypatch.setattr(harness, "sample_set", no_sampling)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {flag} must" in capsys.readouterr().err

@@ -45,6 +45,16 @@ def _windows():
     yield 1000, holes
     yield 1000, dead
     yield 1000, gap
+    sparse_tail = power[:14_000].copy()
+    sparse_tail[7000:13_500] = 0  # the partial last block [8000, 15000), the largest, mostly zeros
+    yield 1000, sparse_tail
+    # blocks of several 2^16-entry pieces: dense pieces, pieces with holes,
+    # a run of zeros across a piece edge and partial last pieces
+    n = np.arange(3, 400_003)
+    long = np.floor(0.3 * n**0.4 + rng.integers(0, 3, size=n.size)).astype(np.int64)
+    long[100_000:150_000][rng.random(50_000) < 0.1] = 0
+    long[300_000:330_000] = 0
+    yield 3, long
     yield 1, power[:40]
     yield 7, holes[:3]
     yield 5, np.zeros(100, dtype=np.int64)
@@ -58,6 +68,12 @@ def test_dyadic_fit_matches_reference_bits(dtype):
         assert _bits(dyadic_fit(n_lo, values)) == _bits(_dyadic_fit_reference(n_lo, values))
     fractions = np.linspace(-0.5, 3.0, 500)  # entries in (0, 1) enter, negatives do not
     assert _bits(dyadic_fit(2, fractions)) == _bits(_dyadic_fit_reference(2, fractions))
+
+
+def test_dyadic_fit_refuses_nonpositive_start():
+    # dyadic blocks [n_lo 2^j, n_lo 2^(j+1)) never advance from n_lo = 0
+    with pytest.raises(ValueError):
+        dyadic_fit(0, np.ones(10))
 
 
 def test_dyadic_fit_matches_golden_fits():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bhbasis.sampling import (
 )
 from bhbasis import sampling
 from bhbasis.sampling import _CHUNK, _stream_uniform_block
+from tests import sampler_oracle
 
 
 def test_inclusion_probability_examples():
@@ -67,11 +69,34 @@ def test_determinism_and_scalar_reference():
     s1 = sample_set(params)
     s2 = sample_set(params)
     assert s1.elements == s2.elements
-    # vectorized stream agrees with the pure-int reference implementation
-    idx = np.array([1, 2, 17, 999, 10_000], dtype=np.uint64)
-    block = _stream_uniform_block(params.seed, idx)
-    for i, n in enumerate(idx.tolist()):
-        assert block[i] == stream_uniform(params.seed, n)
+    # vectorized stream agrees with the pure-int reference implementation,
+    # also when its buffers are reused for further, shorter index arrays
+    out, tmp = np.empty(5, dtype=np.uint64), np.empty(5, dtype=np.uint64)
+    cases = [
+        (params.seed, [1, 2, 17, 999, 10_000]),
+        (7, [_CHUNK, 2**40 + 1, 3]),
+        (2**64 - 1, [2**63 + 5]),
+    ]
+    for seed, idx in cases:
+        m = len(idx)
+        k = _stream_uniform_block(seed, np.array(idx, dtype=np.uint64), out[:m], tmp[:m])
+        for i, n in enumerate(idx):
+            assert float(k[i]) * 2.0**-53 == stream_uniform(seed, n)
+
+
+def test_sample_set_matches_full_chunk_oracle():
+    # N at and around the block edges, for every h the oracle supports
+    for h in (2, 3, 4, 5):
+        for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+            for seed in [*range(12), 99991, 2**64 - 1]:
+                params = ModelParams(h, n, seed)
+                assert sample_set(params).elements == sampler_oracle.sample_set(params), (h, n, seed)
+    # the sets B of criterion 3's seeds, pinned as computed by the oracle
+    digest = hashlib.sha256()
+    for seed in range(1, 25):
+        elements = sample_set(ModelParams(2, 10**7, seed)).elements
+        digest.update(np.asarray(elements, dtype="<u8").tobytes())
+    assert digest.hexdigest() == "0ad5942c8450777b1a11ccbc556fbc8f910aee9be133bd248c8b73ffb957b00a"
 
 
 def test_membership_matches_threshold_rule():
