@@ -21,29 +21,40 @@ def _parse_window(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _check_seed(args, flag: str, seed: int) -> None:
+    """A seed outside the sampler's [0, 2^64) is a usage error (exit 2)."""
+    if not 0 <= seed < 1 << 64:
+        args.usage_error(f"{flag} must be in [0, 2^64), got {seed}")
+
+
 def _parse_seeds(args) -> tuple[int, ...]:
     """The seeds of --seeds (taking precedence) or --seed; a missing,
-    malformed or repeated seed is a usage error (exit 2)."""
+    malformed, out-of-range or repeated seed is a usage error (exit 2)."""
     if args.seeds:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(","))
         except ValueError:
             args.usage_error(f"--seeds {args.seeds!r} is not a comma-separated list of integers")
+        for seed in seeds:
+            _check_seed(args, "--seeds", seed)
         if len(set(seeds)) != len(seeds):
             args.usage_error(f"--seeds {args.seeds!r} repeats a seed")
         return seeds
     if args.seed is not None:
+        _check_seed(args, "--seed", args.seed)
         return (args.seed,)
     args.usage_error("need --seed or --seeds")
 
 
 def _check_model_flags(args, n_min: int = 1) -> None:
-    """--h, --n and --window outside the model's range are usage errors
-    (exit 2), refused before any sampling."""
+    """--h, --n, --seed and --window outside the model's range are usage
+    errors (exit 2), refused before any sampling."""
     if args.h < 2:
         args.usage_error(f"--h must be >= 2, got {args.h}")
     if args.n < n_min:
         args.usage_error(f"--n must be >= {n_min}, got {args.n}")
+    if args.seed is not None:
+        _check_seed(args, "--seed", args.seed)
     window = getattr(args, "window", None)
     if window is not None and not 1 <= window[0] <= window[1] <= args.n:
         args.usage_error(f"--window must satisfy 1 <= lo <= hi <= N = {args.n}, got {window[0]}:{window[1]}")

@@ -23,16 +23,18 @@ increasing combination per run of equal weights, rows with a value repeated
 across runs dropped), their weighted sums are int64, and the join sorts the
 d sums stably and matches sums against them: the e sums by ``searchsorted``
 when the weights differ, pairs inside each group of equal d sums when they
-agree.  Only the disjoint pairs are decoded to tuples and become records.
-The join's yield order is part of its contract (see ``equal_sum_pairs``):
-records are deduplicated first-seen, and one element set can satisfy two
-assignments of a spec, so the order decides which assignment is reported.
-Values whose side sums could leave int64 are refused up front.
+agree.  The disjoint pairs stay rows: they are normalised, checked and keyed
+as arrays, and only the first pair per record key becomes a record.  The
+join's row order is part of its contract (see ``_equal_sum_rows``): one
+element set can satisfy two assignments of a spec, so the order decides
+which assignment is reported.  Values whose side sums could leave int64 are
+refused up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import groupby, product
 import json
 import logging
@@ -89,7 +91,7 @@ class WeightSpec:
         return (self.d, self.e)
 
     def orderings(self) -> int:
-        """Ordered solutions per pair yielded by ``equal_sum_pairs``: slots of
+        """Ordered solutions per pair joined by ``_equal_sum_rows``: slots of
         equal weight permute within a side, and equal sides swap."""
         swaps = 2 if self.d == self.e else 1
         return swaps * math.prod(math.factorial(c) for side in (self.d, self.e) for _, c in _runs(side))
@@ -167,20 +169,6 @@ class CollisionRecord:
     elements: tuple[int, ...]
     largest: int
 
-    def d_elements(self) -> tuple[int, ...]:
-        return self.elements[: len(self.spec.d)]
-
-    def e_elements(self) -> tuple[int, ...]:
-        return self.elements[len(self.spec.d) :]
-
-    def holds(self) -> bool:
-        """The weighted sides are equal over pairwise-distinct elements and
-        `largest` is the largest of them."""
-        lhs = sum(w * x for w, x in zip(self.spec.d, self.elements))
-        rhs = sum(w * x for w, x in zip(self.spec.e, self.e_elements()))
-        parts = self.elements
-        return lhs == rhs and len(set(parts)) == len(parts) and self.largest == max(parts)
-
     def sort_key(self) -> tuple:
         return (self.largest, self.kind, self.spec.d, self.spec.e, self.elements)
 
@@ -194,28 +182,102 @@ class CollisionRecord:
         }
 
 
-def _slot_order(slots) -> list[tuple[int, int]]:
-    """(weight, element) slots by descending weight, then descending element."""
-    return sorted(slots, reverse=True)
+@dataclass(frozen=True)
+class _Plan:
+    """How ``normalize_largest`` rearranges the rows of one spec.
 
-
-def normalize_largest(rec: CollisionRecord) -> CollisionRecord:
-    """Move the side holding the largest element to d, largest first, the
-    other slots in slot order.
-
-    Swapping sides is harmless since the weighted sums are equal.
+    Columns are taken in `order` (each side by descending weight, d side
+    first); `runs` are the column ranges of equal weight on one side that
+    hold more than one slot.  When column c then holds the largest element,
+    `perms[c]` puts it first, the rest of its side after it and the other
+    side last, and `pattern[c]` indexes the normalised weights in `specs`.
     """
-    k = len(rec.spec.d)
-    d = list(zip(rec.spec.d, rec.elements[:k]))
-    e = list(zip(rec.spec.e, rec.elements[k:]))
-    if rec.largest not in rec.elements[:k]:
-        d, e = e, d
-    head = next(p for p in d if p[1] == rec.largest)
-    d.remove(head)
-    d, e = [head] + _slot_order(d), _slot_order(e)
-    elements = tuple(x for _, x in d + e)
-    spec = WeightSpec(tuple(w for w, _ in d), tuple(w for w, _ in e))
-    return CollisionRecord(rec.kind, spec, elements, max(elements))
+
+    order: np.ndarray
+    runs: tuple[tuple[int, int], ...]
+    perms: np.ndarray
+    pattern: np.ndarray
+    specs: tuple[WeightSpec, ...]
+
+
+@cache
+def _plan(spec: WeightSpec) -> _Plan:
+    k, arity = len(spec.d), spec.arity
+    sides = (range(k), range(k, arity))
+    weights = spec.d + spec.e
+    order = [i for side in sides for i in sorted(side, key=lambda i: -weights[i])]
+    weights = tuple(weights[i] for i in order)
+    runs, start = [], 0
+    for side in sides:
+        for _, size in _runs(weights[side.start : side.stop]):
+            if size > 1:
+                runs.append((start, start + size))
+            start += size
+    perms, pattern, specs = [], [], {}
+    for c in range(arity):
+        own, other = sides if c < k else sides[::-1]
+        perm = [c] + [i for i in own if i != c] + list(other)
+        normalised = WeightSpec(
+            tuple(weights[i] for i in perm[: len(own)]), tuple(weights[i] for i in perm[len(own) :])
+        )
+        perms.append(perm)
+        pattern.append(specs.setdefault(normalised, len(specs)))
+    return _Plan(np.array(order), tuple(runs), np.array(perms), np.array(pattern), tuple(specs))
+
+
+def normalize_largest(
+    spec: WeightSpec, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[WeightSpec, ...]]:
+    """Normalise the pairs of one spec, one pair per row (d slots, then e
+    slots, in any slot order): the side holding the largest element moves
+    to d with that element first, and every other slot follows in
+    descending weight, then descending element, order.
+
+    Returns the normalised rows, and per row the index of its normalised
+    weights in the returned specs.  Swapping sides is harmless since the
+    weighted sums are equal.
+    """
+    plan = _plan(spec)
+    rows = rows[:, plan.order]
+    for lo, hi in plan.runs:
+        rows[:, lo:hi] = np.sort(rows[:, lo:hi], axis=1)[:, ::-1]
+    # within a run the first column is the largest, so the head is the
+    # first column of some run and its side is already in slot order
+    head = rows.argmax(axis=1)
+    return np.take_along_axis(rows, plan.perms[head], axis=1), plan.pattern[head], plan.specs
+
+
+def _check_rows(rows: np.ndarray, pattern: np.ndarray, specs, ordered: np.ndarray) -> None:
+    """Raise AssertionError unless every normalised row is an equality of
+    its weights (``specs[pattern[i]]`` for row i) over pairwise-distinct
+    elements, its largest first; `ordered` is `rows` sorted along each row."""
+    signed = np.array([s.d + tuple(-w for w in s.e) for s in specs], dtype=np.int64)
+    ok = (rows * signed[pattern]).sum(axis=1) == 0
+    ok &= (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    ok &= rows[:, 0] == ordered[:, -1]
+    if not ok.all():
+        raise AssertionError(f"unsound collision rows: {rows[~ok][:3].tolist()}")
+
+
+def _spec_records(kind: str, spec: WeightSpec, rows: np.ndarray) -> list[CollisionRecord]:
+    """Records of one spec's joined rows: normalised, checked, and the
+    first row per (normalised weights, element set) in row order."""
+    rows, pattern, specs = normalize_largest(spec, rows)
+    ordered = np.sort(rows, axis=1)
+    _check_rows(rows, pattern, specs, ordered)
+    # the largest element is ordered[:, -1], and the kind is the spec's:
+    # no two specs share a normalised weight pattern, so keys never clash
+    # across specs
+    key = np.column_stack([pattern, ordered])
+    by_key = np.lexsort(key.T[::-1])
+    sorted_key = key[by_key]
+    starts = np.r_[True, (sorted_key[1:] != sorted_key[:-1]).any(axis=1)]
+    # lexsort is stable: a group's first member is its first row
+    first = by_key[starts]
+    return [
+        CollisionRecord(kind, specs[p], tuple(elements), elements[0])
+        for p, elements in zip(pattern[first].tolist(), rows[first].tolist())
+    ]
 
 
 def records_to_jsonl(records) -> str:
@@ -275,9 +337,23 @@ def _side_rows(vals: np.ndarray, weights: tuple[int, ...]) -> tuple[np.ndarray, 
     return rows, sums
 
 
-def _equal_sum_rows(values, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Element rows (d side, e side) of the pairs ``equal_sum_pairs`` yields,
-    in its order.
+def _equal_sum_rows(values, spec: WeightSpec, side=None) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint pairs of canonical side assignments with equal weighted
+    sums, as element rows (d side, e side), in a fixed order.
+
+    The join is a sort-and-match on index arrays: each side's assignments
+    are rows built by `side(weights)` (``_side_rows`` over the values by
+    default), the d sums are sorted stably, and the e sums are matched into
+    them with ``searchsorted``.  When both sides carry the same weights
+    each unordered pair is joined once, inside a group of equal d sums.
+
+    Row order: for d != e, by e assignment, then by d assignment; for
+    d == e, groups by where their first member appears, then pairs (i, j)
+    in ``combinations`` order; assignments count in generation order
+    (``_side_rows``).  The order matters: ``enumerate_collisions`` keeps the
+    first pair per record key, and one element set can satisfy two
+    assignments of a spec (at h = 3, {1, 5, 17, 25} has 2·1+25 = 2·5+17
+    and 2·5+25 = 2·17+1).
 
     Sums are int64; a spec and values whose largest side sum could leave
     int64 are refused before any row is built.
@@ -287,7 +363,9 @@ def _equal_sum_rows(values, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
         bound = max(sum(spec.d), sum(spec.e)) * max(abs(int(vals.min())), abs(int(vals.max())))
         if bound > _INT64_MAX:
             raise OverflowError(f"side sums of {spec.d}|{spec.e} may reach {bound}, beyond int64")
-    d_rows, d_sums = _side_rows(vals, spec.d)
+    if side is None:
+        side = partial(_side_rows, vals)
+    d_rows, d_sums = side(spec.d)
     order = np.argsort(d_sums, kind="stable")
     sorted_sums = d_sums[order]
     if spec.d == spec.e:
@@ -303,36 +381,13 @@ def _equal_sum_rows(values, spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
         left = d_rows[order[np.repeat(slots, later)]]
         right = d_rows[order[_ranges(slots + 1, later)]]
     else:
-        e_rows, e_sums = _side_rows(vals, spec.e)
+        e_rows, e_sums = side(spec.e)
         lo = np.searchsorted(sorted_sums, e_sums, side="left")
         hits = np.searchsorted(sorted_sums, e_sums, side="right") - lo
         left = d_rows[order[_ranges(lo, hits)]]
         right = np.repeat(e_rows, hits, axis=0)
     keep = _disjoint(left, right)
     return left[keep], right[keep]
-
-
-def equal_sum_pairs(values, spec: WeightSpec):
-    """Disjoint pairs (d_elements, e_elements) of canonical side assignments
-    with equal weighted sums, as an iterator of tuples.
-
-    The join is a sort-and-match on index arrays: each side's assignments
-    are rows built with numpy (see ``_side_rows``), the d sums are sorted
-    stably, and the e sums are matched into them with ``searchsorted``.
-    When both sides carry the same weights each unordered pair is yielded
-    once, taken inside a group of equal d sums.  Only the disjoint pairs
-    are decoded to tuples.
-
-    Yield order: for d != e, by e assignment, then by d assignment; for
-    d == e, groups by where their first member appears, then pairs (i, j)
-    in ``combinations`` order; assignments count in generation order
-    (``_side_rows``).  The order matters: ``enumerate_collisions`` keeps the
-    first pair it sees for each (largest, kind, weights, element set), and
-    one element set can satisfy two assignments of a spec (at h = 3,
-    {1, 5, 17, 25} has 2·1+25 = 2·5+17 and 2·5+25 = 2·17+1).
-    """
-    left, right = _equal_sum_rows(values, spec)
-    return zip(map(tuple, left.tolist()), map(tuple, right.tolist()))
 
 
 def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
@@ -342,24 +397,20 @@ def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
     and every reduced weighted branch; records are deduplicated by
     (largest, kind, weights, element set) and returned in canonical order.
     """
-    arr = validate_elements(b)
-    values = [int(x) for x in arr]
-    seen: dict[tuple, CollisionRecord] = {}
+    vals = validate_elements(b)
+    # specs share sides: each weight tuple's rows are built once per call
+    side = cache(lambda weights: _side_rows(vals, weights))
+    records: list[CollisionRecord] = []
     # the distinct-2h branch, then every reduced weighted branch
     for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
         (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
     ]:
-        for de, ee in equal_sum_pairs(values, spec):
-            elements = de + ee
-            rec = normalize_largest(CollisionRecord(kind, spec, elements, max(elements)))
-            key = (rec.largest, kind, rec.spec.d, rec.spec.e, tuple(sorted(elements)))
-            if key not in seen:
-                if not rec.holds():
-                    raise AssertionError(f"unsound collision record: {rec}")
-                seen[key] = rec
-        log.debug("%s spec %s|%s done: %d records so far", kind, spec.d, spec.e, len(seen))
+        left, right = _equal_sum_rows(vals, spec, side)
+        if len(left):
+            records += _spec_records(kind, spec, np.hstack([left, right]))
+        log.debug("%s spec %s|%s done: %d records so far", kind, spec.d, spec.e, len(records))
 
-    return sorted(seen.values(), key=CollisionRecord.sort_key)
+    return sorted(records, key=CollisionRecord.sort_key)
 
 
 def deletion_set(b, h: int, *, records=None) -> frozenset[int]:

@@ -1,13 +1,26 @@
-"""The recursive-generator equal-sum join that `collisions.equal_sum_pairs`
-replaced, kept verbatim as an order oracle.
+"""The recursive-generator equal-sum join and the per-pair record builder
+that `collisions` replaced, kept verbatim as oracles.
 
-`equal_sum_pairs` must yield exactly these pairs in exactly this order:
-`enumerate_collisions` keeps the first pair it sees per record key, so the
-order decides which of two assignments of one element set is reported.
+`collisions._equal_sum_rows` must join exactly the pairs `equal_sum_pairs`
+yields, in exactly this order: `enumerate_collisions` keeps the first pair
+it sees per record key, so the order decides which of two assignments of
+one element set is reported.  `enumerate_collisions` here is the record
+builder that ran over those pairs: one `normalize_largest` and one
+`holds` (a `CollisionRecord` method until then) per pair, and a
+first-seen dict.
 """
 
 from collections import defaultdict
 from itertools import combinations
+
+from bhbasis.collisions import (
+    DISTINCT_2H,
+    WEIGHTED,
+    CollisionRecord,
+    WeightSpec,
+    reduced_weight_pairs,
+)
+from bhbasis.counting import validate_elements
 
 
 def _side_assignments(values: list[int], weights: tuple[int, ...]):
@@ -61,3 +74,62 @@ def equal_sum_pairs(values: list[int], spec):
     for de, ee in pairs:
         if set(de).isdisjoint(ee):
             yield de, ee
+
+
+def holds(rec: CollisionRecord) -> bool:
+    """The weighted sides are equal over pairwise-distinct elements and
+    `largest` is the largest of them."""
+    lhs = sum(w * x for w, x in zip(rec.spec.d, rec.elements))
+    rhs = sum(w * x for w, x in zip(rec.spec.e, rec.elements[len(rec.spec.d) :]))
+    parts = rec.elements
+    return lhs == rhs and len(set(parts)) == len(parts) and rec.largest == max(parts)
+
+
+def _slot_order(slots) -> list[tuple[int, int]]:
+    """(weight, element) slots by descending weight, then descending element."""
+    return sorted(slots, reverse=True)
+
+
+def normalize_largest(rec: CollisionRecord) -> CollisionRecord:
+    """Move the side holding the largest element to d, largest first, the
+    other slots in slot order.
+
+    Swapping sides is harmless since the weighted sums are equal.
+    """
+    k = len(rec.spec.d)
+    d = list(zip(rec.spec.d, rec.elements[:k]))
+    e = list(zip(rec.spec.e, rec.elements[k:]))
+    if rec.largest not in rec.elements[:k]:
+        d, e = e, d
+    head = next(p for p in d if p[1] == rec.largest)
+    d.remove(head)
+    d, e = [head] + _slot_order(d), _slot_order(e)
+    elements = tuple(x for _, x in d + e)
+    spec = WeightSpec(tuple(w for w, _ in d), tuple(w for w, _ in e))
+    return CollisionRecord(rec.kind, spec, elements, max(elements))
+
+
+def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
+    """Every (largest element, canonical equality) pair witnessed inside b.
+
+    Covers the distinct-2h branch (two disjoint h-subsets with equal sums)
+    and every reduced weighted branch; records are deduplicated by
+    (largest, kind, weights, element set) and returned in canonical order.
+    """
+    arr = validate_elements(b)
+    values = [int(x) for x in arr]
+    seen: dict[tuple, CollisionRecord] = {}
+    # the distinct-2h branch, then every reduced weighted branch
+    for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
+        (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
+    ]:
+        for de, ee in equal_sum_pairs(values, spec):
+            elements = de + ee
+            rec = normalize_largest(CollisionRecord(kind, spec, elements, max(elements)))
+            key = (rec.largest, kind, rec.spec.d, rec.spec.e, tuple(sorted(elements)))
+            if key not in seen:
+                if not holds(rec):
+                    raise AssertionError(f"unsound collision record: {rec}")
+                seen[key] = rec
+
+    return sorted(seen.values(), key=CollisionRecord.sort_key)

@@ -250,3 +250,30 @@ def test_model_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, caps
         main(argv)
     assert exc.value.code == 2
     assert f"error: {flag} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        *[
+            ([c, "--h", "2", "--n", "100", "--seed", seed], "--seed")
+            for c in ("sample", "construct", "verify", "sweep")
+            for seed in ("-1", str(2**64))
+        ],
+        (["sweep", "--h", "2", "--n", "100", "--seeds", "-1"], "--seeds"),
+        (["sweep", "--h", "2", "--n", "100", "--seeds", f"1,{2**64}"], "--seeds"),
+        (["lemma568", "--h", "2", "--n-list", "400", "--seed", "-1"], "--seed"),
+        (["lemma568", "--h", "2", "--n-list", "400", "--seeds", f"3,{2**64 + 5}"], "--seeds"),
+    ],
+)
+def test_out_of_range_seeds_are_usage_errors(argv, flag, monkeypatch, capsys):
+    # a seed the sampler refuses is exit 2 naming its flag, before any sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the seeds were checked")
+
+    monkeypatch.setattr(cli, "sample_set", no_sampling)
+    monkeypatch.setattr(harness, "sample_set", no_sampling)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {flag} must be in [0, 2^64)" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+from collections import defaultdict
 import hashlib
 
 import numpy as np
@@ -9,10 +10,10 @@ from bhbasis.collisions import (
     WEIGHTED,
     CollisionRecord,
     WeightSpec,
+    _check_rows,
     construct_a,
     deletion_set,
     enumerate_collisions,
-    equal_sum_pairs,
     normalize_largest,
     one_sided_weights,
     records_to_jsonl,
@@ -34,47 +35,68 @@ def _by_hand(kind, d_slots, e_slots):
     return CollisionRecord(kind, spec, elements, max(elements))
 
 
+def _normalise(cases):
+    """(normalised elements, normalised spec) per (spec, elements) case,
+    from one `normalize_largest` call per spec; every batch must pass the
+    soundness check."""
+    by_spec = defaultdict(list)
+    for i, (spec, elements) in enumerate(cases):
+        by_spec[spec].append(i)
+    out = [None] * len(cases)
+    for spec, idx in by_spec.items():
+        rows, pattern, specs = normalize_largest(spec, np.array([cases[i][1] for i in idx], dtype=np.int64))
+        _check_rows(rows, pattern, specs, np.sort(rows, axis=1))
+        for i, row, p in zip(idx, rows.tolist(), pattern.tolist()):
+            out[i] = (tuple(row), specs[p])
+    return out
+
+
 def test_normalize_largest_swaps_sides():
-    # 2*5 + 1 = 2*2 + 7, the reduction of (1, 5, 5) against (2, 2, 7)
-    eq = _by_hand(WEIGHTED, [(2, 5), (1, 1)], [(2, 2), (1, 7)])
-    norm = normalize_largest(eq)
-    assert norm.d_elements()[0] == 7
-    assert norm.holds()
-    # already-largest-side input keeps its sides: (2, 9, 9) against (5, 7, 8)
-    eq2 = _by_hand(WEIGHTED, [(2, 9), (1, 2)], [(1, 8), (1, 7), (1, 5)])
-    norm2 = normalize_largest(eq2)
-    assert norm2.d_elements()[0] == 9
-    assert norm2 == eq2
+    # 2*5 + 1 = 2*2 + 7, the reduction of (1, 5, 5) against (2, 2, 7), and
+    # 2*9 + 1 = 2*8 + 3, already largest-side, in one batch
+    spec = WeightSpec((2, 1), (2, 1))
+    rows, pattern, specs = normalize_largest(spec, np.array([[5, 1, 2, 7], [9, 1, 8, 3]]))
+    assert rows.tolist() == [[7, 2, 5, 1], [9, 1, 8, 3]]
+    assert [specs[p] for p in pattern] == [WeightSpec((1, 2), (2, 1)), spec]
+    # (2, 9, 9) against (5, 7, 8): kept, and reached from any slot order
+    want = ((9, 2, 8, 7, 5), WeightSpec((2, 1), (1, 1, 1)))
+    assert _normalise(
+        [
+            (WeightSpec((2, 1), (1, 1, 1)), (9, 2, 8, 7, 5)),
+            (WeightSpec((1, 2), (1, 1, 1)), (2, 9, 5, 8, 7)),
+            (WeightSpec((1, 1, 1), (1, 2)), (7, 5, 8, 2, 9)),
+        ]
+    ) == [want] * 3
 
 
 def test_canonicalize_random_pairs_properties():
     # random equal-sum multiset pairs, reduced by the independent
     # Counter-based reducer: the reduction is a true equality over
     # pairwise-distinct elements within the reduced-form bounds, and
-    # largest-normalization, from either side order, puts the largest
-    # element first, keeps the (weight, element) content, keeps the
-    # equality true and is idempotent
+    # largest-normalization of whole batches, from either side order and
+    # any slot order, puts the largest element first, keeps the (weight,
+    # element) content, keeps the equality true, is idempotent and agrees
+    # with the per-record normaliser it replaced
     from tests.oracles import reduce_multiset_pair
 
     rng = np.random.default_rng(42)
-    tried = 0
-    while tried < 300:
+    pairs, cases = [], []
+    while len(pairs) < 300:
         h = int(rng.integers(2, 5))
         ms1 = tuple(sorted(rng.integers(1, 40, size=h).tolist()))
         ms2 = tuple(sorted(rng.integers(1, 40, size=h).tolist()))
         if sum(ms1) != sum(ms2):
             continue
-        tried += 1
         want = reduce_multiset_pair(ms1, ms2)
         if want is None:
             assert ms1 == ms2
             continue
         left, right = want
         kind = DISTINCT_2H if len(left) + len(right) == 2 * h else WEIGHTED
-        first = normalize_largest(_by_hand(kind, left, right))
+        pairs.append({frozenset(left), frozenset(right)})
         for d_slots, e_slots in ((left, right), (right, left)):
             eq = _by_hand(kind, d_slots, e_slots)
-            assert eq.holds()
+            assert join_oracle.holds(eq)
             assert sum(eq.spec.d) == sum(eq.spec.e) <= h
             parts = eq.elements
             assert len(set(parts)) == len(parts)
@@ -82,15 +104,57 @@ def test_canonicalize_random_pairs_properties():
                 assert len(parts) == 2 * h
             else:
                 assert eq.spec.arity <= 2 * h - 1
-            norm = normalize_largest(eq)
-            got_sides = {
-                frozenset(zip(norm.spec.d, norm.d_elements())),
-                frozenset(zip(norm.spec.e, norm.e_elements())),
-            }
-            assert got_sides == {frozenset(left), frozenset(right)}
-            assert norm.holds() and norm.d_elements()[0] == max(parts)
-            assert normalize_largest(norm) == norm
-            assert norm == first
+            shuffled = [[slots[i] for i in rng.permutation(len(slots))] for slots in (d_slots, e_slots)]
+            cases += [eq, _by_hand(kind, *shuffled)]
+    got = _normalise([(rec.spec, rec.elements) for rec in cases])
+    assert _normalise([(spec, elements) for elements, spec in got]) == got
+    for i, (rec, (elements, spec)) in enumerate(zip(cases, got)):
+        old = join_oracle.normalize_largest(rec)
+        assert (elements, spec) == (old.elements, old.spec)
+        k = len(spec.d)
+        assert {frozenset(zip(spec.d, elements[:k])), frozenset(zip(spec.e, elements[k:]))} == pairs[i // 4]
+        assert elements[0] == max(elements)
+        # both side orders and both slot orders of a pair normalise alike
+        assert got[i] == got[i - i % 4]
+
+
+def test_check_rows_refuses_unsound_rows():
+    # 4 + 1 = 3 + 2 and 2*3 = 1 + 5, normalised
+    spec = WeightSpec((1, 1), (1, 1))
+    rows, pattern, specs = normalize_largest(spec, np.array([[1, 4, 2, 3], [3, 2, 1, 4]]))
+    assert rows.tolist() == [[4, 1, 3, 2], [4, 1, 3, 2]]
+    _check_rows(rows, pattern, specs, np.sort(rows, axis=1))
+    bad_rows = [
+        [1, 4, 3, 2],  # true and distinct, but the head is not the largest
+        [5, 1, 3, 2],  # unequal sums
+    ]
+    for bad in bad_rows:
+        corrupt = np.array([rows[0].tolist(), bad])
+        with pytest.raises(AssertionError):
+            _check_rows(corrupt, pattern, specs, np.sort(corrupt, axis=1))
+    rows, pattern, specs = normalize_largest(WeightSpec((2,), (1, 1)), np.array([[3, 1, 5], [3, 3, 3]]))
+    assert rows.tolist() == [[5, 1, 3], [3, 3, 3]]
+    with pytest.raises(AssertionError):  # 2*3 = 3 + 3 repeats an element
+        _check_rows(rows, pattern, specs, np.sort(rows, axis=1))
+    _check_rows(rows[:1], pattern[:1], specs, np.sort(rows[:1], axis=1))
+
+
+def test_side_rows_built_once_per_weights(monkeypatch):
+    # every spec of a call shares its sides: at h = 3 the weight tuples are
+    # (1,1,1), (2,), (1,1), (3,) and (2,1); at h = 2, (1,1) and (2,)
+    calls = []
+    side_rows = collisions._side_rows
+
+    def counted(vals, weights):
+        calls.append(weights)
+        return side_rows(vals, weights)
+
+    monkeypatch.setattr(collisions, "_side_rows", counted)
+    for h, builds in ((3, 5), (2, 2)):
+        for b in ([], [1, 2, 3], [1, 5, 17, 25], list(range(1, 15))):
+            calls.clear()
+            enumerate_collisions(b, h)
+            assert len(calls) == len(set(calls)) == builds, (b, h)
 
 
 def test_enumerate_collisions_small_example():
@@ -101,7 +165,7 @@ def test_enumerate_collisions_small_example():
         {"kind": DISTINCT_2H, "d": [1, 1], "e": [1, 1], "elements": [4, 1, 3, 2], "largest": 4},
         {"kind": WEIGHTED, "d": [1, 1], "e": [2], "elements": [4, 2, 3], "largest": 4},
     ]
-    assert all(r.holds() for r in recs)
+    assert all(join_oracle.holds(r) for r in recs)
     assert deletion_set([1, 2, 3, 4], 2) == {3, 4}
     assert construct_a([1, 2, 3, 4], 2) == (1, 2)
 
@@ -120,13 +184,13 @@ def test_records_sorted_and_sound():
             recs = enumerate_collisions(b, h)
             assert recs == sorted(recs, key=CollisionRecord.sort_key)
             for r in recs:
-                assert r.holds()
+                assert join_oracle.holds(r)
                 assert r.largest == max(r.elements)
                 others = [x for x in r.elements if x != r.largest]
                 assert all(x < r.largest for x in others)
                 if r.kind == DISTINCT_2H:
                     assert len(r.elements) == 2 * h
-                    assert sum(r.d_elements()) == sum(r.e_elements())
+                    assert sum(r.elements[:h]) == sum(r.elements[h:])
                 else:
                     assert r.spec.is_reduced_form(h)
 
@@ -220,11 +284,15 @@ def _all_specs(h):
     return [WeightSpec.distinct_2h(h)] + reduced_weight_pairs(h)
 
 
-def _oracle_records(b, h, monkeypatch):
-    """enumerate_collisions with the generator join put back in."""
-    with monkeypatch.context() as m:
-        m.setattr(collisions, "equal_sum_pairs", join_oracle.equal_sum_pairs)
-        return enumerate_collisions(b, h)
+def _pairs(values, spec):
+    """The join's pairs, decoded to (d elements, e elements) tuples."""
+    left, right = collisions._equal_sum_rows(values, spec)
+    return list(zip(map(tuple, left.tolist()), map(tuple, right.tolist())))
+
+
+def _oracle_records(b, h):
+    """The generator join under the per-pair record builder it fed."""
+    return join_oracle.enumerate_collisions(b, h)
 
 
 def test_join_matches_generator_order():
@@ -243,37 +311,38 @@ def test_join_matches_generator_order():
             for b in sets:
                 if h == 4 and len(b) > 10:
                     b = b[:10]
-                got = list(equal_sum_pairs(b, spec))
+                got = _pairs(b, spec)
                 assert got == list(join_oracle.equal_sum_pairs(b, spec)), (b, spec)
                 total += len(got)
     assert total > 1000
 
 
-def test_join_first_seen_cases(monkeypatch):
+def test_join_first_seen_cases():
     # one element set, two assignments of one spec: the record keeps the
     # first pair the join yields
     spec = WeightSpec((2, 1), (2, 1))
-    assert list(equal_sum_pairs([1, 5, 17, 25], spec)) == [((1, 25), (5, 17)), ((5, 25), (17, 1))]
+    assert _pairs([1, 5, 17, 25], spec) == [((1, 25), (5, 17)), ((5, 25), (17, 1))]
     recs = enumerate_collisions([1, 5, 17, 25], 3)
     assert [r.elements for r in recs if r.spec == WeightSpec((1, 2), (2, 1))] == [(25, 1, 5, 17)]
-    assert recs == _oracle_records([1, 5, 17, 25], 3, monkeypatch)
+    assert recs == _oracle_records([1, 5, 17, 25], 3)
 
     spec = WeightSpec((2, 1), (1, 1, 1))
-    assert list(equal_sum_pairs([1, 3, 4, 6, 10], spec)) == [((4, 6), (1, 3, 10)), ((6, 3), (1, 4, 10))]
+    assert _pairs([1, 3, 4, 6, 10], spec) == [((4, 6), (1, 3, 10)), ((6, 3), (1, 4, 10))]
     recs = enumerate_collisions([1, 3, 4, 6, 10], 3)
     assert [r.elements for r in recs if r.spec == WeightSpec((1, 1, 1), (2, 1))] == [(10, 3, 1, 4, 6)]
-    assert recs == _oracle_records([1, 3, 4, 6, 10], 3, monkeypatch)
+    assert recs == _oracle_records([1, 3, 4, 6, 10], 3)
 
 
-def test_records_match_generator_join_on_theorem_sets(monkeypatch):
-    # theorem-shaped sets (N = 1e5): the serialized records are identical,
-    # and their bytes are pinned, since both sides share the record builder
+def test_records_match_generator_join_on_theorem_sets():
+    # theorem-shaped sets (N = 1e5): the serialized records equal those of
+    # the generator join under the per-pair record builder, and their bytes
+    # are pinned
     digest = hashlib.sha256()
     for seed in range(1, 21):
         for h in (2, 3):
             b = list(sample_set(ModelParams(h, 10**5, seed)).elements)
             got = records_to_jsonl(enumerate_collisions(b, h))
-            assert got == records_to_jsonl(_oracle_records(b, h, monkeypatch)), (seed, h)
+            assert got == records_to_jsonl(_oracle_records(b, h)), (seed, h)
             digest.update(got.encode())
     assert digest.hexdigest() == "accad6aded1efd4a7ac985d49274ff587e733cc3b08f70bb7acddb0b6c324d2f"
 
@@ -282,7 +351,7 @@ def test_join_refuses_int64_overflow():
     big = [2**62, 2**62 + 1, 2**62 + 3]
     spec = WeightSpec((2,), (1, 1))
     with pytest.raises(OverflowError):
-        equal_sum_pairs(big, spec)
+        collisions._equal_sum_rows(big, spec)
     with pytest.raises(OverflowError):
         enumerate_collisions(big, 2)
     with pytest.raises(OverflowError):
@@ -290,5 +359,5 @@ def test_join_refuses_int64_overflow():
     # just inside the limit the sums are exact
     near = [2**61 + k for k in (1, 2, 3, 4, 6)]
     for s in _all_specs(2):
-        got = list(equal_sum_pairs(near, s))
+        got = _pairs(near, s)
         assert got and got == list(join_oracle.equal_sum_pairs(near, s))
