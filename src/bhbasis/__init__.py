@@ -50,9 +50,7 @@ from .sampling import (
 from .verify import (
     BasisReport,
     BhgVerdict,
-    DecompositionAudit,
     basis_window,
-    decomposition_audit_range,
     decomposition_summary,
     is_bhg,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "BasisReport",
     "BhgVerdict",
     "CollisionRecord",
-    "DecompositionAudit",
     "ExperimentConfig",
     "ModelParams",
     "RatioCurve",
@@ -79,7 +76,6 @@ __all__ = [
     "canonical_json",
     "composition_curve",
     "construct_a",
-    "decomposition_audit_range",
     "decomposition_summary",
     "deletion_set",
     "emit_report",

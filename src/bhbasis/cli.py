@@ -164,12 +164,21 @@ def cmd_lemma4(args) -> int:
     unread = [name for name in every if name not in reads and getattr(args, name) is not None]
     if unread:
         args.usage_error(f"--part {args.part} does not read {_flags(unread)}")
+    if "h" in reads and args.h < 2:
+        args.usage_error(f"--h must be >= 2, got {args.h}")
+    if args.part == "iii" and not 1 <= args.l <= 2 * args.h:
+        args.usage_error(f"--l must lie in [1, 2h] = [1, {2 * args.h}], got {args.l}")
+    # part i sums over 1 <= n < M, part iii over l-tuples summing to M
+    lowest = {"i": 2, "iii": args.l}.get(args.part, 1)
+    if args.mmax < lowest:
+        args.usage_error(f"--mmax must be >= {lowest} for --part {args.part}, got {args.mmax}")
     tail = {} if args.tail_eps is None else {"tail_eps": args.tail_eps}
-    if args.grid == "full":
-        grid = range(-args.mmax, args.mmax + 1)
-    else:
-        grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
-        grid = [-m for m in grid] + grid
+    if "grid" in reads:
+        if args.grid == "full":
+            grid = range(-args.mmax, args.mmax + 1)
+        else:
+            grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
+            grid = [-m for m in grid] + grid
     if args.part == "i":
         curve = ratio_bounds.split_sum_curve(args.alpha, args.beta, args.mmax)
     elif args.part == "ii":
@@ -188,8 +197,18 @@ def cmd_lemma4(args) -> int:
 
 
 def cmd_lemma568(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",")]
+    """The seeds, --h, --n-list and --n-lo are checked before any sampling."""
     seeds = _parse_seeds(args)
+    if args.h < 2:
+        args.usage_error(f"--h must be >= 2, got {args.h}")
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        args.usage_error(f"--n-list must be a comma-separated list of integers, got {args.n_list!r}")
+    if min(n_list) < 1:
+        args.usage_error(f"--n-list must hold positive window bounds, got {args.n_list!r}")
+    if not 1 <= args.n_lo <= max(n_list):
+        args.usage_error(f"--n-lo must satisfy 1 <= n_lo <= max(--n-list) = {max(n_list)}, got {args.n_lo}")
     floor = harness.basis_floor_check(args.h, max(n_list), seeds, args.n_lo)
     bounded = harness.boundedness_check(args.h, n_list, seeds)
     out = {"floor": floor, "boundedness": bounded}

@@ -413,15 +413,15 @@ def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
     return sorted(records, key=CollisionRecord.sort_key)
 
 
-def deletion_set(b, h: int, *, records=None) -> frozenset[int]:
-    """Largest participants of every collision equality inside b."""
-    if records is None:
-        records = enumerate_collisions(b, h)
+def deletion_set(records) -> frozenset[int]:
+    """The deletion set C: the largest participant of every record."""
     return frozenset(r.largest for r in records)
 
 
 def construct_a(b, h: int, *, records=None) -> tuple[int, ...]:
-    """Remove the deletion set: the surviving subset is B_h[1] by construction."""
+    """b minus the deletion set of its `records` (enumerated if omitted): B_h[1] by construction."""
     arr = validate_elements(b)
-    bad = deletion_set(arr, h, records=records)
+    if records is None:
+        records = enumerate_collisions(arr, h)
+    bad = deletion_set(records)
     return tuple(int(x) for x in arr if int(x) not in bad)

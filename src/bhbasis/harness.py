@@ -209,7 +209,6 @@ def run_construction(
     sampled = sample_set(params)
     b_vals = list(sampled.elements)
     records = _col.enumerate_collisions(b_vals, h)
-    c_set = _col.deletion_set(b_vals, h, records=records)
     a_vals = _col.construct_a(b_vals, h, records=records)
 
     verdict = _ver.is_bhg(a_vals, h, 1)
@@ -232,7 +231,7 @@ def run_construction(
         "n": n,
         "seed": seed,
         "b_size": len(b_vals),
-        "c_size": len(c_set),
+        "c_size": len(b_vals) - len(a_vals),
         "a_size": len(a_vals),
         "expected_b": expected_count(params, 1, n),
         "bh1": verdict.to_json_dict(),
@@ -248,9 +247,7 @@ def run_construction(
     rec["floor_min_norm"] = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
     rec["weighted_max"] = {spec_key(f): weighted_max_count(b_vals, f, h) for f in one_sided}
 
-    rec["decomposition"] = _ver.decomposition_summary(
-        b_vals, c_set, h, 1, hi, (table_b, table_a, strict_b), records=records
-    )
+    rec["decomposition"] = _ver.decomposition_summary(b_vals, h, 1, hi, (table_b, table_a, strict_b), records)
     if rec["decomposition"]["violations"]:
         raise AssertionError(f"decomposition bound violated at seed {seed}")
 

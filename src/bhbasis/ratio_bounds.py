@@ -114,13 +114,10 @@ class RatioCurve:
         return theil_sen_slope(np.log(np.abs(self.m[sel])), np.log(self.ratio[sel]))
 
     def to_csv(self, path) -> None:
+        """One row per grid point; cells are Python ints and shortest-repr floats."""
         cols = "M,lhs,rhs,ratio" + (",tail_err" if self.tail_err is not None else "")
-        rows = []
-        for i in range(self.m.size):
-            row = f"{int(self.m[i])},{self.lhs[i]!r},{self.rhs[i]!r},{self.ratio[i]!r}"
-            if self.tail_err is not None:
-                row += f",{self.tail_err[i]!r}"
-            rows.append(row)
+        arrays = [self.m, self.lhs, self.rhs, self.ratio] + ([] if self.tail_err is None else [self.tail_err])
+        rows = [",".join(map(repr, row)) for row in zip(*(a.tolist() for a in arrays))]
         with open(path, "w") as fh:
             fh.write(cols + "\n")
             fh.write("\n".join(rows) + "\n")

@@ -107,47 +107,22 @@ def basis_window(table: ReprTable, n_lo: int, n_hi: int) -> BasisReport:
     return BasisReport(k, n_lo, n_hi, last_zero, coverage, fit_c, fit_exp, bins, resid)
 
 
-@dataclass(frozen=True)
-class DecompositionAudit:
-    """Per-target audit of lost 2h-fold representations after deletion.
+def _decomposition_arrays(b, h: int, n_lo: int, n_hi: int, tables, records):
+    """lhs, r1, r2, r3 over [n_lo, n_hi] for deleting C, the largest
+    participants of b's collision `records`, from B = b.
 
-    lhs counts 2h-multisets over B that use a deleted element; r1 bounds
-    those with a repeated term, r2/r3 the strictly increasing ones touching
-    a distinct-branch / weighted-branch deletion.  The construction only
-    guarantees lhs <= r1 + r2 + r3 (the classes may overlap).
-    """
-
-    n: int
-    lhs: int
-    r1: int
-    r2: int
-    r3: int
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= self.r1 + self.r2 + self.r3
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["ok"] = self.ok
-        return d
-
-
-def _decomposition_arrays(b, c_set, h: int, n_lo: int, n_hi: int, tables, records=None):
-    """lhs, r1, r2, r3 over [n_lo, n_hi]: lhs and r1 are differences of the
-    shared `tables`; r2 and r3 count strict tuples meeting the case conditions
-    by complement against the tuples avoiding the respective deletion branch."""
+    lhs counts 2h-multisets over B that use an element of C; r1 bounds those
+    with a repeated term, r2/r3 the strictly increasing ones touching a
+    distinct-branch / weighted-branch deletion.  `tables` are the 2h-fold
+    multiset tables of B and A = B \\ C and the strict table of B, covering
+    n_hi; another kind, fold, length or set raises ValueError."""
     arr = validate_elements(b)
-    if records is None:
-        records = _col.enumerate_collisions(arr, h)
-    expected_c = frozenset(r.largest for r in records)
-    if frozenset(int(x) for x in c_set) != expected_c:
-        raise ValueError("c_set does not match the deletion set of b")
+    c = _col.deletion_set(records)
     c1 = {r.largest for r in records if r.kind == _col.DISTINCT_2H}
     c2 = {r.largest for r in records if r.kind == _col.WEIGHTED}
     k = 2 * h
     vals = arr.tolist()
-    a_vals = [x for x in vals if x not in expected_c]
+    a_vals = [x for x in vals if x not in c]
     for table, kind, source in zip(tables, ("multiset", "multiset", "strict"), (vals, a_vals, vals)):
         if table.semantics != (kind, k) or table.max_n < n_hi:
             raise ValueError(f"need a {(kind, k)} table up to {n_hi}, got {table.semantics} up to {table.max_n}")
@@ -165,24 +140,10 @@ def _decomposition_arrays(b, c_set, h: int, n_lo: int, n_hi: int, tables, record
     return lhs, r1, r2, r3
 
 
-def decomposition_audit_range(
-    b, c_set, h: int, n_lo: int, n_hi: int, tables, *, records=None
-) -> list[DecompositionAudit]:
-    """Audit every target in [n_lo, n_hi]; raises at the first violation.
-    `tables` are the 2h-fold tables (multiset of B, multiset of A = B \\ C,
-    strict of B) covering n_hi; another kind, length or set raises ValueError."""
-    lhs, r1, r2, r3 = (a.tolist() for a in _decomposition_arrays(b, c_set, h, n_lo, n_hi, tables, records))
-    audits = [DecompositionAudit(n, *row) for n, row in enumerate(zip(lhs, r1, r2, r3), n_lo)]
-    bad = next((audit for audit in audits if not audit.ok), None)
-    if bad is not None:
-        raise AssertionError(f"decomposition bound violated at n={bad.n}: {bad}")
-    return audits
-
-
-def decomposition_summary(b, c_set, h: int, n_lo: int, n_hi: int, tables, *, records=None) -> dict:
-    """Sweep of the decomposition bound; reports violations (none expected)
-    and the largest slack r1 + r2 + r3 - lhs seen."""
-    lhs, r1, r2, r3 = _decomposition_arrays(b, c_set, h, n_lo, n_hi, tables, records)
+def decomposition_summary(b, h: int, n_lo: int, n_hi: int, tables, records) -> dict:
+    """Sweep of the bound lhs <= r1 + r2 + r3 (the classes may overlap);
+    reports violations (none expected) and the largest slack seen."""
+    lhs, r1, r2, r3 = _decomposition_arrays(b, h, n_lo, n_hi, tables, records)
     slack = r1 + r2 + r3 - lhs
     return {
         "n_lo": n_lo,

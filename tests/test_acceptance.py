@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from bhbasis.collisions import deletion_set, enumerate_collisions, construct_a, DISTINCT_2H
+from bhbasis.collisions import enumerate_collisions, construct_a, DISTINCT_2H
 from bhbasis.counting import repr_multiset, repr_strict, repr_weighted
 from bhbasis.fits import dyadic_fit
 from bhbasis.harness import (
@@ -36,7 +36,7 @@ from bhbasis.ratio_bounds import (
     weight_exponent,
 )
 from bhbasis.sampling import ModelParams, sample_set
-from bhbasis.verify import decomposition_audit_range, is_bhg
+from bhbasis.verify import _decomposition_arrays, is_bhg
 
 from tests.oracles import oracle_decomposition_all
 from tests.tables import audit_tables
@@ -198,15 +198,14 @@ def test_criterion_6_decomposition_audit():
         size = int(rng.integers(4, 21))
         b = sorted(rng.choice(np.arange(1, 61), size=size, replace=False).tolist())
         records = enumerate_collisions(b, 2)
-        c = deletion_set(b, 2, records=records)
         c1 = {r.largest for r in records if r.kind == DISTINCT_2H}
         c2 = {r.largest for r in records if r.kind != DISTINCT_2H}
         want = oracle_decomposition_all(b, c1, c2, 2)
-        tables = audit_tables(b, c, 2, 4 * max(b))
-        audits = decomposition_audit_range(b, c, 2, 1, 4 * max(b), tables, records=records)
-        for audit in audits:
-            lhs, r1, r2, r3 = want.get(audit.n, (0, 0, 0, 0))
-            assert (audit.lhs, audit.r1, audit.r2, audit.r3) == (lhs, r1, r2, r3)
+        tables = audit_tables(b, records, 2, 4 * max(b))
+        arrays = _decomposition_arrays(b, 2, 1, 4 * max(b), tables, records)
+        for n, row in enumerate(zip(*(a.tolist() for a in arrays)), 1):
+            lhs, r1, r2, r3 = want.get(n, (0, 0, 0, 0))
+            assert row == (lhs, r1, r2, r3)
             if lhs > r1 + r2 + r3:
                 violations += 1
     elapsed = time.time() - t0

@@ -173,6 +173,58 @@ def test_lemma4_refuses_flags_the_part_does_not_read(part, flags, unread, capsys
     assert f"--part {part} does not read {unread}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["iii", "iv"])
+def test_lemma4_csv_cells_are_plain_floats(part, tmp_path):
+    # every cell reads back with float() as exactly the curve's value
+    flags, direct = _LEMMA4_CASES[part]
+    assert main(["lemma4", "--part", part, *flags, "--mmax", "60", "--out", str(tmp_path)]) == 0
+    curve = direct()
+    header, *rows = (tmp_path / f"ratio_{part}.csv").read_text().splitlines()
+    columns = {"M": curve.m, "lhs": curve.lhs, "rhs": curve.rhs, "ratio": curve.ratio, "tail_err": curve.tail_err}
+    names = header.split(",")
+    assert len(rows) == curve.m.size
+    for i, row in enumerate(rows):
+        for name, cell in zip(names, row.split(","), strict=True):
+            assert float(cell) == columns[name][i], (name, i, cell)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("sampled or built a curve or grid before the flags were checked")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lemma568", "--h", "2", "--n-list", "1e4", "--seed", "1"], "--n-list"),
+        (["lemma568", "--h", "2", "--n-list", "0,400", "--n-lo", "1", "--seed", "1"], "--n-list"),
+        (["lemma568", "--h", "1", "--n-list", "400", "--seed", "1"], "--h"),
+        (["lemma568", "--h", "2", "--n-list", "400,800", "--n-lo", "900", "--seed", "1"], "--n-lo"),
+        (["lemma4", "--part", "i", "--alpha", "0.6", "--beta", "0.7", "--mmax", "1"], "--mmax"),
+        (["lemma4", "--part", "ii", "--alpha", "0.6", "--beta", "0.7", "--mmax", "0"], "--mmax"),
+        (["lemma4", "--part", "iii", "--h", "2", "--l", "2", "--mmax", "1"], "--mmax"),
+        (["lemma4", "--part", "iii", "--h", "2", "--l", "1", "--mmax", "0"], "--mmax"),
+        (["lemma4", "--part", "iii", "--h", "2", "--l", "5"], "--l"),
+        (["lemma4", "--part", "iv", "--h", "1", "--s", "1", "--t", "2"], "--h"),
+    ],
+)
+def test_lemma_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, capsys):
+    # exit 2 naming the flag, before any sampling, grid or curve work
+    monkeypatch.setattr(harness, "sample_set", _no_work)
+    for name in ("geometric_grid", "split_sum_curve", "shifted_tail_curve", "composition_curve", "signed_composition_curve"):
+        monkeypatch.setattr(ratio_bounds, name, _no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {flag} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, flags", [("i", ["--alpha", "0.6", "--beta", "0.7"]), ("iii", ["--h", "2", "--l", "1"])])
+def test_lemma4_builds_no_grid_for_parts_i_and_iii(part, flags, monkeypatch, capsys):
+    monkeypatch.setattr(ratio_bounds, "geometric_grid", _no_work)
+    assert main(["lemma4", "--part", part, *flags, "--mmax", "2"]) == 0
+    assert "sup_ratio=" in capsys.readouterr().out
+
+
 def test_lemma568_subcommand(tmp_path, capsys):
     rc = main(
         [

@@ -166,7 +166,7 @@ def test_enumerate_collisions_small_example():
         {"kind": WEIGHTED, "d": [1, 1], "e": [2], "elements": [4, 2, 3], "largest": 4},
     ]
     assert all(join_oracle.holds(r) for r in recs)
-    assert deletion_set([1, 2, 3, 4], 2) == {3, 4}
+    assert deletion_set(recs) == {3, 4}
     assert construct_a([1, 2, 3, 4], 2) == (1, 2)
 
 
@@ -205,9 +205,10 @@ def test_matches_multiset_pair_oracle():
         top = 50 if h == 2 else 40
         size = rng.integers(3, 20 if h == 2 else 14)
         b = sorted(rng.choice(np.arange(1, top), size=size, replace=False).tolist())
-        assert deletion_set(b, h) == oracle_deletion_set(b, h), (b, h)
+        recs = enumerate_collisions(b, h)
+        assert deletion_set(recs) == oracle_deletion_set(b, h), (b, h)
         got_keys = set()
-        for r in enumerate_collisions(b, h):
+        for r in recs:
             got_keys.add(
                 (r.largest, tuple(sorted(r.spec.d)), tuple(sorted(r.spec.e)), tuple(sorted(r.elements)))
             )
@@ -227,7 +228,7 @@ def test_deletion_windowing_consistency():
         h = 2
         full = enumerate_collisions(b, h)
         cut = 60
-        windowed = deletion_set([x for x in b if x <= cut], h)
+        windowed = deletion_set(enumerate_collisions([x for x in b if x <= cut], h))
         filtered = {r.largest for r in full if r.largest <= cut}
         assert windowed == filtered
 
@@ -250,7 +251,7 @@ def test_matches_oracle_order_four():
     rng = np.random.default_rng(8888)
     for _ in range(10):
         b = sorted(rng.choice(np.arange(1, 30), size=10, replace=False).tolist())
-        assert deletion_set(b, 4) == oracle_deletion_set(b, 4)
+        assert deletion_set(enumerate_collisions(b, 4)) == oracle_deletion_set(b, 4)
 
 
 def test_spec_generators():

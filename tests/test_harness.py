@@ -6,7 +6,7 @@ import pytest
 
 import bhbasis.harness as harness_mod
 import bhbasis.verify as verify_mod
-from bhbasis.collisions import WeightSpec, deletion_set
+from bhbasis.collisions import WeightSpec, deletion_set, enumerate_collisions
 from bhbasis.counting import repr_multiset, repr_strict
 from bhbasis.harness import (
     ExperimentConfig,
@@ -226,7 +226,7 @@ def test_each_2h_fold_table_built_once(monkeypatch, floor):
         monkeypatch.setattr(mod, "repr_strict", spy(repr_strict))
     rec = run_construction(2, 20_000, 1, floor=floor, **GOLDEN_SEED)
     b = tuple(sample_set(ModelParams(2, 20_000, 1)).elements)
-    a = tuple(x for x in b if x not in deletion_set(b, 2))
+    a = tuple(x for x in b if x not in deletion_set(enumerate_collisions(b, 2)))
     assert rec["c_size"] > 0
     assert len(builds) == len(set(builds)) == 5
     assert {(("multiset", 4), b), (("multiset", 4), a), (("strict", 4), b)} < set(builds)
@@ -239,10 +239,11 @@ def test_shared_tables_match_fresh_ones(floor, audit_hi):
     n, n_lo, n_hi = 20_000, 1000, 3000
     rec = run_construction(2, n, 4, window=(n_lo, n_hi), audit_hi=audit_hi, floor=floor, keep_tables=True)
     b = sample_set(ModelParams(2, n, 4)).elements
-    c = deletion_set(b, 2)
-    assert rec["decomposition"] == decomposition_summary(b, c, 2, 1, audit_hi, audit_tables(b, c, 2, audit_hi))
+    records = enumerate_collisions(b, 2)
+    tables = audit_tables(b, records, 2, audit_hi)
+    assert rec["decomposition"] == decomposition_summary(b, 2, 1, audit_hi, tables, records)
     assert rec["_tables"]["basis_b"].max_n == max(n_hi, audit_hi)
-    fresh_b, fresh_a, fresh_strict = audit_tables(b, c, 2, n_hi)
+    fresh_b, fresh_a, fresh_strict = audit_tables(b, records, 2, n_hi)
     assert rec["basis_b"] == basis_window(fresh_b, n_lo, n_hi).to_json_dict()
     assert rec["basis_a"] == basis_window(fresh_a, n_lo, n_hi).to_json_dict()
     want_floor = harness_mod._floor_min_norm(fresh_strict, 2, n_lo, n_hi) if floor else None

@@ -4,13 +4,7 @@ import pytest
 from bhbasis.collisions import DISTINCT_2H, deletion_set, enumerate_collisions
 from bhbasis.counting import ReprTable, repr_multiset, repr_strict
 from bhbasis.fits import dyadic_fit, theil_sen_slope
-from bhbasis.verify import (
-    basis_window,
-    counts_csv,
-    decomposition_audit_range,
-    decomposition_summary,
-    is_bhg,
-)
+from bhbasis.verify import _decomposition_arrays, basis_window, counts_csv, decomposition_summary, is_bhg
 
 from tests.oracles import oracle_decomposition
 from tests.tables import audit_tables
@@ -88,41 +82,46 @@ def test_basis_window_validation():
         basis_window(table, 1, 50)
 
 
+def _audit_rows(b, n_lo, n_hi, tables, records):
+    """Per-target (n, lhs, r1, r2, r3) of the h = 2 audit over [n_lo, n_hi]."""
+    arrays = _decomposition_arrays(b, 2, n_lo, n_hi, tables, records)
+    return [(n, *row) for n, row in enumerate(zip(*(a.tolist() for a in arrays)), n_lo)]
+
+
 def test_decomposition_small_example():
     b = [1, 2, 3, 4]
-    c = deletion_set(b, 2)
-    audit = decomposition_audit_range(b, c, 2, 10, 10, audit_tables(b, c, 2, 10))[0]
-    assert (audit.lhs, audit.r1, audit.r2, audit.r3) == (5, 4, 1, 1)
-    assert audit.ok
+    records = enumerate_collisions(b, 2)
+    [(_, lhs, r1, r2, r3)] = _audit_rows(b, 10, 10, audit_tables(b, records, 2, 10), records)
+    assert (lhs, r1, r2, r3) == (5, 4, 1, 1)
+    assert lhs <= r1 + r2 + r3
 
 
 def test_decomposition_clean_set_is_all_zero_lhs():
     b = [1, 2, 5, 11]
-    assert deletion_set(b, 2) == frozenset()
-    for audit in decomposition_audit_range(b, (), 2, 1, 4 * 11, audit_tables(b, (), 2, 4 * 11)):
-        assert audit.lhs == 0 and audit.ok
-
-
-def test_decomposition_contract_violation():
-    with pytest.raises(ValueError):
-        decomposition_audit_range([1, 2, 3, 4], {4}, 2, 10, 10, audit_tables([1, 2, 3, 4], {4}, 2, 10))
+    records = enumerate_collisions(b, 2)
+    assert deletion_set(records) == frozenset()
+    rows = _audit_rows(b, 1, 4 * 11, audit_tables(b, records, 2, 4 * 11), records)
+    assert len(rows) == 4 * 11
+    for _, lhs, r1, r2, r3 in rows:
+        assert lhs == 0 and lhs <= r1 + r2 + r3
 
 
 def test_decomposition_table_guards():
     b = [1, 2, 3, 4, 7, 11, 13]
-    c = deletion_set(b, 2)
-    full_b, full_a, strict_b = audit_tables(b, c, 2, 40)
+    records = enumerate_collisions(b, 2)
+    full_b, full_a, strict_b = audit_tables(b, records, 2, 40)
     # longer tables are sliced: the same audit as tables ending at n_hi
-    longer = decomposition_audit_range(b, c, 2, 1, 40, audit_tables(b, c, 2, 60))
-    assert longer == decomposition_audit_range(b, c, 2, 1, 40, (full_b, full_a, strict_b))
+    longer = _decomposition_arrays(b, 2, 1, 40, audit_tables(b, records, 2, 60), records)
+    exact = _decomposition_arrays(b, 2, 1, 40, (full_b, full_a, strict_b), records)
+    assert all(np.array_equal(x, y) for x, y in zip(longer, exact, strict=True))
     for tables in (
         (strict_b, full_a, strict_b),  # wrong semantics
         (full_b, full_a, repr_strict(b, 6, 40)),  # wrong fold
-        audit_tables(b, c, 2, 39),  # shorter than n_hi
+        audit_tables(b, records, 2, 39),  # shorter than n_hi
         (full_b, full_b, strict_b),  # the A table is not built from B minus C
     ):
         with pytest.raises(ValueError):
-            decomposition_audit_range(b, c, 2, 1, 40, tables)
+            _decomposition_arrays(b, 2, 1, 40, tables, records)
 
 
 def test_decomposition_vs_oracle():
@@ -130,26 +129,25 @@ def test_decomposition_vs_oracle():
     for _ in range(30):
         b = sorted(rng.choice(np.arange(1, 50), size=rng.integers(4, 14), replace=False).tolist())
         records = enumerate_collisions(b, 2)
-        c = deletion_set(b, 2, records=records)
         c1 = {r.largest for r in records if r.kind == DISTINCT_2H}
         c2 = {r.largest for r in records if r.kind != DISTINCT_2H}
-        tables = audit_tables(b, c, 2, 4 * max(b))
-        audits = decomposition_audit_range(b, c, 2, 1, 4 * max(b), tables, records=records)
-        for audit in audits:
-            want = oracle_decomposition(b, c1, c2, 2, audit.n)
-            assert (audit.lhs, audit.r1, audit.r2, audit.r3) == want, (b, audit.n)
-            assert audit.lhs <= audit.r1 + audit.r2 + audit.r3
+        tables = audit_tables(b, records, 2, 4 * max(b))
+        for n, lhs, r1, r2, r3 in _audit_rows(b, 1, 4 * max(b), tables, records):
+            want = oracle_decomposition(b, c1, c2, 2, n)
+            assert (lhs, r1, r2, r3) == want, (b, n)
+            assert lhs <= r1 + r2 + r3
 
 
 def test_decomposition_summary_matches_range():
     b = [1, 2, 3, 4, 7, 11, 13]
-    c = deletion_set(b, 2)
-    summary = decomposition_summary(b, c, 2, 1, 40, audit_tables(b, c, 2, 40))
-    audits = decomposition_audit_range(b, c, 2, 1, 40, audit_tables(b, c, 2, 40))
-    assert summary["checked"] == len(audits) == 40
+    records = enumerate_collisions(b, 2)
+    tables = audit_tables(b, records, 2, 40)
+    summary = decomposition_summary(b, 2, 1, 40, tables, records)
+    rows = _audit_rows(b, 1, 40, tables, records)
+    assert summary["checked"] == len(rows) == 40
     assert summary["violations"] == 0
-    assert summary["max_slack"] == max(a.r1 + a.r2 + a.r3 - a.lhs for a in audits)
-    assert summary["lhs_total"] == sum(a.lhs for a in audits)
+    assert summary["max_slack"] == max(r1 + r2 + r3 - lhs for _, lhs, r1, r2, r3 in rows)
+    assert summary["lhs_total"] == sum(row[1] for row in rows)
 
 
 def test_truncation_exactness():
