@@ -25,7 +25,6 @@ from .harness import (
     basis_floor_check,
     boundedness_check,
     canonical_json,
-    emit_report,
     replay_report,
     run_construction,
     run_experiment,
@@ -78,7 +77,6 @@ __all__ = [
     "construct_a",
     "decomposition_summary",
     "deletion_set",
-    "emit_report",
     "enumerate_collisions",
     "expected_count",
     "geometric_grid",

@@ -8,12 +8,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
-from . import harness, ratio_bounds, verify
+import numpy as np
+
+from . import harness, ratio_bounds
 from .sampling import ModelParams, sample_set
+
+# Rows per `%` call of a CSV write.
+_CSV_ROWS = 1 << 16
+
+# The columns of records.csv, one row per seed of a sweep.
+_RECORDS_HEADER = "seed,b_size,c_size,a_size,bh1_ok,coverage_b,coverage_a,fit_exp_b,floor_min_norm".split(",")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -71,6 +78,39 @@ def _write_or_print(text: str, out: str | None, name: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(out: str, name: str, header, columns) -> None:
+    """Write out/name: the header line, then one row per index of the
+    columns (numpy arrays, ranges or tuples), each cell the str() of its
+    Python value, and print the path.  Rows are formatted 2^16 per `%` call,
+    and columns of unequal length raise ValueError before the file opens."""
+    if len({len(col) for col in columns}) != 1:
+        raise ValueError(f"CSV columns of {name} differ in length: {[len(col) for col in columns]}")
+    stride = len(columns)
+    line = ",".join(["%s"] * stride) + "\n"
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            parts = [col[lo : lo + _CSV_ROWS] for col in columns]
+            rows = len(parts[0])
+            cells = [None] * (rows * stride)
+            for i, part in enumerate(parts):
+                cells[i::stride] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write((line * rows) % tuple(cells))
+    print(path)
+
+
+def _write_records(out: str, report: dict) -> None:
+    """records.csv: the flat per-seed summary of a sweep report."""
+    rows = [
+        (r["seed"], r["b_size"], r["c_size"], r["a_size"], int(r["bh1"]["ok"]), r["basis_b"]["coverage"],
+         r["basis_a"]["coverage"], r["basis_b"]["fit_exp"], r["floor_min_norm"])
+        for r in report["records"]
+    ]
+    _write_csv(out, "records.csv", _RECORDS_HEADER, list(zip(*rows)))
+
+
 def cmd_sample(args) -> int:
     _check_model_flags(args)
     sampled = sample_set(ModelParams(args.h, args.n, args.seed))
@@ -94,16 +134,10 @@ def cmd_construct(args) -> int:
     text = harness.canonical_json(rec)
     _write_or_print(text, args.out, f"construct_h{args.h}_n{args.n}_s{args.seed}.json")
     if args.series:
-        tables = rec["_tables"]
         n_lo, n_hi = args.window or harness.default_window(args.n)
-        path = os.path.join(args.out, f"series_h{args.h}_n{args.n}_s{args.seed}.csv")
-        verify.counts_csv(
-            path,
-            n_lo,
-            n_hi,
-            {"count_b": tables["basis_b"].counts, "count_a": tables["basis_a"].counts},
-        )
-        print(path)
+        counts = [rec["_tables"][key].counts[n_lo : n_hi + 1] for key in ("basis_b", "basis_a")]
+        name = f"series_h{args.h}_n{args.n}_s{args.seed}.csv"
+        _write_csv(args.out, name, ("n", "count_b", "count_a"), [range(n_lo, n_hi + 1), *counts])
     return 0 if rec["bh1"]["ok"] else 1
 
 
@@ -122,6 +156,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_model_flags(args, harness.EXPERIMENT_MIN_N)
+    if args.format == "csv" and not args.out:
+        args.usage_error("--format csv needs --out")
     config = harness.ExperimentConfig(
         h=args.h,
         n=args.n,
@@ -131,12 +167,9 @@ def cmd_sweep(args) -> int:
         out_dir=args.out,
     )
     report = harness.run_experiment(config)
-    formats = ("json", "csv") if args.format == "csv" else ("json",)
-    if args.out:
-        for path in harness.emit_report(report, args.out, formats):
-            print(path)
-    else:
-        sys.stdout.write(harness.canonical_json(report))
+    _write_or_print(harness.canonical_json(report), args.out, "report.json")
+    if args.format == "csv":
+        _write_records(args.out, report)
     return 0 if report["aggregate"]["all_bh1_ok"] else 1
 
 
@@ -166,12 +199,32 @@ def cmd_lemma4(args) -> int:
         args.usage_error(f"--part {args.part} does not read {_flags(unread)}")
     if "h" in reads and args.h < 2:
         args.usage_error(f"--h must be >= 2, got {args.h}")
+    if "alpha" in reads:
+        for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+            if not 0 < value < 1:
+                args.usage_error(f"{flag} must lie strictly inside (0, 1), got {value}")
+        if args.part == "ii" and args.alpha + args.beta <= 1:
+            args.usage_error(f"--alpha + --beta must exceed 1 for --part ii, got {args.alpha + args.beta}")
     if args.part == "iii" and not 1 <= args.l <= 2 * args.h:
         args.usage_error(f"--l must lie in [1, 2h] = [1, {2 * args.h}], got {args.l}")
-    # part i sums over 1 <= n < M, part iii over l-tuples summing to M
+    if args.part == "iv":
+        if not 1 <= args.t <= 2 * args.h:
+            args.usage_error(f"--t must lie in [1, 2h] = [1, {2 * args.h}], got {args.t}")
+        if not 0 <= args.s <= args.t:
+            args.usage_error(f"--s must lie in [0, t] = [0, {args.t}], got {args.s}")
+        if 0 < args.s < args.t == 2 * args.h:
+            args.usage_error(f"--t must be below 2h = {2 * args.h} for 0 < s < t (the sum diverges), got {args.t}")
+    # part i sums over 1 <= n < M, part iii over l-tuples summing to M, and
+    # part iv with s = 0 or s = t keeps only the points with |M| >= t
     lowest = {"i": 2, "iii": args.l}.get(args.part, 1)
+    if args.part == "iv" and args.s in (0, args.t):
+        lowest = args.t
     if args.mmax < lowest:
         args.usage_error(f"--mmax must be >= {lowest} for --part {args.part}, got {args.mmax}")
+    # an interior (s, t) other than (1, 2) needs |M| <= half its tables' fixed length
+    highest = ratio_bounds._LONG_TABLE // 2
+    if args.part == "iv" and 0 < args.s < args.t and (args.s, args.t) != (1, 2) and args.mmax > highest:
+        args.usage_error(f"--mmax must be <= {highest} for interior --s, --t other than 1, 2, got {args.mmax}")
     tail = {} if args.tail_eps is None else {"tail_eps": args.tail_eps}
     if "grid" in reads:
         if args.grid == "full":
@@ -188,10 +241,10 @@ def cmd_lemma4(args) -> int:
     else:
         curve = ratio_bounds.signed_composition_curve(args.s, args.t, args.h, grid, **tail)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"ratio_{args.part}.csv")
-        curve.to_csv(path)
-        print(path)
+        columns = {"M": curve.m, "lhs": curve.lhs, "rhs": curve.rhs, "ratio": curve.ratio}
+        if curve.tail_err is not None:
+            columns["tail_err"] = curve.tail_err
+        _write_csv(args.out, f"ratio_{args.part}.csv", list(columns), list(columns.values()))
     print(f"points={curve.m.size} sup_ratio={curve.sup_ratio:.6g} argmax_M={curve.argmax_m}")
     return 0
 
@@ -232,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bhbasis",
         description="Construct and verify random B_h[1] sets that are bases of order 2h",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seeds=False):
@@ -299,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     return args.func(args)
 
 

@@ -37,14 +37,11 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import groupby, product
 import json
-import logging
 import math
 
 import numpy as np
 
 from .counting import validate_elements
-
-log = logging.getLogger("bhbasis.collisions")
 
 DISTINCT_2H = "distinct_2h"
 WEIGHTED = "weighted"
@@ -408,7 +405,6 @@ def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
         left, right = _equal_sum_rows(vals, spec, side)
         if len(left):
             records += _spec_records(kind, spec, np.hstack([left, right]))
-        log.debug("%s spec %s|%s done: %d records so far", kind, spec.d, spec.e, len(records))
 
     return sorted(records, key=CollisionRecord.sort_key)
 

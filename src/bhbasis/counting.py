@@ -50,9 +50,6 @@ _SPARSE_COST = 20
 # Candidate sums per block of a sparse step (a few hundred KiB of int64).
 _BLOCK = 1 << 16
 
-# Rows per chunk of a CSV write.
-_CSV_ROWS = 1 << 16
-
 
 def validate_elements(a) -> np.ndarray:
     """Canonicalize a set of positive integers to a sorted distinct array."""
@@ -80,22 +77,6 @@ class ReprTable:
     @property
     def max_n(self) -> int:
         return len(self.counts) - 1
-
-
-def write_csv_rows(fh, n_lo: int, columns) -> None:
-    """Write the lines "n,c_1,...,c_k" for n = n_lo, n_lo + 1, ..., where
-    c_i is entry n - n_lo of columns[i] written as an integer; the columns
-    share one length and are formatted a chunk of rows at a time."""
-    stride = len(columns) + 1
-    line = ",".join(["%d"] * stride) + "\n"
-    for lo in range(0, len(columns[0]), _CSV_ROWS):
-        parts = [np.asarray(col[lo : lo + _CSV_ROWS]).tolist() for col in columns]
-        rows = len(parts[0])
-        cells = [0] * (rows * stride)
-        cells[::stride] = range(n_lo + lo, n_lo + lo + rows)
-        for i, part in enumerate(parts, start=1):
-            cells[i::stride] = part
-        fh.write((line * rows) % tuple(cells))
 
 
 def _count_dtype(bound: int):

@@ -18,7 +18,6 @@ from fractions import Fraction
 import json
 import math
 import operator
-import os
 import statistics
 
 import numpy as np
@@ -360,50 +359,6 @@ def boundedness_check(h: int, n_list, seeds) -> dict:
         },
     }
     return out
-
-
-# ------------------------------------------------------------ reporting
-
-
-def emit_report(report: dict, out_dir: str, formats=("json", "csv")) -> list[str]:
-    """Write the canonical JSON report and a flat per-seed CSV summary."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            fh.write(canonical_json(report))
-        paths.append(path)
-    if "csv" in formats and "records" in report:
-        path = os.path.join(out_dir, "records.csv")
-        cols = [
-            "seed",
-            "b_size",
-            "c_size",
-            "a_size",
-            "bh1_ok",
-            "coverage_b",
-            "coverage_a",
-            "fit_exp_b",
-            "floor_min_norm",
-        ]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in report["records"]:
-                row = [
-                    r["seed"],
-                    r["b_size"],
-                    r["c_size"],
-                    r["a_size"],
-                    int(r["bh1"]["ok"]),
-                    r["basis_b"]["coverage"],
-                    r["basis_a"]["coverage"],
-                    r["basis_b"]["fit_exp"],
-                    r["floor_min_norm"],
-                ]
-                fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
-        paths.append(path)
-    return paths
 
 
 def replay_report(report: dict) -> tuple[bool, str]:

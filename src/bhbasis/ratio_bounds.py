@@ -113,15 +113,6 @@ class RatioCurve:
             raise ValueError("not enough points beyond m_min")
         return theil_sen_slope(np.log(np.abs(self.m[sel])), np.log(self.ratio[sel]))
 
-    def to_csv(self, path) -> None:
-        """One row per grid point; cells are Python ints and shortest-repr floats."""
-        cols = "M,lhs,rhs,ratio" + (",tail_err" if self.tail_err is not None else "")
-        arrays = [self.m, self.lhs, self.rhs, self.ratio] + ([] if self.tail_err is None else [self.tail_err])
-        rows = [",".join(map(repr, row)) for row in zip(*(a.tolist() for a in arrays))]
-        with open(path, "w") as fh:
-            fh.write(cols + "\n")
-            fh.write("\n".join(rows) + "\n")
-
 
 def geometric_grid(lo: int, hi: int, per_decade: int = 40, include=()) -> list[int]:
     """Roughly geometric integer grid on [lo, hi], always containing both

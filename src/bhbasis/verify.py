@@ -21,7 +21,7 @@ import numpy as np
 
 from . import collisions as _col
 from .counting import ReprTable, multiset_is_sparse, multiset_sums, validate_elements
-from .counting import repr_multiset, repr_strict, write_csv_rows
+from .counting import repr_multiset, repr_strict
 from .fits import dyadic_fit
 
 
@@ -153,13 +153,3 @@ def decomposition_summary(b, h: int, n_lo: int, n_hi: int, tables, records) -> d
         "max_slack": int(slack.max()) if slack.size else 0,
         "lhs_total": int(lhs.sum()),
     }
-
-
-def counts_csv(path, n_lo: int, n_hi: int, series: dict[str, np.ndarray]) -> None:
-    """Plot-ready CSV of count tables over a window; columns keyed by name."""
-    names = list(series)
-    if any(len(series[name]) <= n_hi for name in names):
-        raise ValueError(f"every series must cover n = {n_hi}")
-    with open(path, "w") as fh:
-        fh.write("n," + ",".join(names) + "\n")
-        write_csv_rows(fh, n_lo, [series[name][n_lo : n_hi + 1] for name in names])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,38 @@ def test_series_needs_out(capsys):
         main(["construct", "--h", "2", "--n", "2000", "--seed", "11", "--series"])
     assert exc.value.code == 2
     assert "--series needs --out" in capsys.readouterr().err
+
+
+def test_sweep_csv_needs_out(monkeypatch, capsys):
+    # without --out the CSV has nowhere to go: a usage error before any sampling
+    monkeypatch.setattr(harness, "sample_set", _no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--h", "2", "--n", "2000", "--seeds", "1,2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format csv needs --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        (
+            ["construct", "--h", "2", "--n", "20000", "--seed", "1", "--series"],
+            "series_h2_n20000_s1.csv",
+            "0f3bcb8a94e28d2901b137fd3e6bab0ebfb4a3d5a8e6ed36f65afd722875f91b",
+        ),
+        (
+            ["sweep", "--h", "2", "--n", "20000", "--seeds", "1,2,3", "--format", "csv"],
+            "records.csv",
+            "482b126c9224a934a2f7aaeca31f1d57b5ba2a27c15cd93ddb0699267320071b",
+        ),
+    ],
+)
+def test_csv_bytes_pinned(argv, name, digest, tmp_path, capsys):
+    # the bytes of the series CSV and of records.csv, as written before the
+    # CLI's one CSV writer replaced the per-module writers
+    main([*argv, "--out", str(tmp_path)])
+    assert str(tmp_path / name) in capsys.readouterr().out.splitlines()
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_verify_pass(capsys):
@@ -119,9 +152,13 @@ def test_lemma4_csv_matches_direct_call(part, tail_eps, tmp_path):
         return
     assert main(argv) == 0
     kwargs = {} if tail_eps is None else {"tail_eps": float(tail_eps)}
-    direct(**kwargs).to_csv(str(tmp_path / "direct.csv"))
+    curve = direct(**kwargs)
+    # the rule of the former RatioCurve.to_csv: repr of each .tolist() value
+    columns = [curve.m, curve.lhs, curve.rhs, curve.ratio] + ([] if curve.tail_err is None else [curve.tail_err])
+    header = "M,lhs,rhs,ratio" + ("" if curve.tail_err is None else ",tail_err")
+    rows = [",".join(map(repr, row)) for row in zip(*(col.tolist() for col in columns))]
     cli_bytes = (tmp_path / "cli" / f"ratio_{part}.csv").read_bytes()
-    assert cli_bytes == (tmp_path / "direct.csv").read_bytes()
+    assert cli_bytes == (header + "\n" + "\n".join(rows) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -205,6 +242,22 @@ def _no_work(*args, **kwargs):
         (["lemma4", "--part", "iii", "--h", "2", "--l", "1", "--mmax", "0"], "--mmax"),
         (["lemma4", "--part", "iii", "--h", "2", "--l", "5"], "--l"),
         (["lemma4", "--part", "iv", "--h", "1", "--s", "1", "--t", "2"], "--h"),
+        (["lemma4", "--part", "i", "--alpha", "1.5", "--beta", "0.6"], "--alpha"),
+        (["lemma4", "--part", "i", "--alpha", "0.6", "--beta", "0"], "--beta"),
+        (["lemma4", "--part", "ii", "--alpha", "0.6", "--beta", "1"], "--beta"),
+        (["lemma4", "--part", "ii", "--alpha", "-0.2", "--beta", "0.9"], "--alpha"),
+        (["lemma4", "--part", "ii", "--alpha", "0.2", "--beta", "0.3"], "--alpha + --beta"),
+        (["lemma4", "--part", "ii", "--alpha", "0.5", "--beta", "0.5"], "--alpha + --beta"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "3", "--t", "2"], "--s"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "-1", "--t", "2"], "--s"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "0", "--t", "5"], "--t"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "0", "--t", "0"], "--t"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "4"], "--t"),
+        (["lemma4", "--part", "iv", "--h", "3", "--s", "2", "--t", "6"], "--t"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "0", "--t", "4", "--mmax", "3"], "--mmax"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "3", "--t", "3", "--mmax", "2"], "--mmax"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "300000"], "--mmax"),
+        (["lemma4", "--part", "iv", "--h", "3", "--s", "2", "--t", "4", "--mmax", "262145"], "--mmax"),
     ],
 )
 def test_lemma_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, capsys):

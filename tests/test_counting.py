@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bhbasis import counting
+from bhbasis import cli, counting
 from bhbasis.counting import (
     multiset_sums,
     repr_multiset,
@@ -293,19 +293,24 @@ def _row_loop_csv(counts) -> str:
     return fh.getvalue()
 
 
-def test_csv_bytes_match_row_loop():
+def test_csv_bytes_match_row_loop(tmp_path, capsys):
     rng = np.random.default_rng(3)
     tables = [
         repr_multiset([1, 2, 3], 2, 6).counts,
-        repr_multiset(range(1, 30), 4, 2 * counting._CSV_ROWS + 5).counts,  # three chunks
+        repr_multiset(range(1, 30), 4, 2 * cli._CSV_ROWS + 5).counts,  # three chunks
         np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
-        rng.integers(0, 2**31, size=counting._CSV_ROWS, dtype=np.int64),
+        rng.integers(0, 2**31, size=cli._CSV_ROWS, dtype=np.int64),
         np.zeros(0, dtype=np.uint32),
     ]
+    path = tmp_path / "counts.csv"
     for counts in tables:
-        fh = io.StringIO()
-        counting.write_csv_rows(fh, 0, [counts])
-        assert fh.getvalue() == _row_loop_csv(counts)
+        cli._write_csv(str(tmp_path), path.name, ("n", "count"), [range(len(counts)), counts])
+        assert path.read_bytes() == ("n,count\n" + _row_loop_csv(counts)).encode()
+    assert capsys.readouterr().out.splitlines() == [str(path)] * len(tables)
+    # unequal columns are refused before the file is opened
+    with pytest.raises(ValueError):
+        cli._write_csv(str(tmp_path), "short.csv", ("n", "count"), [range(8), tables[0]])
+    assert not (tmp_path / "short.csv").exists()
 
 
 def test_multiset_sums_enumeration():

@@ -6,6 +6,7 @@ import pytest
 
 import bhbasis.harness as harness_mod
 import bhbasis.verify as verify_mod
+from bhbasis import cli
 from bhbasis.collisions import WeightSpec, deletion_set, enumerate_collisions
 from bhbasis.counting import repr_multiset, repr_strict
 from bhbasis.harness import (
@@ -14,7 +15,6 @@ from bhbasis.harness import (
     boundedness_check,
     canonical_json,
     default_one_sided,
-    emit_report,
     floor_exponent,
     replay_report,
     run_construction,
@@ -170,11 +170,14 @@ def test_config_round_trip_and_validation():
         ExperimentConfig(h=1, n=100, seeds=(1,))
 
 
-def test_emit_validate_replay(tmp_path):
+def test_emit_validate_replay(tmp_path, capsys):
     config = ExperimentConfig(h=2, n=800, seeds=(1, 2), audit_hi=400)
     report = run_experiment(config)
     validate_report(report)
-    paths = emit_report(report, str(tmp_path))
+    # the files `sweep --out DIR --format csv` writes
+    cli._write_or_print(canonical_json(report), str(tmp_path), "report.json")
+    cli._write_records(str(tmp_path), report)
+    paths = capsys.readouterr().out.splitlines()
     report_path = tmp_path / "report.json"
     assert str(report_path) in paths
     loaded = json.loads(report_path.read_text())

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from bhbasis import cli
 from bhbasis.collisions import DISTINCT_2H, deletion_set, enumerate_collisions
 from bhbasis.counting import ReprTable, repr_multiset, repr_strict
 from bhbasis.fits import dyadic_fit, theil_sen_slope
-from bhbasis.verify import _decomposition_arrays, basis_window, counts_csv, decomposition_summary, is_bhg
+from bhbasis.verify import _decomposition_arrays, basis_window, decomposition_summary, is_bhg
 
 from tests.oracles import oracle_decomposition
 from tests.tables import audit_tables
@@ -167,11 +168,17 @@ def test_theil_sen_flat_and_sloped():
     assert theil_sen_slope(x, 0.25 * x + 1.0) == pytest.approx(0.25, abs=1e-9)
 
 
+def _series_csv(out, n_lo: int, n_hi: int, series: dict) -> None:
+    """The count series CSV as `construct --series` writes it."""
+    columns = [range(n_lo, n_hi + 1)] + [counts[n_lo : n_hi + 1] for counts in series.values()]
+    cli._write_csv(str(out), "series.csv", ["n", *series], columns)
+
+
 def test_counts_csv(tmp_path):
     t_b = repr_multiset([1, 2, 3], 4, 12)
     t_a = repr_multiset([1, 2], 4, 12)
     path = tmp_path / "series.csv"
-    counts_csv(str(path), 4, 12, {"count_b": t_b.counts, "count_a": t_a.counts})
+    _series_csv(tmp_path, 4, 12, {"count_b": t_b.counts, "count_a": t_a.counts})
     lines = path.read_text().splitlines()
     assert lines[0] == "n,count_b,count_a"
     assert len(lines) == 1 + (12 - 4 + 1)
@@ -185,12 +192,13 @@ def test_counts_csv_bytes_match_row_loop(tmp_path):
         "count_a": rng.integers(0, 2**32, size=150_001, dtype=np.uint64),
         "wide": np.full(150_001, 2**64 - 1, dtype=np.uint64),
     }
+    path = tmp_path / "series.csv"
     for n_lo, n_hi in ((0, 150_000), (70_000, 140_123), (5, 5)):
-        path = tmp_path / "series.csv"
-        counts_csv(str(path), n_lo, n_hi, series)
+        _series_csv(tmp_path, n_lo, n_hi, series)
         want = "n," + ",".join(series) + "\n"
         for n in range(n_lo, n_hi + 1):
             want += f"{n}," + ",".join(str(int(series[name][n])) for name in series) + "\n"
         assert path.read_bytes() == want.encode()
+    # a window past the series' end leaves its slices short of the n column
     with pytest.raises(ValueError):
-        counts_csv(str(path), 4, 150_001, series)
+        _series_csv(tmp_path, 4, 150_001, series)
