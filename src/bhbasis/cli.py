@@ -225,6 +225,8 @@ def cmd_lemma4(args) -> int:
     highest = ratio_bounds._LONG_TABLE // 2
     if args.part == "iv" and 0 < args.s < args.t and (args.s, args.t) != (1, 2) and args.mmax > highest:
         args.usage_error(f"--mmax must be <= {highest} for interior --s, --t other than 1, 2, got {args.mmax}")
+    if args.tail_eps is not None and not args.tail_eps > 0:
+        args.usage_error(f"--tail-eps must be positive, got {args.tail_eps}")
     tail = {} if args.tail_eps is None else {"tail_eps": args.tail_eps}
     if "grid" in reads:
         if args.grid == "full":
@@ -232,14 +234,18 @@ def cmd_lemma4(args) -> int:
         else:
             grid = ratio_bounds.geometric_grid(1, args.mmax, include=(100,))
             grid = [-m for m in grid] + grid
-    if args.part == "i":
-        curve = ratio_bounds.split_sum_curve(args.alpha, args.beta, args.mmax)
-    elif args.part == "ii":
-        curve = ratio_bounds.shifted_tail_curve(args.alpha, args.beta, -args.mmax, args.mmax, grid=grid, **tail)
-    elif args.part == "iii":
-        curve = ratio_bounds.composition_curve(args.l, args.h, args.mmax)
-    else:
-        curve = ratio_bounds.signed_composition_curve(args.s, args.t, args.h, grid, **tail)
+    try:
+        if args.part == "i":
+            curve = ratio_bounds.split_sum_curve(args.alpha, args.beta, args.mmax)
+        elif args.part == "ii":
+            curve = ratio_bounds.shifted_tail_curve(args.alpha, args.beta, -args.mmax, args.mmax, grid=grid, **tail)
+        elif args.part == "iii":
+            curve = ratio_bounds.composition_curve(args.l, args.h, args.mmax)
+        else:
+            curve = ratio_bounds.signed_composition_curve(args.s, args.t, args.h, grid, **tail)
+    except ratio_bounds.TailBoundError as exc:
+        print(f"FAIL tail_certificate ({exc})")
+        return 1
     if args.out:
         columns = {"M": curve.m, "lhs": curve.lhs, "rhs": curve.rhs, "ratio": curve.ratio}
         if curve.tail_err is not None:

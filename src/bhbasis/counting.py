@@ -11,7 +11,11 @@ Three counting semantics, all exact:
                   (x_1, ..., x_t) of D with f_1 x_1 + ... + f_t x_t = n.
 
 Every table comes from one counting kernel, ``_add_counts`` (the "dp"
-backend): sparse sum-lists in its low rows, dense shift-adds above.  Each
+backend): sparse sum-lists in its low rows, dense shift-adds above.  A dense
+row that sits directly on the last sparse row -- the table itself, in most
+wide tables the library builds -- is added one cache-sized segment of its
+source at a time, so each shift reads a buffer in cache and streams only the
+table; two or more dense rows are built at full width.  Each
 operation also has a naive enumeration (the oracle path, ``backend="naive"``),
 cross-validated against the kernel in the test suite.  Counts use checked
 unsigned arithmetic, so wraparound is impossible rather than detected: every
@@ -29,7 +33,7 @@ and every dense row take the smaller of the two bounds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, permutations
 import math
@@ -49,6 +53,13 @@ _SPARSE_COST = 20
 
 # Candidate sums per block of a sparse step (a few hundred KiB of int64).
 _BLOCK = 1 << 16
+
+# Bytes of one source segment of the dense row built on the last sparse row
+# (2^18 uint16 or 2^16 int64 entries), a buffer that stays in L2 while every
+# element adds it into the table.  Measured on a 2-core Xeon VM (2 MiB L2 per
+# core) for B's 4-fold table at N = 1e7: 0.32-0.41 s at 2^18 and 2^19 bytes,
+# 0.39-0.59 s at 2^16 and 2^17, 0.42-0.57 s at 2^20 and 2^21.
+_SEGMENT_BYTES = 1 << 19
 
 
 def validate_elements(a) -> np.ndarray:
@@ -97,6 +108,18 @@ def _index_tuples(n: int, j: int, order: str) -> int:
     return n**j
 
 
+def _extended(ends: np.ndarray, adds: np.ndarray, max_n: int, order: str) -> list[int]:
+    """For each index whose addend fits below max_n, the number of leading
+    tuples of a sparse row (grouped by last index, see ``_blocks``) that the
+    index extends in the order."""
+    fit = int(np.searchsorted(adds, max_n, side="right"))
+    if order == _NONDECREASING:
+        return ends[1 : fit + 1].tolist()
+    if order == _STRICT:
+        return ends[:fit].tolist()
+    return [int(ends[-1])] * fit
+
+
 def _blocks(sums: np.ndarray, ends: np.ndarray, xs: list[int], w: int, max_n: int, order: str):
     """Extend a sparse row by one index, a block of consecutive indices at a time.
 
@@ -107,13 +130,8 @@ def _blocks(sums: np.ndarray, ends: np.ndarray, xs: list[int], w: int, max_n: in
     tuples end at index i0 + k, their sums following in that order.
     """
     adds = w * np.asarray(xs, dtype=np.int64)
-    fit = int(np.searchsorted(adds, max_n, side="right"))
-    if order == _NONDECREASING:
-        allowed = ends[1 : fit + 1].tolist()
-    elif order == _STRICT:
-        allowed = ends[:fit].tolist()
-    else:
-        allowed = [int(ends[-1])] * fit
+    allowed = _extended(ends, adds, max_n, order)
+    fit = len(allowed)
     i0 = 0
     while i0 < fit:
         i1 = i0 + 1
@@ -129,12 +147,19 @@ def _blocks(sums: np.ndarray, ends: np.ndarray, xs: list[int], w: int, max_n: in
 
 
 def _next_row(sums, ends, xs: list[int], w: int, max_n: int, order: str):
+    """The sparse row one index longer, written block by block into one
+    array sized for every extended tuple.  The tail left by the sums beyond
+    max_n is never written, so in a large row it is never paged in; a
+    concatenation of the blocks would hold the row twice."""
+    adds = w * np.asarray(xs, dtype=np.int64)
+    row = np.empty(sum(_extended(ends, adds, max_n, order)), dtype=np.int64)
     sizes = np.zeros(len(xs) + 1, dtype=np.int64)
-    parts = [np.zeros(0, dtype=np.int64)]
+    size = 0
     for i0, counts, part in _blocks(sums, ends, xs, w, max_n, order):
         sizes[i0 + 1 : i0 + 1 + counts.size] = counts
-        parts.append(part)
-    return np.concatenate(parts), np.cumsum(sizes)
+        row[size : size + part.size] = part
+        size += part.size
+    return row[:size], np.cumsum(sizes)
 
 
 def _sparse_rows(xs: list[int], weights: tuple[int, ...], width: int, order: str) -> int:
@@ -163,6 +188,62 @@ def multiset_is_sparse(a, h: int, max_n: int) -> bool:
     return fits and _sparse_rows(xs, (1,) * h, max_n + 1, _NONDECREASING) == h
 
 
+def _largest_multiplicity(sums: np.ndarray, width: int) -> int:
+    """The most times one value occurs among the sums, all below width.
+    Counted in the narrowest dtype that holds every count, not in
+    np.bincount's int64, which at width 1e7 would be the largest buffer of
+    a kernel call."""
+    counts = np.zeros(width, dtype=_count_dtype(sums.size))
+    np.add.at(counts, sums, counts.dtype.type(1))
+    return int(counts.max(initial=0))
+
+
+def _add_segmented_top_row(out: np.ndarray, sums, ends, xs: list[int], w: int, order: str, one) -> None:
+    """Add into `out` the dense top row seeded by the last sparse row
+    (sums, ends), one source segment [a, b) at a time.
+
+    The segment's share of the seed row is a buffer of `_SEGMENT_BYTES`
+    that stays in cache: it gains each last-index group of the sparse row
+    at the moment the order asks for (before element i's shift when
+    nondecreasing, after it when strict, all before the first element when
+    unordered), and element i adds it into out[a + w x_i : b + w x_i].
+    Elements that would add it while it is still zero are skipped.  Each
+    group of `sums` is sorted in place (a count does not depend on the
+    order inside a group), cut at the segment bounds, and reduced to
+    offsets within its segment.
+    """
+    width = out.size
+    seg = _SEGMENT_BYTES // out.itemsize
+    cuts = np.arange(-(-width // seg) + 1, dtype=np.int64) * seg
+    # group 0 holds row 0's empty tuple (or, unordered, every tuple); group
+    # i + 1 the tuples ending at index i
+    starts = [0, sums.size] if order == _UNORDERED else [0, *ends.tolist()]
+    edges = np.empty((cuts.size, len(starts) - 1), dtype=np.int64)
+    for g, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        sums[lo:hi].sort()
+        edges[:, g] = lo + np.searchsorted(sums[lo:hi], cuts)
+    sums %= seg
+    edges = edges.tolist()
+    # the buffer holds groups 0 .. i + lag when element i shifts it
+    lag = 1 if order == _NONDECREASING else 0
+    last = len(starts) - 2
+    shifts = [w * x for x in xs]
+    buf = np.empty(seg, dtype=out.dtype)
+    for k, a in enumerate(range(0, width, seg)):
+        b = min(a + seg, width)
+        lo, hi = edges[k], edges[k + 1]
+        added = next((g for g in range(last + 1) if lo[g] < hi[g]), last + 1)
+        buf.fill(0)
+        for i in range(max(0, added - lag), bisect_left(shifts, width - a)):
+            while added <= min(i + lag, last):
+                if lo[added] < hi[added]:
+                    np.add.at(buf, sums[lo[added] : hi[added]], one)
+                added += 1
+            s = shifts[i]
+            stop = min(b, width - s)
+            out[a + s : stop + s] += buf[: stop - a]
+
+
 def _add_counts(
     width: int, vals: np.ndarray, weights: tuple[int, ...], order: str, table, sign: int = 1
 ) -> np.ndarray:
@@ -174,7 +255,11 @@ def _add_counts(
     Row j counts the tuples of the first j positions; the low rows are
     sparse sum-lists (``_sparse_rows``).  The rows above them are dense,
     each built by shift-adding row j-1 once per element, and the top row is
-    the table itself, so no buffer outlives the call.  `table` is an
+    the table itself, so no buffer outlives the call.  When the top row is
+    the only dense one, it is built a source segment of the last sparse row
+    at a time (``_add_segmented_top_row``): a cache-sized buffer of
+    `_SEGMENT_BYTES` replaces a full-width seed row, and each shift streams
+    the table alone.  Two or more dense rows stay full width.  `table` is an
     array of `width` entries, or a function that returns one given a bound
     on every entry of every dense row, called once the sparse rows exist.
     The dense rows take the table's dtype.
@@ -192,7 +277,7 @@ def _add_counts(
         # An entry of row j + 1 adds at most one entry of row j per element
         # x with w x <= max_n, so a row above `held` is bounded by the
         # largest multiplicity among held's sums times those counts.
-        bound = row_bound = int(np.bincount(sums).max(initial=0))
+        bound = row_bound = _largest_multiplicity(sums, width)
         for w in weights[held:]:
             row_bound *= bisect_right(xs, max_n // w)
             bound = max(bound, row_bound)
@@ -203,8 +288,15 @@ def _add_counts(
         for _, _, part in _blocks(sums, ends, xs, weights[-1], max_n, order):
             np.add.at(out, part, one)
         return out
+    if sparse == t - 1:
+        _add_segmented_top_row(out, sums, ends, xs, weights[-1], order, one)
+        return out
 
-    # Dense rows sparse + 1 .. t, seeded by the sparse row `sparse`.
+    # Dense rows sparse + 1 .. t, seeded by the sparse row `sparse`, at full
+    # width: an ordered row j reads row j-1 as it stands at element i, at
+    # positions in other source segments, so these rows are not segmented.
+    # Most such tables are narrow (the audit's, 5e4 wide); the strict 4-fold
+    # floor table at N = 1e6 is one whenever C(|B|, 3) > N.
     rows = [np.zeros(width, dtype=out.dtype) for _ in range(t - sparse)] + [out]
     dense_weights = weights[sparse:]
     if order == _UNORDERED:
@@ -361,18 +453,24 @@ def _moebius_weighted(arr: np.ndarray, weights, max_n: int) -> np.ndarray:
 
     Tuples that are merely equal on the blocks of a partition are unordered
     kernel counts with the block weight sums; alternating block factorials
-    invert them to the pairwise-distinct count.
+    invert them to the pairwise-distinct count.  An unordered count depends
+    only on the multiset of block weights, so partitions with the same one
+    share one kernel call whose sign is the sum of their coefficients.
     """
     t = len(weights)
     # the running sum never exceeds sum |mu| * |D|^t = t! |D|^t in magnitude
     bound = math.factorial(t) * int(arr.size) ** t
     if bound > np.iinfo(np.int64).max:
         raise OverflowError(f"Moebius sum bound {bound} exceeds the int64 maximum")
-    total = np.zeros(max_n + 1, dtype=np.int64)
+    signs: dict[tuple[int, ...], int] = {}
     for part in _set_partitions(list(range(t))):
         mu = math.prod((-1) ** (len(block) - 1) * math.factorial(len(block) - 1) for block in part)
-        block_weights = tuple(sum(weights[i] for i in block) for block in part)
-        _add_counts(max_n + 1, arr, block_weights, _UNORDERED, total, mu)
+        block_weights = tuple(sorted(sum(weights[i] for i in block) for block in part))
+        signs[block_weights] = signs.get(block_weights, 0) + mu
+    total = np.zeros(max_n + 1, dtype=np.int64)
+    for block_weights, mu in signs.items():
+        if mu:
+            _add_counts(max_n + 1, arr, block_weights, _UNORDERED, total, mu)
     if total.min() < 0:
         raise AssertionError("partition inversion produced a negative count")
     return total

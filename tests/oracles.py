@@ -6,7 +6,7 @@ production backends it cross-checks.
 """
 
 from collections import Counter, defaultdict
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -33,6 +33,25 @@ def oracle_weighted(d, f, max_n):
     counts = np.zeros(max_n + 1, dtype=np.int64)
     for tup in permutations(sorted(d), len(f)):
         s = sum(w * x for w, x in zip(f, tup))
+        if s <= max_n:
+            counts[s] += 1
+    return counts
+
+
+def oracle_index_tuples(vals, weights, order, max_n):
+    """Index tuples (i_1, ..., i_t) over the sorted values, nondecreasing,
+    strictly increasing or in any order, counted at
+    w_1 vals[i_1] + ... + w_t vals[i_t]."""
+    vals = sorted(vals)
+    t = len(weights)
+    tuples = {
+        "nondecreasing": combinations_with_replacement(range(len(vals)), t),
+        "strict": combinations(range(len(vals)), t),
+        "unordered": product(range(len(vals)), repeat=t),
+    }[order]
+    counts = np.zeros(max_n + 1, dtype=np.int64)
+    for idx in tuples:
+        s = sum(w * vals[i] for w, i in zip(weights, idx))
         if s <= max_n:
             counts[s] += 1
     return counts

@@ -110,11 +110,10 @@ def test_criterion_3_basis_half_desk_scale():
     fit_ok = _line("3b", 0.09 <= fit_exp <= 0.20, f"dyadic fit exponent of mean sampled-set counts = {fit_exp:.4f} (target ~1/7 in [0.09, 0.20])")
     assert fit_ok
     assert cov_ok, (
-        f"median coverage {med_cov:.4f} < 0.99: the deletion step removes ~c*N^(1/7) elements "
-        f"(~half of the sample at N=1e7), so per-element survival is ~1-4.3*n^(-1/7) and the "
-        f"expected cleaned-set count at n is suppressed by survival^4; zeros remain across the "
-        f"window until roughly N~1e9. The threshold encodes the asymptotic regime, which this "
-        f"window does not reach; the construction itself is verified exactly (criteria 2 and 6)."
+        f"median coverage {med_cov:.4f} < 0.99: the deletion step keeps about half of the "
+        f"sample at N=1e7 or less, and the cleaned set's 2h-fold counts still have zeros across the "
+        f"window. No survival law derived in this repository predicts from which N the threshold "
+        f"holds; the construction itself is verified exactly (criteria 2 and 6)."
     )
 
 

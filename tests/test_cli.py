@@ -258,6 +258,10 @@ def _no_work(*args, **kwargs):
         (["lemma4", "--part", "iv", "--h", "2", "--s", "3", "--t", "3", "--mmax", "2"], "--mmax"),
         (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "300000"], "--mmax"),
         (["lemma4", "--part", "iv", "--h", "3", "--s", "2", "--t", "4", "--mmax", "262145"], "--mmax"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "10", "--tail-eps", "-1"], "--tail-eps"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--tail-eps", "0"], "--tail-eps"),
+        (["lemma4", "--part", "ii", "--alpha", "0.6", "--beta", "0.7", "--mmax", "10", "--tail-eps", "0"], "--tail-eps"),
+        (["lemma4", "--part", "ii", "--alpha", "0.6", "--beta", "0.7", "--tail-eps", "nan"], "--tail-eps"),
     ],
 )
 def test_lemma_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, capsys):
@@ -269,6 +273,17 @@ def test_lemma_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, caps
         main(argv)
     assert exc.value.code == 2
     assert f"error: {flag} must" in capsys.readouterr().err
+
+
+def test_lemma4_uncertifiable_tail_is_one_fail_line(capsys):
+    # a positive --tail-eps below the certificate part iv can give: one
+    # FAIL line and a non-zero exit, no traceback
+    argv = ["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "10", "--tail-eps", "0.001"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL tail_certificate (signed-sum tail certificate")
+    assert "eps=0.001" in lines[0] and err == ""
 
 
 @pytest.mark.parametrize("part, flags", [("i", ["--alpha", "0.6", "--beta", "0.7"]), ("iii", ["--h", "2", "--l", "1"])])

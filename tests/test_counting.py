@@ -11,9 +11,11 @@ from bhbasis.counting import (
     repr_strict,
     repr_weighted,
 )
+from bhbasis.harness import default_one_sided
 from bhbasis.sampling import ModelParams, inclusion_probability, sample_set
 
 from tests.oracles import (
+    oracle_index_tuples,
     oracle_multiset,
     oracle_strict,
     oracle_strict_tuple_expectation,
@@ -106,6 +108,31 @@ def test_weighted_random_vs_naive_all_backends():
         for backend in ("naive", "dp"):
             got = repr_weighted(d, f, max_n, backend=backend).counts
             assert np.array_equal(got, want), (d.tolist(), f, backend)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_weighted_groups_equal_moebius_terms(h, monkeypatch):
+    # one kernel call per multiset of block weights whose coefficients do
+    # not cancel; the tables equal the naive backend on every tracked spec
+    calls = []
+    kernel = counting._add_counts
+
+    def counted(width, vals, weights, order, table, sign=1):
+        calls.append((weights, sign))
+        return kernel(width, vals, weights, order, table, sign)
+
+    monkeypatch.setattr(counting, "_add_counts", counted)
+    d = np.sort(np.random.default_rng(h).choice(np.arange(1, 120), size=14, replace=False))
+    for f in default_one_sided(h):
+        calls.clear()
+        max_n = int(sum(f)) * 90
+        got = repr_weighted(d, f, max_n).counts
+        assert np.array_equal(got, repr_weighted(d, f, max_n, backend="naive").counts), f
+        assert len({w for w, _ in calls}) == len(calls) and all(sign for _, sign in calls)
+        if f == (1, 1, 1):
+            assert calls == [((3,), 2), ((1, 2), -3), ((1, 1, 1), 1)]
+        if f == (2, 1, 1):
+            assert len(calls) == 4
 
 
 def test_weighted_wide_tuple_partition_backend():
@@ -272,6 +299,66 @@ def test_row_bound_covers_every_entry():
 
         out = counting._add_counts(width, vals, weights, order, table)
         assert bounds[0] >= int(out.max()), (vals.tolist(), order, weights, width)
+
+
+# Tables the kernel builds as one dense row on its last sparse row, which it
+# adds a source segment at a time: (order, weights, values, width).
+_SEGMENTED = [
+    ("nondecreasing", (2, 3), range(1, 40), 400),
+    ("nondecreasing", (1, 2), range(5, 60), 300),
+    ("strict", (3, 2), range(1, 40), 350),
+    ("strict", (2, 2, 1), range(1, 30), 1000),
+    ("unordered", (3, 1, 2), range(1, 21), 900),
+    # the elements 1990 and 1995 shift the table but end no held tuple:
+    # their groups of the last sparse row are empty
+    ("nondecreasing", (1, 1, 1), [*range(11, 41), 1990, 1995], 2000),
+    ("strict", (1, 1, 1), [*range(11, 51), 1990, 1995], 2000),
+    ("unordered", (1, 2, 1), [*range(11, 31), 990, 1995], 2000),
+    # one dense row on row 0: its empty tuple is the group before index 0
+    ("nondecreasing", (1,), range(170, 200), 200),
+    ("strict", (1,), range(170, 200), 200),
+    ("unordered", (2,), range(85, 100), 200),
+]
+
+
+@pytest.mark.parametrize("segment_bytes", [16, 24, counting._SEGMENT_BYTES])
+@pytest.mark.parametrize("order, weights, vals, width", _SEGMENTED)
+def test_segmented_top_row_vs_oracle(order, weights, vals, width, segment_bytes, monkeypatch):
+    monkeypatch.setattr(counting, "_SEGMENT_BYTES", segment_bytes)
+    vals = np.array(vals, dtype=np.int64)
+    assert counting._sparse_rows(vals.tolist(), weights, width, order) == len(weights) - 1
+    want = oracle_index_tuples(vals.tolist(), weights, order, width - 1)
+    assert want.any()
+    # a uint16 table counted once and an int64 one at sign -2: segments of
+    # 8 and 2, or 12 and 3 entries, shorter than the largest element's shift
+    assert weights[-1] * int(vals[-1]) > 12
+    got = counting._add_counts(width, vals, weights, order, np.zeros(width, dtype=np.uint16))
+    assert got.dtype == np.uint16 and np.array_equal(got, want)
+    got = counting._add_counts(width, vals, weights, order, np.zeros(width, dtype=np.int64), -2)
+    assert np.array_equal(got, -2 * want)
+
+
+def test_segmented_top_row_random_sweep(monkeypatch):
+    monkeypatch.setattr(counting, "_SEGMENT_BYTES", 40)
+    rng = np.random.default_rng(43)
+    segmented = 0
+    for _ in range(150):
+        vals = np.sort(rng.choice(np.arange(1, 301), size=rng.integers(0, 30), replace=False))
+        order = ("nondecreasing", "strict", "unordered")[rng.integers(0, 3)]
+        t = int(rng.integers(1, 4))
+        weights = tuple(rng.integers(1, 4, size=t).tolist())
+        width = int(rng.integers(10, 1500))
+        segmented += counting._sparse_rows(vals.tolist(), weights, width, order) == t - 1
+        bounds = []
+
+        def table(bound):
+            bounds.append(bound)
+            return np.zeros(width, dtype=np.uint64)
+
+        out = counting._add_counts(width, vals, weights, order, table)
+        assert np.array_equal(out, oracle_index_tuples(vals.tolist(), weights, order, width - 1)), (vals.tolist(), order, weights, width)
+        assert bounds[0] >= int(out.max())
+    assert segmented >= 30
 
 
 def test_validation_errors():
