@@ -11,24 +11,27 @@ Three counting semantics, all exact:
                   (x_1, ..., x_t) of D with f_1 x_1 + ... + f_t x_t = n.
 
 Every table comes from one counting kernel, ``_add_counts`` (the "dp"
-backend): sparse sum-lists in its low rows, dense shift-adds above.  A dense
-row that sits directly on the last sparse row -- the table itself, in most
-wide tables the library builds -- is added one cache-sized segment of its
-source at a time, so each shift reads a buffer in cache and streams only the
-table; two or more dense rows are built at full width.  Each
-operation also has a naive enumeration (the oracle path, ``backend="naive"``),
-cross-validated against the kernel in the test suite.  Counts use checked
-unsigned arithmetic, so wraparound is impossible rather than detected: every
-table takes the narrowest of uint16, uint32 and uint64 that admits the
-smallest bound on its entries known before it is allocated, and a bound
-beyond uint64 raises ``OverflowError`` before any work.  That bound is the
-combinatorial one (the number of tuples counted; for strict(k) the largest
-C(|A|, j), j <= k, which covers every kernel row) except for kernel-built
-``repr_multiset`` and ``repr_strict`` tables, which the kernel sizes once
-its sparse rows exist: each dense row adds at most one shifted copy of the
-row below per element that fits, so no entry exceeds (largest multiplicity
-in the last sparse row) x (fitting elements)^(rows above it), and the table
-and every dense row take the smaller of the two bounds.
+backend): sparse sum-lists in its low rows, dense shift-adds above.  Each
+path is priced in bytes of table streamed, a sparse entry at
+``_SCATTER_BYTES``.  When every row below the table is sparse, the table's
+own row either scatters its sums or is added one cache-sized segment of the
+last sparse row at a time, so each shift reads a buffer in cache and streams
+only the table, and segments that row never reaches are skipped; the kernel
+takes whichever costs less on the input at hand.  Two or more dense rows are
+built at full width.  Each operation also has a naive enumeration (the
+oracle path, ``backend="naive"``), cross-validated against the kernel in the
+test suite.  Counts use checked unsigned arithmetic, so wraparound is
+impossible rather than detected: every table takes the narrowest of uint16,
+uint32 and uint64 that admits the smallest bound on its entries known before
+it is allocated, and a bound beyond uint64 raises ``OverflowError`` before
+any work.  That bound is the combinatorial one (the number of tuples
+counted; for strict(k) the largest C(|A|, j), j <= k, which covers every
+kernel row) except for kernel-built ``repr_multiset`` and ``repr_strict``
+tables, which the kernel sizes once its sparse rows exist: each dense row
+adds at most one shifted copy of the row below per element that fits, so no
+entry exceeds (largest multiplicity in the last sparse row) x (fitting
+elements)^(rows above it), and the table and every dense row take the
+smaller of the two bounds.
 """
 
 from __future__ import annotations
@@ -45,11 +48,15 @@ _NONDECREASING = "nondecreasing"
 _STRICT = "strict"
 _UNORDERED = "unordered"
 
-# Cost of one sparse entry (a tuple sum generated, then scattered with
-# np.add.at) in dense cells (one element of a shift-add).  Measured on a
-# 2-core Xeon VM with numpy 2.4.6 for 4-fold and 3-fold top rows 1e6-1e7
-# wide: 11-16 ns per sparse entry against 0.7-0.9 ns per cell.
-_SPARSE_COST = 20
+# Cost of one sparse entry (a tuple sum generated, then written to a row or
+# scattered with np.add.at) in bytes of table that a dense shift-add streams;
+# a dense row costs its cells times the table's itemsize.  Measured on a
+# 2-core Xeon VM with numpy 2.4.6: 9-17 ns per top-row entry scattered into
+# 3- and 4-fold tables 1e6-1e7 wide and 7-13 ns per entry of a held row,
+# against 0.10-0.12 ns per byte of a segmented uint16 row at 1e7, 0.07-0.09
+# ns per byte of a segmented int64 row at 1e6-4e6, and 0.14-0.22 ns per byte
+# of a full-width row of either.
+_SCATTER_BYTES = 120
 
 # Candidate sums per block of a sparse step (a few hundred KiB of int64).
 _BLOCK = 1 << 16
@@ -97,15 +104,6 @@ def _count_dtype(bound: int):
         if bound <= np.iinfo(dtype).max:
             return dtype
     raise OverflowError(f"count bound {bound} exceeds the uint64 maximum {np.iinfo(np.uint64).max}")
-
-
-def _index_tuples(n: int, j: int, order: str) -> int:
-    """Number of index tuples of length j over n indices in the given order."""
-    if order == _NONDECREASING:
-        return math.comb(n + j - 1, j)
-    if order == _STRICT:
-        return math.comb(n, j)
-    return n**j
 
 
 def _extended(ends: np.ndarray, adds: np.ndarray, max_n: int, order: str) -> list[int]:
@@ -162,30 +160,89 @@ def _next_row(sums, ends, xs: list[int], w: int, max_n: int, order: str):
     return row[:size], np.cumsum(sizes)
 
 
-def _sparse_rows(xs: list[int], weights: tuple[int, ...], width: int, order: str) -> int:
-    """Number of low rows the kernel keeps sparse for a table `width` wide.
+def _dense_cells(xs: list[int], w: int, width: int) -> int:
+    """Cells one full-width dense row adds: width - w x for each element x
+    whose shift fits."""
+    return sum(width - w * x for x in xs if w * x < width)
 
-    Row j stays a sparse sum-list while its tuples cost less than one dense
-    shift-add row; below the top row it must also hold no more entries than
-    a dense row.
+
+def _sparse_rows(xs: list[int], weights: tuple[int, ...], width: int, order: str, itemsize: int):
+    """The low rows the kernel holds as sparse sum-lists for a table `width`
+    wide: (how many, the last one's sums, its group ends).
+
+    Row j below the top row is built sparse while its sums, as many as
+    ``_extended`` allots it, cost less than one full-width dense row of
+    `itemsize`-byte cells, and while there are no more of them than cells in
+    the t - j + 1 full-width rows the dense path would allocate in its place.
+    The top row is priced by ``_scatters_top_row`` once the table exists.
     """
     t = len(weights)
-    for j, w in enumerate(weights):
-        size = _index_tuples(len(xs), j + 1, order)
-        cells = sum(width - w * x for x in xs if w * x < width)
-        if size * _SPARSE_COST >= cells or (j + 1 < t and size > width):
-            return j
-    return t
+    sums, ends = np.zeros(1, dtype=np.int64), np.ones(len(xs) + 1, dtype=np.int64)  # row 0
+    for j, w in enumerate(weights[:-1], start=1):
+        size = sum(_extended(ends, w * np.asarray(xs, dtype=np.int64), width - 1, order))
+        if size * _SCATTER_BYTES >= _dense_cells(xs, w, width) * itemsize or size > (t - j + 1) * width:
+            return j - 1, sums, ends
+        sums, ends = _next_row(sums, ends, xs, w, width - 1, order)
+    return t - 1, sums, ends
+
+
+def _groups(sums: np.ndarray, ends: np.ndarray, order: str) -> tuple[list[int], int]:
+    """Bounds of the groups of a sparse row in the order the segmented top
+    row adds them, and the lag: the buffer holds groups 0 .. i + lag when
+    element i shifts it.  Group 0 holds row 0's empty tuple (or, unordered,
+    every tuple); group i + 1 the tuples ending at index i."""
+    if order == _UNORDERED:
+        return [0, sums.size], 0
+    return [0, *ends.tolist()], 1 if order == _NONDECREASING else 0
+
+
+def _streamed_cells(sums, ends, xs: list[int], w: int, width: int, order: str, seg: int) -> int:
+    """Cells of the table that ``_add_segmented_top_row`` streams with
+    segments of `seg` entries: in each segment, one shift per element from
+    the first that meets a nonzero buffer on; a segment the held row never
+    reaches is skipped."""
+    starts, lag = _groups(sums, ends, order)
+    groups = len(starts) - 1
+    first = np.full(-(-width // seg), groups)
+    np.minimum.at(first, sums // seg, np.repeat(np.arange(groups), np.diff(starts)))
+    shifts = w * np.asarray(xs, dtype=np.int64)
+    cells = 0
+    for a, g in zip(range(0, width, seg), first.tolist()):
+        if g < groups:
+            s = shifts[max(0, g - lag) : np.searchsorted(shifts, width - a)]
+            cells += int((np.minimum(seg, width - a - s)).sum())
+    return cells
+
+
+def _scatters_top_row(sums, ends, xs: list[int], w: int, width: int, order: str, itemsize: int) -> bool:
+    """True when scattering the top row's sums costs less than the
+    segmented dense row on the held row (sums, ends): the held row's own
+    entries, sorted into the buffer, and the table bytes its segments
+    stream."""
+    scatter = sum(_extended(ends, w * np.asarray(xs, dtype=np.int64), width - 1, order)) * _SCATTER_BYTES
+    held = sums.size * _SCATTER_BYTES
+    if scatter <= held:
+        return True
+    if scatter >= held + _dense_cells(xs, w, width) * itemsize:
+        return False  # dearer than even the segmented row at full width
+    seg = _SEGMENT_BYTES // itemsize
+    return scatter < held + _streamed_cells(sums, ends, xs, w, width, order, seg) * itemsize
 
 
 def multiset_is_sparse(a, h: int, max_n: int) -> bool:
-    """True when the kernel keeps every row of the h-fold multiset table over
-    [0, max_n] sparse and the top row holds no more sums than the table has
-    cells, so ``multiset_sums`` lists them in less work than the table."""
+    """True when listing the h-fold multiset sums over [0, max_n]
+    (``multiset_sums``) costs less than building their table and scanning
+    it, so ``verify.is_bhg`` lists them.  The sums must number no more than
+    the table's cells, and cost `_SCATTER_BYTES` each; the table path
+    streams every cell a dense row reaches three times (the row adds it, a
+    comparison reads it and writes a flag, a search reads the flag), at the
+    itemsize of the table's combinatorial bound."""
     xs = validate_elements(a)
     xs = xs[xs <= max_n].tolist()
-    fits = math.comb(len(xs) + h - 1, h) <= max_n + 1
-    return fits and _sparse_rows(xs, (1,) * h, max_n + 1, _NONDECREASING) == h
+    size = math.comb(len(xs) + h - 1, h)
+    itemsize = np.dtype(_count_dtype(size)).itemsize
+    cells = _dense_cells(xs, 1, max_n + 1)
+    return size <= max_n + 1 and size * _SCATTER_BYTES < cells * (2 * itemsize + 2)
 
 
 def _largest_multiplicity(sums: np.ndarray, width: int) -> int:
@@ -207,7 +264,8 @@ def _add_segmented_top_row(out: np.ndarray, sums, ends, xs: list[int], w: int, o
     at the moment the order asks for (before element i's shift when
     nondecreasing, after it when strict, all before the first element when
     unordered), and element i adds it into out[a + w x_i : b + w x_i].
-    Elements that would add it while it is still zero are skipped.  Each
+    Elements that would add it while it is still zero are skipped, and so is
+    a segment the sparse row never reaches.  Each
     group of `sums` is sorted in place (a count does not depend on the
     order inside a group), cut at the segment bounds, and reduced to
     offsets within its segment.
@@ -215,17 +273,13 @@ def _add_segmented_top_row(out: np.ndarray, sums, ends, xs: list[int], w: int, o
     width = out.size
     seg = _SEGMENT_BYTES // out.itemsize
     cuts = np.arange(-(-width // seg) + 1, dtype=np.int64) * seg
-    # group 0 holds row 0's empty tuple (or, unordered, every tuple); group
-    # i + 1 the tuples ending at index i
-    starts = [0, sums.size] if order == _UNORDERED else [0, *ends.tolist()]
+    starts, lag = _groups(sums, ends, order)
     edges = np.empty((cuts.size, len(starts) - 1), dtype=np.int64)
     for g, (lo, hi) in enumerate(zip(starts, starts[1:])):
         sums[lo:hi].sort()
         edges[:, g] = lo + np.searchsorted(sums[lo:hi], cuts)
     sums %= seg
     edges = edges.tolist()
-    # the buffer holds groups 0 .. i + lag when element i shifts it
-    lag = 1 if order == _NONDECREASING else 0
     last = len(starts) - 2
     shifts = [w * x for x in xs]
     buf = np.empty(seg, dtype=out.dtype)
@@ -233,6 +287,8 @@ def _add_segmented_top_row(out: np.ndarray, sums, ends, xs: list[int], w: int, o
         b = min(a + seg, width)
         lo, hi = edges[k], edges[k + 1]
         added = next((g for g in range(last + 1) if lo[g] < hi[g]), last + 1)
+        if added > last:
+            continue
         buf.fill(0)
         for i in range(max(0, added - lag), bisect_left(shifts, width - a)):
             while added <= min(i + lag, last):
@@ -255,10 +311,12 @@ def _add_counts(
     Row j counts the tuples of the first j positions; the low rows are
     sparse sum-lists (``_sparse_rows``).  The rows above them are dense,
     each built by shift-adding row j-1 once per element, and the top row is
-    the table itself, so no buffer outlives the call.  When the top row is
-    the only dense one, it is built a source segment of the last sparse row
-    at a time (``_add_segmented_top_row``): a cache-sized buffer of
-    `_SEGMENT_BYTES` replaces a full-width seed row, and each shift streams
+    the table itself, so no buffer outlives the call.  When every row below
+    the top is sparse, the top row takes the cheaper of two paths
+    (``_scatters_top_row``): its sums scattered into the table block by
+    block, or one dense row built a source segment of the last sparse row
+    at a time (``_add_segmented_top_row``), where a cache-sized buffer of
+    `_SEGMENT_BYTES` replaces a full-width seed row and each shift streams
     the table alone.  Two or more dense rows stay full width.  `table` is an
     array of `width` entries, or a function that returns one given a bound
     on every entry of every dense row, called once the sparse rows exist.
@@ -267,11 +325,10 @@ def _add_counts(
     max_n = width - 1
     xs = vals.tolist()
     t = len(weights)
-    sparse = _sparse_rows(xs, weights, width, order)
-    held = min(sparse, t - 1)  # the last sparse row held in full
-    sums, ends = np.zeros(1, dtype=np.int64), np.ones(len(xs) + 1, dtype=np.int64)  # row 0
-    for w in weights[:held]:
-        sums, ends = _next_row(sums, ends, xs, w, max_n, order)
+    # A table made on demand takes its dtype once the sparse rows exist;
+    # until then a dense row is priced at the narrowest count dtype.
+    itemsize = np.dtype(np.uint16).itemsize if callable(table) else table.itemsize
+    held, sums, ends = _sparse_rows(xs, weights, width, order, itemsize)  # the last sparse row, in full
     out = table
     if callable(table):
         # An entry of row j + 1 adds at most one entry of row j per element
@@ -283,22 +340,21 @@ def _add_counts(
             bound = max(bound, row_bound)
         out = table(bound)
     one = out.dtype.type(sign)
-    if sparse == t:
+    if held == t - 1 and _scatters_top_row(sums, ends, xs, weights[-1], width, order, out.itemsize):
         # Scatter the top row block by block, never holding all of it.
         for _, _, part in _blocks(sums, ends, xs, weights[-1], max_n, order):
             np.add.at(out, part, one)
         return out
-    if sparse == t - 1:
+    if held == t - 1:
         _add_segmented_top_row(out, sums, ends, xs, weights[-1], order, one)
         return out
 
-    # Dense rows sparse + 1 .. t, seeded by the sparse row `sparse`, at full
+    # Dense rows held + 1 .. t, seeded by the sparse row `held`, at full
     # width: an ordered row j reads row j-1 as it stands at element i, at
     # positions in other source segments, so these rows are not segmented.
-    # Most such tables are narrow (the audit's, 5e4 wide); the strict 4-fold
-    # floor table at N = 1e6 is one whenever C(|B|, 3) > N.
-    rows = [np.zeros(width, dtype=out.dtype) for _ in range(t - sparse)] + [out]
-    dense_weights = weights[sparse:]
+    # Such tables are narrow in the library (the audit's, 5e4 wide).
+    rows = [np.zeros(width, dtype=out.dtype) for _ in range(t - held)] + [out]
+    dense_weights = weights[held:]
     if order == _UNORDERED:
         np.add.at(rows[0], sums, one)
         for j, w in enumerate(dense_weights, start=1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bhbasis import cli, counting
+from bhbasis.collisions import construct_a
 from bhbasis.counting import (
     multiset_sums,
     repr_multiset,
@@ -243,29 +244,54 @@ def test_one_count_dtype_policy(kind, backend):
 
 
 # Sets whose combinatorial bound exceeds 65535 but whose row bound fits
-# uint16, with the kernel's number of sparse rows for each.
+# uint16, with the number of dense rows the kernel builds for each: 0 when
+# every row is sparse, 1 for the segmented top row, 2 at full width.
 _SPREAD = np.sort(np.random.default_rng(1).choice(np.arange(1, 100_001), 200, replace=False))
+_WIDE = np.sort(np.random.default_rng(2).choice(np.arange(1, 300_001), 80, replace=False))
 _NARROW = {
     repr_multiset: [
-        (np.arange(1, 36), 4, 10_000, 3),  # one dense row
-        (np.arange(1, 101), 3, 3000, 1),  # two dense rows
-        (_SPREAD, 3, 300_000, 3),  # every row sparse
+        (np.arange(1, 36), 4, 10_000, 2),
+        (np.arange(1, 101), 3, 3000, 2),
+        (_SPREAD, 3, 300_000, 1),
+        (_WIDE, 3, 1_000_000, 0),
     ],
     repr_strict: [
-        (np.arange(1, 41), 4, 10_000, 3),
-        (np.arange(1, 101), 3, 3000, 1),
-        (_SPREAD, 3, 300_000, 3),
+        (np.arange(1, 41), 4, 10_000, 2),
+        (np.arange(1, 101), 3, 3000, 2),
+        (_SPREAD, 3, 300_000, 1),
+        (_WIDE, 3, 1_000_000, 0),
     ],
 }
-_ORDERS = {repr_multiset: "nondecreasing", repr_strict: "strict"}
 _REFERENCES = {repr_multiset: oracle_multiset, repr_strict: oracle_strict}
 
 
+@pytest.fixture
+def dense_rows(monkeypatch):
+    """Per kernel call, in call order, the number of dense rows it built: 0
+    when it scattered the top row, 1 for the segmented top row, and t - held
+    when it built its dense rows at full width."""
+    calls = []
+    sparse_rows, segmented = counting._sparse_rows, counting._add_segmented_top_row
+
+    def spy_rows(xs, weights, *rest):
+        held, sums, ends = sparse_rows(xs, weights, *rest)
+        calls.append(0 if held == len(weights) - 1 else len(weights) - held)
+        return held, sums, ends
+
+    def spy_segmented(*args):
+        calls[-1] = 1
+        return segmented(*args)
+
+    monkeypatch.setattr(counting, "_sparse_rows", spy_rows)
+    monkeypatch.setattr(counting, "_add_segmented_top_row", spy_segmented)
+    return calls
+
+
 @pytest.mark.parametrize("fn", [repr_multiset, repr_strict])
-def test_row_bound_gives_uint16(fn):
-    for a, k, max_n, sparse in _NARROW[fn]:
-        assert counting._sparse_rows(a.tolist(), (1,) * k, max_n + 1, _ORDERS[fn]) == sparse
+def test_row_bound_gives_uint16(fn, dense_rows):
+    for a, k, max_n, dense in _NARROW[fn]:
         t = fn(a, k, max_n)
+        assert dense_rows[-1] == dense, (len(a), k, max_n)
         assert t.counts.dtype == np.uint16
         assert np.array_equal(t.counts, _REFERENCES[fn](a.tolist(), k, max_n))
     a, k, max_n, _ = _NARROW[fn][0]
@@ -273,12 +299,12 @@ def test_row_bound_gives_uint16(fn):
 
 
 @pytest.mark.parametrize("fn", [repr_multiset, repr_strict])
-def test_row_bound_at_uint16_limit(fn):
+def test_row_bound_at_uint16_limit(fn, dense_rows):
     # row 1 sparse, rows 2 and 3 dense: the row bound is m**2 for m elements
     for m, dtype in ((255, np.uint16), (256, np.uint32)):
         a = np.arange(1, m + 1)
-        assert counting._sparse_rows(a.tolist(), (1, 1, 1), 1000, _ORDERS[fn]) == 1
         t = fn(a, 3, 999)
+        assert dense_rows[-1] == 2
         assert t.counts.dtype == dtype, m
         assert np.array_equal(t.counts, fn(a, 3, 999, backend="naive").counts)
 
@@ -304,29 +330,28 @@ def test_row_bound_covers_every_entry():
 # Tables the kernel builds as one dense row on its last sparse row, which it
 # adds a source segment at a time: (order, weights, values, width).
 _SEGMENTED = [
-    ("nondecreasing", (2, 3), range(1, 40), 400),
+    ("nondecreasing", (2, 3), range(1, 66), 400),
     ("nondecreasing", (1, 2), range(5, 60), 300),
-    ("strict", (3, 2), range(1, 40), 350),
+    ("strict", (3, 2), range(1, 66), 350),
     ("strict", (2, 2, 1), range(1, 30), 1000),
-    ("unordered", (3, 1, 2), range(1, 21), 900),
+    ("unordered", (3, 1, 2), range(1, 13), 900),
     # the elements 1990 and 1995 shift the table but end no held tuple:
     # their groups of the last sparse row are empty
     ("nondecreasing", (1, 1, 1), [*range(11, 41), 1990, 1995], 2000),
     ("strict", (1, 1, 1), [*range(11, 51), 1990, 1995], 2000),
     ("unordered", (1, 2, 1), [*range(11, 31), 990, 1995], 2000),
     # one dense row on row 0: its empty tuple is the group before index 0
-    ("nondecreasing", (1,), range(170, 200), 200),
-    ("strict", (1,), range(170, 200), 200),
-    ("unordered", (2,), range(85, 100), 200),
+    ("nondecreasing", (1,), range(180, 200), 200),
+    ("strict", (1,), range(180, 200), 200),
+    ("unordered", (2,), range(90, 100), 200),
 ]
 
 
 @pytest.mark.parametrize("segment_bytes", [16, 24, counting._SEGMENT_BYTES])
 @pytest.mark.parametrize("order, weights, vals, width", _SEGMENTED)
-def test_segmented_top_row_vs_oracle(order, weights, vals, width, segment_bytes, monkeypatch):
+def test_segmented_top_row_vs_oracle(order, weights, vals, width, segment_bytes, monkeypatch, dense_rows):
     monkeypatch.setattr(counting, "_SEGMENT_BYTES", segment_bytes)
     vals = np.array(vals, dtype=np.int64)
-    assert counting._sparse_rows(vals.tolist(), weights, width, order) == len(weights) - 1
     want = oracle_index_tuples(vals.tolist(), weights, order, width - 1)
     assert want.any()
     # a uint16 table counted once and an int64 one at sign -2: segments of
@@ -336,19 +361,18 @@ def test_segmented_top_row_vs_oracle(order, weights, vals, width, segment_bytes,
     assert got.dtype == np.uint16 and np.array_equal(got, want)
     got = counting._add_counts(width, vals, weights, order, np.zeros(width, dtype=np.int64), -2)
     assert np.array_equal(got, -2 * want)
+    assert dense_rows == [1, 1]
 
 
-def test_segmented_top_row_random_sweep(monkeypatch):
+def test_segmented_top_row_random_sweep(monkeypatch, dense_rows):
     monkeypatch.setattr(counting, "_SEGMENT_BYTES", 40)
     rng = np.random.default_rng(43)
-    segmented = 0
     for _ in range(150):
         vals = np.sort(rng.choice(np.arange(1, 301), size=rng.integers(0, 30), replace=False))
         order = ("nondecreasing", "strict", "unordered")[rng.integers(0, 3)]
         t = int(rng.integers(1, 4))
         weights = tuple(rng.integers(1, 4, size=t).tolist())
         width = int(rng.integers(10, 1500))
-        segmented += counting._sparse_rows(vals.tolist(), weights, width, order) == t - 1
         bounds = []
 
         def table(bound):
@@ -358,7 +382,87 @@ def test_segmented_top_row_random_sweep(monkeypatch):
         out = counting._add_counts(width, vals, weights, order, table)
         assert np.array_equal(out, oracle_index_tuples(vals.tolist(), weights, order, width - 1)), (vals.tolist(), order, weights, width)
         assert bounds[0] >= int(out.max())
-    assert segmented >= 30
+    assert dense_rows.count(1) >= 30
+
+
+def _sampled_a(n: int, seed: int) -> np.ndarray:
+    """A = B minus its collision deletions, as criterion 3 builds it (h = 2)."""
+    return np.array(construct_a(sample_set(ModelParams(2, n, seed)).elements, 2))
+
+
+_STRICT_WIDE = np.sort(np.random.default_rng(5).choice(np.arange(1, 1501), 72, replace=False))
+
+
+def _multiset_oracle(a, max_n):
+    return oracle_index_tuples(a, (1,) * 4, "nondecreasing", max_n)
+
+
+def _strict_oracle(a, max_n):
+    return oracle_strict(a, 4, max_n)
+
+
+# 4-fold tables whose top-row path the cost model decides: (elements,
+# builder, oracle, max_n, dense rows the kernel builds).
+_PRICED = {
+    # shaped like A at N = 1e7 (|A| = 105-199 over [1, 1e7]), scaled down to
+    # |A| = 49 over [1, 1e5]: segmented
+    "spread A": (lambda: _sampled_a(10**5, 2), repr_multiset, _multiset_oracle, 4 * 10**5, 1),
+    # |A| = 17 over [1, 1e4]: too few sums to pay for streaming the table
+    "small A": (lambda: _sampled_a(10**4, 1), repr_multiset, _multiset_oracle, 4 * 10**4, 0),
+    # C(72, 3) = 59,640 index triples over a table 55,001 wide: row 3 stays
+    # sparse and carries the segmented top row
+    "strict wide": (lambda: _STRICT_WIDE, repr_strict, _strict_oracle, 55_000, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_PRICED))
+def test_priced_top_row_vs_oracle(name, dense_rows, monkeypatch):
+    elements, build, oracle, max_n, dense = _PRICED[name]
+    a = elements()
+    got = build(a, 4, max_n).counts
+    assert dense_rows == [dense]
+    assert np.array_equal(got, oracle(a.tolist(), max_n))
+    assert np.array_equal(got, build(a, 4, max_n, backend="naive").counts)
+    # the other top-row path builds the same table in the same dtype
+    priced = counting._scatters_top_row
+    monkeypatch.setattr(counting, "_scatters_top_row", lambda *args: not priced(*args))
+    other = build(a, 4, max_n).counts
+    assert dense_rows == [dense, 1 - dense]
+    assert got.dtype == other.dtype == np.uint16 and np.array_equal(got, other)
+
+
+def test_moebius_term_stays_on_scatter(dense_rows, monkeypatch):
+    # B at N = 1e4 (53 elements) and the weights (1, 3): the int64 table is
+    # sum(f) * max B wide and the term is counted at sign -1
+    d = sample_set(ModelParams(2, 10**4, 3)).elements
+    width = 4 * d[-1] + 1
+    want = oracle_index_tuples(d, (1, 3), "unordered", width - 1)
+    got = counting._add_counts(width, np.array(d), (1, 3), "unordered", np.zeros(width, dtype=np.int64), -1)
+    assert dense_rows == [0]
+    assert got.dtype == np.int64 and np.array_equal(got, -want)
+    table = repr_weighted(d, (1, 3), width - 1).counts
+    assert dense_rows == [0, 0, 0]  # both Moebius terms, (1, 3) and (4,)
+    naive = repr_weighted(d, (1, 3), width - 1, backend="naive").counts
+    assert table.dtype == naive.dtype and np.array_equal(table, naive)
+    assert np.array_equal(table, oracle_weighted(d, (1, 3), width - 1))
+    priced = counting._scatters_top_row
+    monkeypatch.setattr(counting, "_scatters_top_row", lambda *args: not priced(*args))
+    other = counting._add_counts(width, np.array(d), (1, 3), "unordered", np.zeros(width, dtype=np.int64), -1)
+    assert dense_rows[-1] == 1 and np.array_equal(other, got)
+
+
+# multiset_is_sparse on criterion 2's sets (N = 1e5, seeds 21-40): True
+# except for these (h, seed) of A, each a set of 2-4 elements.
+_TABLE_PATH = {(3, 24), (3, 27), (3, 32), (3, 35), (3, 38)}
+
+
+def test_is_bhg_path_unchanged_on_criterion_2_sets():
+    for h in (2, 3):
+        for seed in range(21, 41):
+            b = sample_set(ModelParams(h, 10**5, seed)).elements
+            a = construct_a(b, h)
+            assert counting.multiset_is_sparse(b, h, h * b[-1])
+            assert counting.multiset_is_sparse(a, h, h * a[-1]) == ((h, seed) not in _TABLE_PATH), (h, seed)
 
 
 def test_validation_errors():

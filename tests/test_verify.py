@@ -52,6 +52,15 @@ def test_basis_window_dense_set():
     assert rep.coverage == pytest.approx((n - 3) / n)
 
 
+def test_basis_window_last_zero_at_the_window_edges():
+    counts = np.ones(101, dtype=np.uint16)
+    for zeros, want in (([10], 10), ([100], 100), ([10, 57], 57), ([], None), ([5], None)):
+        table = counts.copy()
+        table[zeros] = 0
+        rep = basis_window(ReprTable(table, ("multiset", 4), 0), 10, 100)
+        assert rep.last_zero == want, zeros
+
+
 def test_exact_power_law_recovery():
     # real-valued exact power law: geometric-mean binning keeps log-log
     # affine, so the exponent comes back to float precision
