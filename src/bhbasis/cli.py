@@ -278,9 +278,14 @@ def cmd_lemma568(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
-    harness.validate_report(report)
+    # a report that cannot be read, parsed or validated is a usage error
+    # (exit 2); only a valid report whose bytes differ is a FAIL (exit 1)
+    try:
+        with open(args.report) as fh:
+            report = json.load(fh)
+        harness.validate_report(report)
+    except (OSError, ValueError) as exc:
+        args.usage_error(f"--report {args.report!r} is not a valid report: {exc}")
     ok, diff = harness.replay_report(report)
     print("PASS replay" if ok else f"FAIL replay: {diff}")
     return 0 if ok else 1
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a stored report and byte-compare")
     p.add_argument("--report", type=str, required=True)
-    p.set_defaults(func=cmd_replay)
+    p.set_defaults(func=cmd_replay, usage_error=p.error)
 
     return parser
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import groupby, product
-import json
 import math
 
 import numpy as np
@@ -64,21 +63,9 @@ class WeightSpec:
     def arity(self) -> int:
         return len(self.d) + len(self.e)
 
-    def weight_sum(self) -> int:
-        return sum(self.d)
-
-    def is_balanced(self) -> bool:
-        return sum(self.d) == sum(self.e)
-
     def is_reduced_form(self, h: int) -> bool:
         """Valid reduced (weighted-branch) spec: sum(d) = sum(e) <= h, arity <= 2h-1."""
-        return (
-            bool(self.d)
-            and bool(self.e)
-            and self.is_balanced()
-            and self.weight_sum() <= h
-            and self.arity <= 2 * h - 1
-        )
+        return bool(self.d) and bool(self.e) and sum(self.d) == sum(self.e) <= h and self.arity <= 2 * h - 1
 
     @classmethod
     def distinct_2h(cls, h: int) -> "WeightSpec":
@@ -275,10 +262,6 @@ def _spec_records(kind: str, spec: WeightSpec, rows: np.ndarray) -> list[Collisi
         CollisionRecord(kind, specs[p], tuple(elements), elements[0])
         for p, elements in zip(pattern[first].tolist(), rows[first].tolist())
     ]
-
-
-def records_to_jsonl(records) -> str:
-    return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
 
 
 def _runs(weights: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -10,35 +10,33 @@ Three counting semantics, all exact:
 * weighted(f)  -- number of ordered tuples of pairwise-distinct elements
                   (x_1, ..., x_t) of D with f_1 x_1 + ... + f_t x_t = n.
 
-Every table comes from one counting kernel, ``_add_counts`` (the "dp"
-backend): sparse sum-lists in its low rows, dense shift-adds above.  Each
-path is priced in bytes of table streamed, a sparse entry at
-``_SCATTER_BYTES``.  When every row below the table is sparse, the table's
-own row either scatters its sums or is added one cache-sized segment of the
-last sparse row at a time, so each shift reads a buffer in cache and streams
-only the table, and segments that row never reaches are skipped; the kernel
-takes whichever costs less on the input at hand.  Two or more dense rows are
-built at full width.  Each operation also has a naive enumeration (the
-oracle path, ``backend="naive"``), cross-validated against the kernel in the
-test suite.  Counts use checked unsigned arithmetic, so wraparound is
-impossible rather than detected: every table takes the narrowest of uint16,
-uint32 and uint64 that admits the smallest bound on its entries known before
-it is allocated, and a bound beyond uint64 raises ``OverflowError`` before
-any work.  That bound is the combinatorial one (the number of tuples
-counted; for strict(k) the largest C(|A|, j), j <= k, which covers every
-kernel row) except for kernel-built ``repr_multiset`` and ``repr_strict``
-tables, which the kernel sizes once its sparse rows exist: each dense row
-adds at most one shifted copy of the row below per element that fits, so no
-entry exceeds (largest multiplicity in the last sparse row) x (fitting
-elements)^(rows above it), and the table and every dense row take the
-smaller of the two bounds.
+Every table comes from one counting kernel, ``_add_counts``: sparse
+sum-lists in its low rows, dense shift-adds above.  Each path is priced in
+bytes of table streamed, a sparse entry at ``_SCATTER_BYTES``.  When every
+row below the table is sparse, the table's own row either scatters its sums
+or is added one cache-sized segment of the last sparse row at a time, so
+each shift reads a buffer in cache and streams only the table, and segments
+that row never reaches are skipped; the kernel takes whichever costs less on
+the input at hand.  Two or more dense rows are built at full width.  There
+is one kernel path per table; the test suite checks each table entrywise
+against its one brute-force oracle in ``tests/oracles.py``.  Counts use
+checked unsigned arithmetic, so wraparound is impossible rather than
+detected: every table takes the narrowest of uint16, uint32 and uint64 that
+admits the smallest bound on its entries known before it is allocated, and
+a bound beyond uint64 raises ``OverflowError`` before any work.  That bound
+is the combinatorial one (the number of tuples counted; for strict(k) the
+largest C(|A|, j), j <= k, which covers every kernel row) except for
+kernel-built ``repr_multiset`` and ``repr_strict`` tables, which the kernel
+sizes once its sparse rows exist: each dense row adds at most one shifted
+copy of the row below per element that fits, so no entry exceeds (largest
+multiplicity in the last sparse row) x (fitting elements)^(rows above it),
+and the table and every dense row take the smaller of the two bounds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
 import math
 
 import numpy as np
@@ -383,6 +381,8 @@ def _add_counts(
 
 def repr_multiset(a, h: int, max_n: int, *, backend: str = "dp") -> ReprTable:
     """Table of nondecreasing h-tuple sums: counts[n] = #{a_1 <= ... <= a_h, sum = n}."""
+    if backend != "dp":  # the one path; kept as a keyword because perfbench/tracer.py reads it
+        raise ValueError(f"unknown backend {backend!r}")
     if h < 1:
         raise ValueError("h must be >= 1")
     if max_n < 0:
@@ -390,37 +390,13 @@ def repr_multiset(a, h: int, max_n: int, *, backend: str = "dp") -> ReprTable:
     arr = validate_elements(a)
     arr = arr[arr <= max_n]
     bound = math.comb(int(arr.size) + h - 1, h)
-    dtype = _count_dtype(bound)
-    if backend == "naive":
-        counts = np.zeros(max_n + 1, dtype=dtype)
-        _naive_multiset(counts, arr, h)
-    elif backend == "dp":
+    _count_dtype(bound)  # a bound beyond uint64 is refused before any work
 
-        def table(row_bound):
-            return np.zeros(max_n + 1, dtype=_count_dtype(min(bound, row_bound)))
+    def table(row_bound):
+        return np.zeros(max_n + 1, dtype=_count_dtype(min(bound, row_bound)))
 
-        counts = _add_counts(max_n + 1, arr, (1,) * h, _NONDECREASING, table)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    counts = _add_counts(max_n + 1, arr, (1,) * h, _NONDECREASING, table)
     return ReprTable(counts, ("multiset", h), int(arr.size))
-
-
-def _naive_multiset(counts: np.ndarray, arr: np.ndarray, h: int) -> None:
-    max_n = counts.size - 1
-    vals = arr.tolist()
-
-    def rec(start: int, depth: int, total: int) -> None:
-        if depth == 0:
-            counts[total] += 1
-            return
-        for i in range(start, len(vals)):
-            t = total + vals[i]
-            if t > max_n:
-                break
-            rec(i, depth - 1, t)
-
-    if vals:
-        rec(0, h, 0)
 
 
 def repr_strict(a, k: int, max_n: int, *, backend: str = "dp") -> ReprTable:
@@ -429,6 +405,8 @@ def repr_strict(a, k: int, max_n: int, *, backend: str = "dp") -> ReprTable:
     For k >= 2 the largest-part constraint is automatic (the other parts are
     positive); for k = 1 it forces every count to zero.
     """
+    if backend != "dp":  # the one path; kept as a keyword because perfbench/tracer.py reads it
+        raise ValueError(f"unknown backend {backend!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_n < 0:
@@ -438,30 +416,18 @@ def repr_strict(a, k: int, max_n: int, *, backend: str = "dp") -> ReprTable:
     # rows j < k of the kernel hold up to C(|A|, j) tuples
     bound = max(math.comb(int(arr.size), j) for j in range(k + 1))
     dtype = _count_dtype(bound)
-    if backend == "naive":
+    if k == 1:  # the largest-part constraint empties every count
         counts = np.zeros(max_n + 1, dtype=dtype)
-        _naive_strict(counts, arr, k)
-    elif backend == "dp" and k == 1:  # the largest-part constraint empties every count
-        counts = np.zeros(max_n + 1, dtype=dtype)
-    elif backend == "dp":
+    else:
 
         def table(row_bound):
             return np.zeros(max_n + 1, dtype=_count_dtype(min(bound, row_bound)))
 
         counts = _add_counts(max_n + 1, arr, (1,) * k, _STRICT, table)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     return ReprTable(counts, ("strict", k), int(arr.size))
 
 
-def _naive_strict(counts: np.ndarray, arr: np.ndarray, k: int) -> None:
-    for combo in combinations(arr.tolist(), k):
-        s = sum(combo)
-        if combo[-1] < s < counts.size:
-            counts[s] += 1
-
-
-def repr_weighted(d, f, max_n: int, *, backend: str = "dp") -> ReprTable:
+def repr_weighted(d, f, max_n: int) -> ReprTable:
     """Table of weighted sums over ordered tuples of pairwise-distinct elements.
 
     counts[n] = #{(x_1, ..., x_t) : x_i in D pairwise distinct,
@@ -475,21 +441,8 @@ def repr_weighted(d, f, max_n: int, *, backend: str = "dp") -> ReprTable:
         raise ValueError("max_n must be >= 0")
     arr = validate_elements(d)
     dtype = _count_dtype(math.perm(int(arr.size), len(weights)))
-    if backend == "naive":
-        counts = np.zeros(max_n + 1, dtype=dtype)
-        _naive_weighted(counts, arr, weights)
-    elif backend == "dp":
-        counts = _moebius_weighted(arr[arr <= max_n], weights, max_n).astype(dtype)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    counts = _moebius_weighted(arr[arr <= max_n], weights, max_n).astype(dtype)
     return ReprTable(counts, ("weighted", weights), int(arr.size))
-
-
-def _naive_weighted(counts: np.ndarray, arr: np.ndarray, weights) -> None:
-    for tup in permutations(arr.tolist(), len(weights)):
-        s = sum(w * x for w, x in zip(weights, tup))
-        if s < counts.size:
-            counts[s] += 1
 
 
 def _set_partitions(items: list[int]):

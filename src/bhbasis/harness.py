@@ -376,7 +376,8 @@ def replay_report(report: dict) -> tuple[bool, str]:
 
 
 def validate_report(report: dict) -> None:
-    """Structural check of the documented report schema; raises on problems."""
+    """Check a report against the documented schema, its config against
+    ``ExperimentConfig``; raises ValueError on any problem."""
 
     def need(cond, msg):
         if not cond:
@@ -388,14 +389,20 @@ def validate_report(report: dict) -> None:
     need(isinstance(cfg, dict), "missing config")
     for key, typ in (("h", int), ("n", int), ("seeds", list), ("window", list), ("audit_hi", int)):
         need(isinstance(cfg.get(key), typ), f"config.{key} must be {typ.__name__}")
+    try:
+        ExperimentConfig.from_dict(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"schema violation: config refused: {exc}") from None
     recs = report.get("records")
     need(isinstance(recs, list) and recs, "records must be a nonempty list")
     for r in recs:
+        need(isinstance(r, dict), "record must be an object")
         for key in ("h", "n", "seed", "b_size", "c_size", "a_size", "bh1", "basis_b", "basis_a"):
             need(key in r, f"record missing {key}")
         need(isinstance(r["bh1"], dict) and "ok" in r["bh1"], "record.bh1 malformed")
         need(isinstance(r.get("decomposition"), dict), "record.decomposition must be an object")
         for basis in ("basis_b", "basis_a"):
+            need(isinstance(r[basis], dict), f"record.{basis} must be an object")
             for key in ("k", "n_lo", "n_hi", "coverage"):
                 need(key in r[basis], f"record.{basis} missing {key}")
     need(isinstance(report.get("aggregate"), dict), "missing aggregate")

@@ -92,12 +92,6 @@ class RatioCurve:
     def argmax_m(self) -> int:
         return int(self.m[int(np.argmax(self.ratio))])
 
-    def ratio_at(self, m: int) -> float:
-        idx = np.nonzero(self.m == m)[0]
-        if idx.size == 0:
-            raise KeyError(f"M={m} not on the sweep grid")
-        return float(self.ratio[idx[0]])
-
     def slope(self, m_min: int = 100, side: str = "pos") -> float:
         """Robust trend of log ratio against log |M| beyond m_min, on the
         "pos", "neg" or "both" side of the grid."""

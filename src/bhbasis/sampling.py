@@ -45,19 +45,11 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def stream_uniform(seed: int, n: int) -> float:
-    """Uniform draw in [0, 1) for index n of the stream keyed by seed.
-
-    Counter-based: u(seed, n) = mix64(mix64(seed) + n * golden) >> 11, scaled
-    by 2^-53.  Pure integer arithmetic, identical across platforms.
-    """
-    state = (mix64(seed) + n * _GOLDEN) & _MASK64
-    return (mix64(state) >> 11) * _INV53
-
-
 def _stream_uniform_block(seed: int, n: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Vectorized stream_uniform for a uint64 index array, as 53-bit integers.
+    """The stream's uniforms for a uint64 index array, as 53-bit integers.
 
+    Counter-based: u(seed, n) = (mix64(mix64(seed) + n * golden) >> 11) *
+    2^-53, pure integer arithmetic modulo 2^64, identical across platforms.
     Hashes in place into the uint64 buffers out and tmp (each n's length)
     and returns out, holding k = mix64(state) >> 11, so that the uniform of
     n is k * 2^-53.
@@ -73,11 +65,6 @@ def _stream_uniform_block(seed: int, n: np.ndarray, out: np.ndarray, tmp: np.nda
         out ^= tmp
     out >>= np.uint64(11)
     return out
-
-
-def alpha_fraction(h: int) -> Fraction:
-    """Density exponent alpha = 2/(4h-1), kept exact until evaluation."""
-    return Fraction(2, 4 * h - 1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +89,8 @@ class ModelParams:
 
     @property
     def alpha(self) -> Fraction:
-        return alpha_fraction(self.h)
+        """Density exponent alpha = 2/(4h-1), kept exact until evaluation."""
+        return Fraction(2, 4 * self.h - 1)
 
     @property
     def inclusion_exponent(self) -> float:

@@ -2,7 +2,9 @@
 
 Everything here is written against the mathematical definitions directly
 (itertools enumeration, Counter arithmetic), sharing no code with the
-production backends it cross-checks.
+library it cross-checks.  Each count table has one kernel path in
+``bhbasis.counting`` and one oracle here: ``oracle_multiset``,
+``oracle_strict`` and ``oracle_weighted``.
 """
 
 from collections import Counter, defaultdict

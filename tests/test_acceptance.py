@@ -38,7 +38,8 @@ from bhbasis.ratio_bounds import (
 from bhbasis.sampling import ModelParams, sample_set
 from bhbasis.verify import _decomposition_arrays, is_bhg
 
-from tests.oracles import oracle_decomposition_all
+from tests.curves import ratio_at
+from tests.oracles import oracle_decomposition_all, oracle_multiset, oracle_strict, oracle_weighted
 from tests.tables import audit_tables
 
 
@@ -56,16 +57,11 @@ def test_criterion_1_backend_oracle_equivalence():
         a = sorted(rng.choice(np.arange(1, 201), size=size, replace=False).tolist())
         h = 2 if trial % 2 == 0 else 3
         max_n = h * max(a)
-        m_dp = repr_multiset(a, h, max_n).counts
-        m_naive = repr_multiset(a, h, max_n, backend="naive").counts
-        assert np.array_equal(m_dp, m_naive)
-        s_dp = repr_strict(a, h + 1, max_n).counts
-        s_naive = repr_strict(a, h + 1, max_n, backend="naive").counts
-        assert np.array_equal(s_dp, s_naive)
+        assert np.array_equal(repr_multiset(a, h, max_n).counts, oracle_multiset(a, h, max_n))
+        assert np.array_equal(repr_strict(a, h + 1, max_n).counts, oracle_strict(a, h + 1, max_n))
         d = a[:20]
         w_max = 4 * max(d)
-        w_naive = repr_weighted(d, (1, 1, 2), w_max, backend="naive").counts
-        assert np.array_equal(repr_weighted(d, (1, 1, 2), w_max).counts, w_naive)
+        assert np.array_equal(repr_weighted(d, (1, 1, 2), w_max).counts, oracle_weighted(d, (1, 1, 2), w_max))
         checked += 1
     elapsed = time.time() - t0
     ok = _line("1", checked == 200 and elapsed < 60, f"{checked}/200 random sets entrywise equal, {elapsed:.1f}s")
@@ -141,7 +137,7 @@ def test_criterion_5_bounded_ratio_curves():
         sel = curve.m >= 100 if side == "pos" else curve.m <= -100
         if not sel.any():
             return
-        anchor = curve.ratio_at(anchor_m)
+        anchor = ratio_at(curve, anchor_m)
         sup = float(curve.ratio[sel].max())
         slope = curve.slope(100, side=side)
         rows.append((label + ("" if side == "pos" else " (neg)"), sup, anchor, slope, sup <= 2 * anchor, slope <= 0.01))

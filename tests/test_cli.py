@@ -323,6 +323,32 @@ def test_replay_subcommand(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "No such file"),
+        ("not json", "Expecting value"),
+        ('{"schema_version": 1}', "schema violation: missing config"),
+        ('{"schema_version": 1, "config": {"h": 2, "n": 600, "seeds": [4], "window": [1, 600], "audit_hi": 10}, '
+         '"records": [1], "aggregate": {}}', "schema violation: record must be an object"),
+        ('{"schema_version": 1, "config": {"h": 1, "n": 600, "seeds": [4], "window": [1, 600], "audit_hi": 10}}',
+         "schema violation: config refused: h must be >= 2"),
+    ],
+)
+def test_bad_replay_report_is_usage_error(content, reason, tmp_path, monkeypatch, capsys):
+    # exit 2 naming --report, before any report is re-run; a valid report
+    # whose bytes differ stays the FAIL of exit 1 (test_replay_subcommand)
+    monkeypatch.setattr(harness, "run_experiment", _no_work)
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--report", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: --report '{path}' is not a valid report" in err and reason in err
+
+
 @pytest.mark.parametrize("command", ["construct", "verify"])
 def test_format_only_on_sweep(command, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 from collections import defaultdict
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from bhbasis.collisions import (
     enumerate_collisions,
     normalize_largest,
     one_sided_weights,
-    records_to_jsonl,
     reduced_weight_pairs,
     validate_one_sided,
 )
@@ -332,6 +332,10 @@ def test_join_first_seen_cases():
     recs = enumerate_collisions([1, 3, 4, 6, 10], 3)
     assert [r.elements for r in recs if r.spec == WeightSpec((1, 1, 1), (2, 1))] == [(10, 3, 1, 4, 6)]
     assert recs == _oracle_records([1, 3, 4, 6, 10], 3)
+
+
+def records_to_jsonl(records) -> str:
+    return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
 
 
 def test_records_match_generator_join_on_theorem_sets():

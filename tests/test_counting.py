@@ -53,10 +53,7 @@ def test_multiset_random_vs_naive():
         max_n = int(rng.integers(10, 620))
         cases.append((a, h, max_n))
     for a, h, max_n in cases + _MULTISET_SWITCHES:
-        dp = repr_multiset(a, h, max_n).counts
-        naive = repr_multiset(a, h, max_n, backend="naive").counts
-        assert np.array_equal(dp, naive)
-        assert np.array_equal(dp, oracle_multiset(a, h, max_n))
+        assert np.array_equal(repr_multiset(a, h, max_n).counts, oracle_multiset(a, h, max_n))
 
 
 def test_strict_examples():
@@ -80,9 +77,7 @@ def test_strict_random_vs_naive():
     # every row dense; every row sparse; row 2 wider than a dense row
     switches = [(np.arange(1, 21), 2, 25), (np.arange(1, 11), 3, 2000), (np.arange(1, 101), 3, 3000)]
     for a, k, max_n in cases + switches:
-        dp = repr_strict(a, k, max_n).counts
-        assert np.array_equal(dp, repr_strict(a, k, max_n, backend="naive").counts)
-        assert np.array_equal(dp, oracle_strict(a, k, max_n))
+        assert np.array_equal(repr_strict(a, k, max_n).counts, oracle_strict(a, k, max_n))
 
 
 def test_weighted_examples():
@@ -105,16 +100,14 @@ def test_weighted_random_vs_naive_all_backends():
     # t = 3 with every row dense, every row sparse, and row 2 wider than a dense row
     switches = [(np.arange(1, 21), (1, 1, 2), 30), (np.arange(1, 9), (2, 1, 1), 3000), (np.arange(1, 61), (1, 1, 2), 1500)]
     for d, f, max_n in cases + switches:
-        want = oracle_weighted(d, f, max_n)
-        for backend in ("naive", "dp"):
-            got = repr_weighted(d, f, max_n, backend=backend).counts
-            assert np.array_equal(got, want), (d.tolist(), f, backend)
+        got = repr_weighted(d, f, max_n).counts
+        assert np.array_equal(got, oracle_weighted(d, f, max_n)), (d.tolist(), f)
 
 
 @pytest.mark.parametrize("h", [2, 3])
 def test_weighted_groups_equal_moebius_terms(h, monkeypatch):
     # one kernel call per multiset of block weights whose coefficients do
-    # not cancel; the tables equal the naive backend on every tracked spec
+    # not cancel; the tables equal the oracle on every tracked spec
     calls = []
     kernel = counting._add_counts
 
@@ -128,7 +121,7 @@ def test_weighted_groups_equal_moebius_terms(h, monkeypatch):
         calls.clear()
         max_n = int(sum(f)) * 90
         got = repr_weighted(d, f, max_n).counts
-        assert np.array_equal(got, repr_weighted(d, f, max_n, backend="naive").counts), f
+        assert np.array_equal(got, oracle_weighted(d, f, max_n)), f
         assert len({w for w, _ in calls}) == len(calls) and all(sign for _, sign in calls)
         if f == (1, 1, 1):
             assert calls == [((3,), 2), ((1, 2), -3), ((1, 1, 1), 1)]
@@ -161,30 +154,51 @@ def test_overflow_is_loud():
         repr_multiset(range(1, 10001), 6, 10000)
 
 
+def test_one_path_per_table():
+    # "dp" is the only backend repr_multiset and repr_strict accept, and
+    # repr_weighted takes no backend at all
+    for build in (repr_multiset, repr_strict):
+        assert np.array_equal(build([1, 2, 5], 2, 12, backend="dp").counts, build([1, 2, 5], 2, 12).counts)
+        for backend in ("naive", "DP", ""):
+            with pytest.raises(ValueError, match=f"unknown backend {backend!r}"):
+                build([1, 2, 5], 2, 12, backend=backend)
+    with pytest.raises(TypeError, match="backend"):
+        repr_weighted([1, 2, 5], (1, 2), 12, backend="dp")
+
+
 _BUILDERS = {"multiset": repr_multiset, "strict": repr_strict, "weighted": repr_weighted}
 _ORACLES = {"multiset": oracle_multiset, "strict": oracle_strict, "weighted": oracle_weighted}
 # One element far below max_n and 10000 just under it: C(10003, 3) > 2**32
-# multisets, of which only about 2e4 have a sum <= max_n.
+# multisets, too many for the itertools oracle.  Only {1, 1, 1} and
+# {1, 1, x} have a sum <= max_n, since 1 + x + y > max_n for x, y > 1.
 _TOP_HEAVY = [1, *range(10**6 - 9999, 10**6 + 1)]
+
+
+def _top_heavy_table(max_n: int) -> np.ndarray:
+    want = np.zeros(max_n + 1, dtype=np.int64)
+    want[3] = 1
+    want[[2 + x for x in _TOP_HEAVY[1:] if 2 + x <= max_n]] = 1
+    return want
+
+
 # Per semantics, inputs whose documented bound lands in uint16, past it and
-# (where cheap) past uint32, each tagged (cheap to enumerate, cheap for the
-# oracle).  The oracle sees only elements <= max_n: larger ones reach no target.
+# (where cheap) past uint32.
 _POLICY_CASES = {
     "multiset": [
-        (([1, 2, 3], 2, 10), True, True),  # 6
-        ((range(1, 363), 2, 400), True, True),  # C(363, 2) = 65703
-        ((_TOP_HEAVY, 3, 10**6), True, False),  # C(10003, 3) ~ 1.7e11
+        ([1, 2, 3], 2, 10),  # 6
+        (range(1, 363), 2, 400),  # C(363, 2) = 65703
+        (_TOP_HEAVY, 3, 10**6),  # C(10003, 3) ~ 1.7e11
     ],
     "strict": [
-        (([4, 9, 11], 1, 30), True, True),  # 3
-        ((range(1, 65537), 1, 65536), True, True),  # 65536
-        (([1, 2, 3, 4], 2, 10), True, True),  # C(4, 2) = 6
-        ((range(1, 364), 2, 400), True, True),  # C(363, 2) = 65703
+        ([4, 9, 11], 1, 30),  # 3
+        (range(1, 65537), 1, 65536),  # 65536
+        ([1, 2, 3, 4], 2, 10),  # C(4, 2) = 6
+        (range(1, 364), 2, 400),  # C(363, 2) = 65703
     ],
     "weighted": [
-        (([1, 2, 9], (1, 1, 2), 50), True, True),  # 3! = 6
-        ((range(1, 258), (1, 1), 300), True, True),  # 257 * 256 = 65792
-        ((range(1, 65538), (1, 1), 20), False, True),  # 65537 * 65536 > 2**32
+        ([1, 2, 9], (1, 1, 2), 50),  # 3! = 6
+        (range(1, 258), (1, 1), 300),  # 257 * 256 = 65792
+        (range(1, 65538), (1, 1), 20),  # 65537 * 65536 > 2**32
     ],
 }
 _BEYOND_UINT64 = {
@@ -198,7 +212,7 @@ def _narrowest(bound: int):
     return next(t for t in (np.uint16, np.uint32, np.uint64) if bound < 2 ** (8 * np.dtype(t).itemsize))
 
 
-def _documented_bound(kind: str, backend: str, a, k, max_n: int) -> int:
+def _documented_bound(kind: str, a, k, max_n: int) -> int:
     """The bound the counting module's docstring sizes each table from."""
     vals = [x for x in a if x <= max_n]
     if kind == "weighted":
@@ -207,7 +221,7 @@ def _documented_bound(kind: str, backend: str, a, k, max_n: int) -> int:
         bound = math.comb(len(vals) + k - 1, k)
     else:
         bound = max(math.comb(len(vals), j) for j in range(k + 1))
-    if backend == "naive" or (kind == "strict" and k == 1):
+    if kind == "strict" and k == 1:
         return bound
     row_bounds = []
 
@@ -220,26 +234,22 @@ def _documented_bound(kind: str, backend: str, a, k, max_n: int) -> int:
     return min(bound, row_bounds[0])
 
 
-@pytest.mark.parametrize("backend", ["dp", "naive"])
 @pytest.mark.parametrize("kind", ["multiset", "strict", "weighted"])
-def test_one_count_dtype_policy(kind, backend):
+def test_one_count_dtype_policy(kind):
     build = _BUILDERS[kind]
-    other = "naive" if backend == "dp" else "dp"
     dtypes = []
-    for (a, k, max_n), enumerable, oracle in _POLICY_CASES[kind]:
-        if backend == "naive" and not enumerable:
-            continue
-        counts = build(a, k, max_n, backend=backend).counts
+    for a, k, max_n in _POLICY_CASES[kind]:
+        counts = build(a, k, max_n).counts
         dtypes.append(counts.dtype)
-        assert counts.dtype == _narrowest(_documented_bound(kind, backend, a, k, max_n)), (a, k)
-        if oracle:
+        assert counts.dtype == _narrowest(_documented_bound(kind, a, k, max_n)), (a, k)
+        if a is _TOP_HEAVY:
+            want = _top_heavy_table(max_n)
+        else:  # the oracle sees only elements <= max_n: larger ones reach no target
             want = _ORACLES[kind]([x for x in a if x <= max_n], k, max_n)
-        else:
-            want = build(a, k, max_n, backend=other).counts
         assert np.array_equal(counts, want), (a, k)
-    assert dtypes[0] == np.uint16  # on both backends, for every semantics
+    assert dtypes[0] == np.uint16  # for every semantics
     with pytest.raises(OverflowError, match="uint64") as exc:
-        build(*_BEYOND_UINT64[kind], backend=backend)
+        build(*_BEYOND_UINT64[kind])
     assert "wider count dtype" not in str(exc.value)
 
 
@@ -294,8 +304,6 @@ def test_row_bound_gives_uint16(fn, dense_rows):
         assert dense_rows[-1] == dense, (len(a), k, max_n)
         assert t.counts.dtype == np.uint16
         assert np.array_equal(t.counts, _REFERENCES[fn](a.tolist(), k, max_n))
-    a, k, max_n, _ = _NARROW[fn][0]
-    assert np.array_equal(fn(a, k, max_n).counts, fn(a, k, max_n, backend="naive").counts)
 
 
 @pytest.mark.parametrize("fn", [repr_multiset, repr_strict])
@@ -306,7 +314,7 @@ def test_row_bound_at_uint16_limit(fn, dense_rows):
         t = fn(a, 3, 999)
         assert dense_rows[-1] == 2
         assert t.counts.dtype == dtype, m
-        assert np.array_equal(t.counts, fn(a, 3, 999, backend="naive").counts)
+        assert np.array_equal(t.counts, _REFERENCES[fn](a.tolist(), 3, 999))
 
 
 def test_row_bound_covers_every_entry():
@@ -422,7 +430,6 @@ def test_priced_top_row_vs_oracle(name, dense_rows, monkeypatch):
     got = build(a, 4, max_n).counts
     assert dense_rows == [dense]
     assert np.array_equal(got, oracle(a.tolist(), max_n))
-    assert np.array_equal(got, build(a, 4, max_n, backend="naive").counts)
     # the other top-row path builds the same table in the same dtype
     priced = counting._scatters_top_row
     monkeypatch.setattr(counting, "_scatters_top_row", lambda *args: not priced(*args))
@@ -442,8 +449,7 @@ def test_moebius_term_stays_on_scatter(dense_rows, monkeypatch):
     assert got.dtype == np.int64 and np.array_equal(got, -want)
     table = repr_weighted(d, (1, 3), width - 1).counts
     assert dense_rows == [0, 0, 0]  # both Moebius terms, (1, 3) and (4,)
-    naive = repr_weighted(d, (1, 3), width - 1, backend="naive").counts
-    assert table.dtype == naive.dtype and np.array_equal(table, naive)
+    assert table.dtype == _narrowest(math.perm(len(d), 2))
     assert np.array_equal(table, oracle_weighted(d, (1, 3), width - 1))
     priced = counting._scatters_top_row
     monkeypatch.setattr(counting, "_scatters_top_row", lambda *args: not priced(*args))

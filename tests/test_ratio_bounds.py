@@ -20,6 +20,8 @@ from bhbasis.ratio_bounds import (
     _weight_array,
 )
 
+from tests.curves import ratio_at
+
 
 Q2 = float(weight_exponent(2))  # 5/7
 
@@ -60,7 +62,7 @@ def oracle_compositions(h, l, m):
 
 def test_split_sum_examples():
     curve = split_sum_curve(Q2, Q2, 50)
-    assert curve.ratio_at(2) == pytest.approx(1.0 / 2.0 ** (1 - 2 * Q2), rel=1e-12)
+    assert ratio_at(curve, 2) == pytest.approx(1.0 / 2.0 ** (1 - 2 * Q2), rel=1e-12)
     assert curve.lhs[0] == 1.0  # M = 2 has the single term n = 1
     for m in (3, 7, 29, 50):
         want = oracle_split_sum(Q2, Q2, m)
@@ -87,7 +89,7 @@ def test_split_sum_boundedness():
     limit = math.gamma(1 - Q2) ** 2 / math.gamma(2 - 2 * Q2)
     assert curve.sup_ratio <= limit * (1 + 1e-9)
     assert curve.ratio[-1] > 0.9 * limit
-    ref = curve.ratio_at(100)
+    ref = ratio_at(curve, 100)
     assert curve.ratio[curve.m >= 100].max() <= 2 * ref
     # positive but shrinking trend: convergence, not power growth
     early = curve.slope(100)
@@ -133,7 +135,7 @@ def test_composition_single_factor_ratio_is_exactly_one():
 
 def test_composition_small_values():
     curve = composition_curve(2, 2, 10)
-    assert curve.ratio_at(3) * 3.0 ** float(-3 / 7) == pytest.approx(2 * 2 ** (-Q2), rel=1e-12)
+    assert ratio_at(curve, 3) * 3.0 ** float(-3 / 7) == pytest.approx(2 * 2 ** (-Q2), rel=1e-12)
     for h, l in [(2, 2), (2, 3), (3, 2)]:
         curve = composition_curve(l, h, 40)
         for m in (l, l + 1, 17, 40):

@@ -10,11 +10,11 @@ from bhbasis.sampling import (
     expected_count,
     inclusion_probability,
     sample_set,
-    stream_uniform,
 )
 from bhbasis import sampling
 from bhbasis.sampling import _CHUNK, _stream_uniform_block
 from tests import sampler_oracle
+from tests.sampler_oracle import stream_uniform
 
 
 def test_inclusion_probability_examples():
