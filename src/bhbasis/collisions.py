@@ -156,15 +156,6 @@ class CollisionRecord:
     def sort_key(self) -> tuple:
         return (self.largest, self.kind, self.spec.d, self.spec.e, self.elements)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": list(self.spec.d),
-            "e": list(self.spec.e),
-            "elements": list(self.elements),
-            "largest": self.largest,
-        }
-
 
 @dataclass(frozen=True)
 class _Plan:

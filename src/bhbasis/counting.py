@@ -8,9 +8,12 @@ Three counting semantics, all exact:
                   constraint empties every count (n < n is false), so the
                   table is identically zero; this edge is deliberate.
 * weighted(f)  -- number of ordered tuples of pairwise-distinct elements
-                  (x_1, ..., x_t) of D with f_1 x_1 + ... + f_t x_t = n.
+                  (x_1, ..., x_t) of D with f_1 x_1 + ... + f_t x_t = n,
+                  counted as strictly increasing tuples, one kernel call per
+                  distinct arrangement of f.
 
-Every table comes from one counting kernel, ``_add_counts``: sparse
+Every table comes from one counting kernel, ``_add_counts``, which counts
+index tuples in two orders, nondecreasing and strictly increasing: sparse
 sum-lists in its low rows, dense shift-adds above.  Each path is priced in
 bytes of table streamed, a sparse entry at ``_SCATTER_BYTES``.  When every
 row below the table is sparse, the table's own row either scatters its sums
@@ -25,18 +28,21 @@ detected: every table takes the narrowest of uint16, uint32 and uint64 that
 admits the smallest bound on its entries known before it is allocated, and
 a bound beyond uint64 raises ``OverflowError`` before any work.  That bound
 is the combinatorial one (the number of tuples counted; for strict(k) the
-largest C(|A|, j), j <= k, which covers every kernel row) except for
-kernel-built ``repr_multiset`` and ``repr_strict`` tables, which the kernel
-sizes once its sparse rows exist: each dense row adds at most one shifted
-copy of the row below per element that fits, so no entry exceeds (largest
-multiplicity in the last sparse row) x (fitting elements)^(rows above it),
-and the table and every dense row take the smaller of the two bounds.
+largest C(|A|, j), j <= k, and for weighted(f) perm(|D|, t), which cover
+every kernel row) except for kernel-built ``repr_multiset`` and
+``repr_strict`` tables, which the kernel sizes once its sparse rows exist:
+each dense row adds at most one shifted copy of the row below per element
+that fits, so no entry exceeds (largest multiplicity in the last sparse
+row) x (fitting elements)^(rows above it), and the table and every dense
+row take the smaller of the two bounds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 import math
 
 import numpy as np
@@ -44,7 +50,6 @@ import numpy as np
 # Index orders the kernel counts tuples in.
 _NONDECREASING = "nondecreasing"
 _STRICT = "strict"
-_UNORDERED = "unordered"
 
 # Cost of one sparse entry (a tuple sum generated, then written to a row or
 # scattered with np.add.at) in bytes of table that a dense shift-add streams;
@@ -111,9 +116,7 @@ def _extended(ends: np.ndarray, adds: np.ndarray, max_n: int, order: str) -> lis
     fit = int(np.searchsorted(adds, max_n, side="right"))
     if order == _NONDECREASING:
         return ends[1 : fit + 1].tolist()
-    if order == _STRICT:
-        return ends[:fit].tolist()
-    return [int(ends[-1])] * fit
+    return ends[:fit].tolist()
 
 
 def _blocks(sums: np.ndarray, ends: np.ndarray, xs: list[int], w: int, max_n: int, order: str):
@@ -135,9 +138,7 @@ def _blocks(sums: np.ndarray, ends: np.ndarray, xs: list[int], w: int, max_n: in
             i1 += 1
         p = allowed[i1 - 1]
         cand = sums[:p] + adds[i0:i1, None]
-        keep = cand <= max_n
-        if order != _UNORDERED:
-            keep &= np.arange(p) < np.array(allowed[i0:i1])[:, None]
+        keep = (cand <= max_n) & (np.arange(p) < np.array(allowed[i0:i1])[:, None])
         yield i0, keep.sum(axis=1), cand[keep]
         i0 = i1
 
@@ -187,10 +188,8 @@ def _sparse_rows(xs: list[int], weights: tuple[int, ...], width: int, order: str
 def _groups(sums: np.ndarray, ends: np.ndarray, order: str) -> tuple[list[int], int]:
     """Bounds of the groups of a sparse row in the order the segmented top
     row adds them, and the lag: the buffer holds groups 0 .. i + lag when
-    element i shifts it.  Group 0 holds row 0's empty tuple (or, unordered,
-    every tuple); group i + 1 the tuples ending at index i."""
-    if order == _UNORDERED:
-        return [0, sums.size], 0
+    element i shifts it.  Group 0 holds row 0's empty tuple; group i + 1 the
+    tuples ending at index i."""
     return [0, *ends.tolist()], 1 if order == _NONDECREASING else 0
 
 
@@ -260,13 +259,12 @@ def _add_segmented_top_row(out: np.ndarray, sums, ends, xs: list[int], w: int, o
     The segment's share of the seed row is a buffer of `_SEGMENT_BYTES`
     that stays in cache: it gains each last-index group of the sparse row
     at the moment the order asks for (before element i's shift when
-    nondecreasing, after it when strict, all before the first element when
-    unordered), and element i adds it into out[a + w x_i : b + w x_i].
-    Elements that would add it while it is still zero are skipped, and so is
-    a segment the sparse row never reaches.  Each
-    group of `sums` is sorted in place (a count does not depend on the
-    order inside a group), cut at the segment bounds, and reduced to
-    offsets within its segment.
+    nondecreasing, after it when strict), and element i adds it into
+    out[a + w x_i : b + w x_i].  Elements that would add it while it is
+    still zero are skipped, and so is a segment the sparse row never
+    reaches.  Each group of `sums` is sorted in place (a count does not
+    depend on the order inside a group), cut at the segment bounds, and
+    reduced to offsets within its segment.
     """
     width = out.size
     seg = _SEGMENT_BYTES // out.itemsize
@@ -298,11 +296,9 @@ def _add_segmented_top_row(out: np.ndarray, sums, ends, xs: list[int], w: int, o
             out[a + s : stop + s] += buf[: stop - a]
 
 
-def _add_counts(
-    width: int, vals: np.ndarray, weights: tuple[int, ...], order: str, table, sign: int = 1
-) -> np.ndarray:
-    """The counting kernel: add sign times the number of index tuples
-    (i_1, ..., i_t) of the sorted array vals, in the given order, with
+def _add_counts(width: int, vals: np.ndarray, weights: tuple[int, ...], order: str, table) -> np.ndarray:
+    """The counting kernel: add the number of index tuples (i_1, ..., i_t)
+    of the sorted array vals, nondecreasing or strictly increasing, with
     weights[0] * vals[i_1] + ... + weights[t-1] * vals[i_t] = n into entry n
     of the table, and return it.
 
@@ -337,7 +333,7 @@ def _add_counts(
             row_bound *= bisect_right(xs, max_n // w)
             bound = max(bound, row_bound)
         out = table(bound)
-    one = out.dtype.type(sign)
+    one = out.dtype.type(1)
     if held == t - 1 and _scatters_top_row(sums, ends, xs, weights[-1], width, order, out.itemsize):
         # Scatter the top row block by block, never holding all of it.
         for _, _, part in _blocks(sums, ends, xs, weights[-1], max_n, order):
@@ -348,23 +344,14 @@ def _add_counts(
         return out
 
     # Dense rows held + 1 .. t, seeded by the sparse row `held`, at full
-    # width: an ordered row j reads row j-1 as it stands at element i, at
-    # positions in other source segments, so these rows are not segmented.
-    # Such tables are narrow in the library (the audit's, 5e4 wide).
+    # width: row j reads row j-1 as it stands at element i, at positions in
+    # other source segments, so these rows are not segmented.  Such tables
+    # are narrow in the library (the audit's, 5e4 wide).  Row j gains
+    # element i from row j-1 as it stands after element i (nondecreasing) or
+    # before it (strict); the seed row gains its tuples ending at i at the
+    # matching moment.
     rows = [np.zeros(width, dtype=out.dtype) for _ in range(t - held)] + [out]
-    dense_weights = weights[held:]
-    if order == _UNORDERED:
-        np.add.at(rows[0], sums, one)
-        for j, w in enumerate(dense_weights, start=1):
-            for x in xs:
-                if w * x > max_n:
-                    break
-                rows[j][w * x :] += rows[j - 1][: width - w * x]
-        return out
-    # An ordered row j gains element i from row j-1 as it stands after
-    # element i (nondecreasing) or before it (strict); the seed row gains
-    # its tuples ending at i at the matching moment.
-    levels = list(enumerate(dense_weights, start=1))
+    levels = list(enumerate(weights[held:], start=1))
     if order == _STRICT:
         levels.reverse()
     np.add.at(rows[0], sums[: ends[0]], one)
@@ -432,7 +419,11 @@ def repr_weighted(d, f, max_n: int) -> ReprTable:
 
     counts[n] = #{(x_1, ..., x_t) : x_i in D pairwise distinct,
                   f_1 x_1 + ... + f_t x_t = n}.
-    Distinctness applies to the chosen elements, not the weights.
+    Distinctness applies to the chosen elements, not the weights.  Sorting
+    a tuple's elements gives a strictly increasing tuple carrying f in one
+    arrangement g, and each distinct g arises from prod_w m_w! tuples, m_w
+    the number of times weight w occurs in f.  So the table is prod_w m_w!
+    times the sum of the kernel's strict counts over the distinct g.
     """
     weights = tuple(int(w) for w in f)
     if not weights or any(w < 1 for w in weights):
@@ -440,49 +431,19 @@ def repr_weighted(d, f, max_n: int) -> ReprTable:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     arr = validate_elements(d)
-    dtype = _count_dtype(math.perm(int(arr.size), len(weights)))
-    counts = _moebius_weighted(arr[arr <= max_n], weights, max_n).astype(dtype)
-    return ReprTable(counts, ("weighted", weights), int(arr.size))
-
-
-def _set_partitions(items: list[int]):
-    """All set partitions of a small list, as lists of blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _moebius_weighted(arr: np.ndarray, weights, max_n: int) -> np.ndarray:
-    """Moebius inversion over set partitions of the positions.
-
-    Tuples that are merely equal on the blocks of a partition are unordered
-    kernel counts with the block weight sums; alternating block factorials
-    invert them to the pairwise-distinct count.  An unordered count depends
-    only on the multiset of block weights, so partitions with the same one
-    share one kernel call whose sign is the sum of their coefficients.
-    """
     t = len(weights)
-    # the running sum never exceeds sum |mu| * |D|^t = t! |D|^t in magnitude
-    bound = math.factorial(t) * int(arr.size) ** t
-    if bound > np.iinfo(np.int64).max:
-        raise OverflowError(f"Moebius sum bound {bound} exceeds the int64 maximum")
-    signs: dict[tuple[int, ...], int] = {}
-    for part in _set_partitions(list(range(t))):
-        mu = math.prod((-1) ** (len(block) - 1) * math.factorial(len(block) - 1) for block in part)
-        block_weights = tuple(sorted(sum(weights[i] for i in block) for block in part))
-        signs[block_weights] = signs.get(block_weights, 0) + mu
-    total = np.zeros(max_n + 1, dtype=np.int64)
-    for block_weights, mu in signs.items():
-        if mu:
-            _add_counts(max_n + 1, arr, block_weights, _UNORDERED, total, mu)
-    if total.min() < 0:
-        raise AssertionError("partition inversion produced a negative count")
-    return total
+    counts = np.zeros(max_n + 1, dtype=_count_dtype(math.perm(int(arr.size), t)))
+    # No entry wraps.  An entry counts at most perm(|D|, t) tuples, and at
+    # most perm(|D|, t) / prod_w m_w! before the multiplication.  A strict
+    # kernel row j < t holds at most C(|D|, j) tuples, and for |D| >= t,
+    # perm(|D|, t) >= C(|D|, j) for every j <= t.  With fewer than t
+    # elements no tuple exists and the table stays zero.
+    if arr.size >= t:
+        vals = arr[arr <= max_n]
+        for g in sorted(set(permutations(weights))):
+            _add_counts(max_n + 1, vals, g, _STRICT, counts)
+        counts *= counts.dtype.type(math.prod(math.factorial(m) for m in Counter(weights).values()))
+    return ReprTable(counts, ("weighted", weights), int(arr.size))
 
 
 def multiset_sums(a, h: int, *, limit: int = 8_000_000) -> np.ndarray:

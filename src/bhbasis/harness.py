@@ -24,7 +24,7 @@ import numpy as np
 
 from . import collisions as _col
 from . import verify as _ver
-from .counting import ReprTable, repr_multiset, repr_strict, repr_weighted
+from .counting import ReprTable, repr_multiset, repr_strict, repr_weighted, validate_elements
 from .sampling import ModelParams, expected_count, sample_set
 
 SCHEMA_VERSION = 1
@@ -176,11 +176,12 @@ def weighted_max_count(values, f, h: int) -> int:
 
 def solution_total(values, spec: _col.WeightSpec, h: int) -> int:
     """Total ordered distinct-element solutions of the two-sided equation
-    given by `spec` inside `values`, counted on the join's rows without
-    decoding a pair."""
+    given by `spec` inside the set of `values`, counted on the join's rows
+    without decoding a pair.  The values must be positive integers."""
     if not spec.is_reduced_form(h):
         raise ValueError(f"not a reduced two-sided spec for h={h}: {spec}")
-    return spec.orderings() * len(_col._equal_sum_rows(list(values), spec)[0])
+    vals = validate_elements(values).tolist()
+    return spec.orderings() * len(_col._equal_sum_rows(vals, spec)[0])
 
 
 def run_construction(

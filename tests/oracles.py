@@ -8,7 +8,7 @@ library it cross-checks.  Each count table has one kernel path in
 """
 
 from collections import Counter, defaultdict
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -41,16 +41,12 @@ def oracle_weighted(d, f, max_n):
 
 
 def oracle_index_tuples(vals, weights, order, max_n):
-    """Index tuples (i_1, ..., i_t) over the sorted values, nondecreasing,
-    strictly increasing or in any order, counted at
-    w_1 vals[i_1] + ... + w_t vals[i_t]."""
+    """Index tuples (i_1, ..., i_t) over the sorted values, nondecreasing or
+    strictly increasing, counted at w_1 vals[i_1] + ... + w_t vals[i_t]."""
     vals = sorted(vals)
     t = len(weights)
-    tuples = {
-        "nondecreasing": combinations_with_replacement(range(len(vals)), t),
-        "strict": combinations(range(len(vals)), t),
-        "unordered": product(range(len(vals)), repeat=t),
-    }[order]
+    pick = {"nondecreasing": combinations_with_replacement, "strict": combinations}[order]
+    tuples = pick(range(len(vals)), t)
     counts = np.zeros(max_n + 1, dtype=np.int64)
     for idx in tuples:
         s = sum(w * vals[i] for w, i in zip(weights, idx))

@@ -83,6 +83,22 @@ def test_csv_bytes_pinned(argv, name, digest, tmp_path, capsys):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "h, digest",
+    [
+        (2, "23631b0e5ad8d174d6005e7fc201d06dfd52b92d38496e0865df9283c855c14b"),
+        (3, "8df05c5968e003adeefc4481c98c967d62e9e1e217363723337d1cbedd03d95f"),
+    ],
+)
+def test_lemma568_json_pinned(h, digest, tmp_path, capsys):
+    # the bytes of lemma568.json, as written when weighted tables were a
+    # Moebius sum over set partitions; the floor fails at this scale (exit 1)
+    argv = ["lemma568", "--h", str(h), "--n-list", "10000,100000", "--seeds", "1,2", "--n-lo", "10000"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert str(tmp_path / "lemma568.json") in capsys.readouterr().out.splitlines()
+    assert hashlib.sha256((tmp_path / "lemma568.json").read_bytes()).hexdigest() == digest
+
+
 def test_verify_pass(capsys):
     assert main(["verify", "--h", "2", "--n", "1500", "--seed", "2"]) == 0
     out = capsys.readouterr().out

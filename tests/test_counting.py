@@ -1,4 +1,5 @@
 import io
+from itertools import permutations
 import math
 
 import numpy as np
@@ -105,28 +106,28 @@ def test_weighted_random_vs_naive_all_backends():
 
 
 @pytest.mark.parametrize("h", [2, 3])
-def test_weighted_groups_equal_moebius_terms(h, monkeypatch):
-    # one kernel call per multiset of block weights whose coefficients do
-    # not cancel; the tables equal the oracle on every tracked spec
+def test_weighted_counts_strict_arrangements(h, monkeypatch):
+    # one strict kernel call per distinct arrangement of the weights; the
+    # tables equal the oracle on every tracked spec
     calls = []
     kernel = counting._add_counts
 
-    def counted(width, vals, weights, order, table, sign=1):
-        calls.append((weights, sign))
-        return kernel(width, vals, weights, order, table, sign)
+    def counted(width, vals, weights, order, table):
+        calls.append((weights, order))
+        return kernel(width, vals, weights, order, table)
 
     monkeypatch.setattr(counting, "_add_counts", counted)
     d = np.sort(np.random.default_rng(h).choice(np.arange(1, 120), size=14, replace=False))
+    made = {}
     for f in default_one_sided(h):
         calls.clear()
         max_n = int(sum(f)) * 90
         got = repr_weighted(d, f, max_n).counts
         assert np.array_equal(got, oracle_weighted(d, f, max_n)), f
-        assert len({w for w, _ in calls}) == len(calls) and all(sign for _, sign in calls)
-        if f == (1, 1, 1):
-            assert calls == [((3,), 2), ((1, 2), -3), ((1, 1, 1), 1)]
-        if f == (2, 1, 1):
-            assert len(calls) == 4
+        assert sorted(w for w, _ in calls) == sorted(set(permutations(f))), f
+        assert all(order == "strict" for _, order in calls)
+        made[f] = len(calls)
+    assert (made[(1, 1, 1)], made[(2, 1, 1)], made[(2, 1)]) == (1, 3, 2)
 
 
 def test_weighted_wide_tuple_partition_backend():
@@ -196,8 +197,10 @@ _POLICY_CASES = {
         (range(1, 364), 2, 400),  # C(363, 2) = 65703
     ],
     "weighted": [
-        ([1, 2, 9], (1, 1, 2), 50),  # 3! = 6
+        ([1, 2, 9], (1, 1, 2), 50),  # |D| = t: 3! = 6
+        (range(1, 21), (1,) * 21, 300),  # |D| < t: no tuple, and C(20, 10) > 65535
         (range(1, 258), (1, 1), 300),  # 257 * 256 = 65792
+        (range(1, 10), (1,) * 9, 45),  # |D| = t: one entry, 9! = 362880
         (range(1, 65538), (1, 1), 20),  # 65537 * 65536 > 2**32
     ],
 }
@@ -321,9 +324,9 @@ def test_row_bound_covers_every_entry():
     rng = np.random.default_rng(41)
     for _ in range(150):
         vals = np.sort(rng.choice(np.arange(1, 301), size=rng.integers(0, 40), replace=False))
-        order = ("nondecreasing", "strict", "unordered")[rng.integers(0, 3)]
+        order = ("nondecreasing", "strict")[rng.integers(0, 2)]
         t = int(rng.integers(1, 5))
-        weights = (1,) * t if order != "unordered" else tuple(rng.integers(1, 4, size=t).tolist())
+        weights = tuple(rng.integers(1, 4, size=t).tolist())
         width = int(rng.integers(10, 1500))
         bounds = []
 
@@ -342,16 +345,16 @@ _SEGMENTED = [
     ("nondecreasing", (1, 2), range(5, 60), 300),
     ("strict", (3, 2), range(1, 66), 350),
     ("strict", (2, 2, 1), range(1, 30), 1000),
-    ("unordered", (3, 1, 2), range(1, 13), 900),
+    ("strict", (3, 1, 2), range(1, 25), 900),
     # the elements 1990 and 1995 shift the table but end no held tuple:
     # their groups of the last sparse row are empty
     ("nondecreasing", (1, 1, 1), [*range(11, 41), 1990, 1995], 2000),
     ("strict", (1, 1, 1), [*range(11, 51), 1990, 1995], 2000),
-    ("unordered", (1, 2, 1), [*range(11, 31), 990, 1995], 2000),
+    ("strict", (1, 2, 1), [*range(11, 41), 990, 1995], 2000),
     # one dense row on row 0: its empty tuple is the group before index 0
     ("nondecreasing", (1,), range(180, 200), 200),
     ("strict", (1,), range(180, 200), 200),
-    ("unordered", (2,), range(90, 100), 200),
+    ("strict", (2,), range(90, 100), 200),
 ]
 
 
@@ -362,13 +365,12 @@ def test_segmented_top_row_vs_oracle(order, weights, vals, width, segment_bytes,
     vals = np.array(vals, dtype=np.int64)
     want = oracle_index_tuples(vals.tolist(), weights, order, width - 1)
     assert want.any()
-    # a uint16 table counted once and an int64 one at sign -2: segments of
-    # 8 and 2, or 12 and 3 entries, shorter than the largest element's shift
+    # a uint16 table and a uint64 one: segments of 8 and 2, or 12 and 3
+    # entries, shorter than the largest element's shift
     assert weights[-1] * int(vals[-1]) > 12
-    got = counting._add_counts(width, vals, weights, order, np.zeros(width, dtype=np.uint16))
-    assert got.dtype == np.uint16 and np.array_equal(got, want)
-    got = counting._add_counts(width, vals, weights, order, np.zeros(width, dtype=np.int64), -2)
-    assert np.array_equal(got, -2 * want)
+    for dtype in (np.uint16, np.uint64):
+        got = counting._add_counts(width, vals, weights, order, np.zeros(width, dtype=dtype))
+        assert got.dtype == dtype and np.array_equal(got, want)
     assert dense_rows == [1, 1]
 
 
@@ -377,7 +379,7 @@ def test_segmented_top_row_random_sweep(monkeypatch, dense_rows):
     rng = np.random.default_rng(43)
     for _ in range(150):
         vals = np.sort(rng.choice(np.arange(1, 301), size=rng.integers(0, 30), replace=False))
-        order = ("nondecreasing", "strict", "unordered")[rng.integers(0, 3)]
+        order = ("nondecreasing", "strict")[rng.integers(0, 2)]
         t = int(rng.integers(1, 4))
         weights = tuple(rng.integers(1, 4, size=t).tolist())
         width = int(rng.integers(10, 1500))
@@ -438,23 +440,26 @@ def test_priced_top_row_vs_oracle(name, dense_rows, monkeypatch):
     assert got.dtype == other.dtype == np.uint16 and np.array_equal(got, other)
 
 
-def test_moebius_term_stays_on_scatter(dense_rows, monkeypatch):
-    # B at N = 1e4 (53 elements) and the weights (1, 3): the int64 table is
-    # sum(f) * max B wide and the term is counted at sign -1
+def test_weighted_arrangements_stay_on_scatter(dense_rows, monkeypatch):
+    # B at N = 1e4 (53 elements) and the weights (1, 3): the table is
+    # sum(f) * max B wide, and each arrangement, (1, 3) and (3, 1), is one
+    # strict kernel call that scatters its top row
     d = sample_set(ModelParams(2, 10**4, 3)).elements
     width = 4 * d[-1] + 1
-    want = oracle_index_tuples(d, (1, 3), "unordered", width - 1)
-    got = counting._add_counts(width, np.array(d), (1, 3), "unordered", np.zeros(width, dtype=np.int64), -1)
+    want = oracle_index_tuples(d, (3, 1), "strict", width - 1)
+    got = counting._add_counts(width, np.array(d), (3, 1), "strict", np.zeros(width, dtype=np.uint16))
     assert dense_rows == [0]
-    assert got.dtype == np.int64 and np.array_equal(got, -want)
+    assert np.array_equal(got, want)
     table = repr_weighted(d, (1, 3), width - 1).counts
-    assert dense_rows == [0, 0, 0]  # both Moebius terms, (1, 3) and (4,)
-    assert table.dtype == _narrowest(math.perm(len(d), 2))
+    assert dense_rows == [0, 0, 0]
+    assert table.dtype == _narrowest(math.perm(len(d), 2)) == np.uint16
     assert np.array_equal(table, oracle_weighted(d, (1, 3), width - 1))
+    # the segmented top row builds the same table
     priced = counting._scatters_top_row
     monkeypatch.setattr(counting, "_scatters_top_row", lambda *args: not priced(*args))
-    other = counting._add_counts(width, np.array(d), (1, 3), "unordered", np.zeros(width, dtype=np.int64), -1)
-    assert dense_rows[-1] == 1 and np.array_equal(other, got)
+    other = repr_weighted(d, (1, 3), width - 1).counts
+    assert dense_rows[3:] == [1, 1]
+    assert other.dtype == table.dtype and np.array_equal(other, table)
 
 
 # multiset_is_sparse on criterion 2's sets (N = 1e5, seeds 21-40): True

@@ -87,6 +87,17 @@ def test_weighted_max_and_totals_vs_oracle():
         assert solution_total(d, spec2, 3) == oracle_two_sided_total(d, (1, 1), (1, 1))
 
 
+def test_solution_total_validates_values():
+    # a repeated value is one element of the set, and 0 is refused as
+    # weighted_max_count refuses it
+    spec = WeightSpec((1, 1), (1, 1))
+    assert solution_total([2, 2, 1, 3], spec, 3) == oracle_two_sided_total([1, 2, 3], (1, 1), (1, 1)) == 0
+    with pytest.raises(ValueError, match="positive"):
+        solution_total([0, 1, 2, 3], spec, 3)
+    with pytest.raises(ValueError, match="positive"):
+        weighted_max_count([0, 1, 2, 3], (1, 1), 3)
+
+
 def test_boundedness_check_shape_and_nesting():
     out = boundedness_check(2, [500, 2000], range(4))
     assert out["n_values"] == [500, 2000]
