@@ -244,11 +244,17 @@ def multiset_is_sparse(a, h: int, max_n: int) -> bool:
 
 def _largest_multiplicity(sums: np.ndarray, width: int) -> int:
     """The most times one value occurs among the sums, all below width.
-    Counted in the narrowest dtype that holds every count, not in
-    np.bincount's int64, which at width 1e7 would be the largest buffer of
-    a kernel call."""
-    counts = np.zeros(width, dtype=_count_dtype(sums.size))
-    np.add.at(counts, sums, counts.dtype.type(1))
+
+    Counted first in uint8, a quarter of uint32's bytes at width 1e7 (not in
+    np.bincount's int64, the largest buffer a kernel call would hold).  The
+    uint8 counts wrap mod 256, so they add up to sums.size exactly when no
+    count reached 256; otherwise the sums are counted again in the narrowest
+    dtype that holds every count."""
+    for dtype in (np.uint8, _count_dtype(sums.size)):
+        counts = np.zeros(width, dtype=dtype)
+        np.add.at(counts, sums, dtype(1))
+        if counts.sum(dtype=np.int64) == sums.size:
+            break
     return int(counts.max(initial=0))
 
 

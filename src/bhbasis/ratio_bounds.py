@@ -17,7 +17,12 @@ sweep and shows no growth trend (robust log-log slope near zero).
 Infinite sums are split into an exact head plus a certified tail.  Tails of
 products of shifted powers are bracketed rigorously between integrals of a
 convex decreasing summand, with the integrals evaluated by a binomial
-series that carries its own truncation bound.  Signed-constraint sums whose
+series that carries its own truncation bound.  A curve, not a grid point,
+is the unit of work: the tails of all its points are bracketed in one
+batched series evaluation (per cutoff-doubling round for the shifted sums
+of part ii and part iv's (s, t) = (1, 2), per sign group for the other
+interior part-iv curves), and each point keeps the exact head, bounds and
+bytes it would have on its own.  Signed-constraint sums whose
 factors are genuine convolution curves use two-sided envelopes
 c_lo * x^-gamma <= S_l(x) <= c_hi * x^-gamma, where c_hi is the exact
 limiting constant Gamma(1-q)^l / Gamma(l(1-q)) and c_lo is the last
@@ -146,81 +151,111 @@ def split_sum_curve(alpha: float, beta: float, m_max: int) -> RatioCurve:
 # ------------------------------------------------------- tail machinery
 
 
-def _series_integral(u: float, a: float, b: float, alpha: float, beta: float) -> tuple[float, float]:
-    """Integral of (x+a)^-alpha (x+b)^-beta over [u, inf) with a certified
-    truncation bound.
+def _series_integrals(u, a, b: float, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of (x+a)^-alpha (x+b)^-beta over [u, inf), one per entry of
+    the float arrays u and a, each with a certified truncation bound.
 
     Expands the integrand as x^-(alpha+beta) times a binomial double series
     in 1/x; requires u >= 4 max(|a|, |b|, 1) so the series remainder is
-    dominated by a fast geometric envelope.
+    dominated by a fast geometric envelope.  Each row sums its own terms
+    with math.fsum; a row whose coefficients overflow (|a| beyond about
+    1e5) gets nan, which no certificate accepts.  For b = 0 the coefficient
+    convolution is the identity, so it is skipped.
     """
     s = alpha + beta
     if s <= 1:
         raise TailBoundError(f"integral diverges: alpha + beta = {s} <= 1")
-    r = max(abs(a), abs(b), 1.0)
-    if u < 4 * r:
+    r = np.maximum(np.abs(a), max(abs(b), 1.0))
+    if np.any(u < 4 * r):
         raise ValueError("series integral needs u >= 4 max(|a|, |b|, 1)")
     kk = _SERIES_TERMS
     k_arr = np.arange(kk + 1, dtype=np.float64)
     j = k_arr[1:]
-    pa = np.ones(kk + 1)
-    pb = np.ones(kk + 1)
-    np.cumprod(-(alpha + j - 1) / j * a, out=pa[1:])
-    np.cumprod(-(beta + j - 1) / j * b, out=pb[1:])
-    ck = np.convolve(pa, pb)[: kk + 1]
-    with np.errstate(under="ignore"):
-        terms = ck * u ** (1.0 - s - k_arr) / (s + k_arr - 1.0)
-    val = float(math.fsum(terms.tolist()))
-    rho = r / u
-    err = (u ** (1.0 - s) / (s + kk)) * (rho ** (kk + 1)) * (kk + 2) / (1 - rho) ** 2
-    return val, 2.0 * abs(err)
+    ck = np.ones((a.size, kk + 1))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        np.cumprod(-(alpha + j - 1) / j * a[:, None], axis=1, out=ck[:, 1:])
+        if b != 0.0:
+            pb = np.ones(kk + 1)
+            np.cumprod(-(beta + j - 1) / j * b, out=pb[1:])
+            for row in ck:
+                row[:] = np.convolve(row, pb)[: kk + 1]
+        terms = ck * u[:, None] ** (1.0 - s - k_arr) / (s + k_arr - 1.0)
+    terms[~np.isfinite(terms).all(axis=1)] = np.nan
+    val = [math.fsum(row.tolist()) for row in terms]
+    # the bound in Python floats: libm's pow, which numpy's vector pow does
+    # not match bit for bit
+    err = [
+        2.0 * abs((ui ** (1.0 - s) / (s + kk)) * (rho ** (kk + 1)) * (kk + 2) / (1 - rho) ** 2)
+        for ui, rho in zip(u.tolist(), (r / u).tolist())
+    ]
+    return np.array(val), np.array(err)
 
 
-def _tail_bracket(t_cut: int, a: float, b: float, alpha: float, beta: float) -> tuple[float, float]:
-    """Rigorous bracket of sum_{n > t_cut} (n+a)^-alpha (n+b)^-beta.
+def _tail_brackets(t_cut, a, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rigorous brackets of sum_{n > t_cut} (n+a)^-alpha n^-beta, one per
+    entry of the arrays t_cut and a.
 
     The summand is positive, decreasing and convex on [t_cut + 1/2, inf)
     (product of such factors), so the sum lies between the integrals from
     t_cut + 1 and from t_cut + 1/2.
     """
-    low, err_low = _series_integral(t_cut + 1.0, a, b, alpha, beta)
-    high, err_high = _series_integral(t_cut + 0.5, a, b, alpha, beta)
+    low, err_low = _series_integrals(t_cut + 1.0, a, 0.0, alpha, beta)
+    high, err_high = _series_integrals(t_cut + 0.5, a, 0.0, alpha, beta)
     return low - err_low, high + err_high
 
 
-def _certified_shifted_sum(
-    a: float,
-    b: float,
-    alpha: float,
-    beta: float,
-    n_start: int,
-    tail_eps: float,
-    head_extra: float = 0.0,
-) -> tuple[float, float]:
-    """sum_{n >= n_start} (n+a)^-alpha (n+b)^-beta with certified relative
-    tail error <= tail_eps.
+def _inverse_powers(pw: np.ndarray, top: int, alpha: float) -> np.ndarray:
+    """pw (x^-alpha for x = 1 .. pw.size, at index x - 1) extended to x = top."""
+    if pw.size >= top:
+        return pw
+    return np.concatenate([pw, np.arange(pw.size + 1, top + 1, dtype=np.float64) ** (-alpha)])
 
-    head_extra is an already-exact additive contribution counted toward the
-    total when judging relative accuracy.  Returns (value, certified_err).
+
+def _certified_shifted_sums(a, alpha: float, beta: float, n_start, tail_eps: float, head_extra):
+    """sum_{n >= n_start} (n+a)^-alpha n^-beta for each entry of the
+    integral-valued float array a and the int array n_start (with
+    n_start + a >= 1), each with certified relative tail error <= tail_eps.
+
+    head_extra holds an already-exact additive contribution per entry,
+    counted toward the total when judging relative accuracy.  The work runs
+    in rounds: each adds every uncertified entry's head up to its cutoff,
+    brackets all their tails in one batched call and doubles the cutoffs of
+    the entries still uncertified.  Head factors are read from two shared
+    vectors of x^-alpha and x^-beta over integer x.  Returns (values,
+    certified errors); an entry that cannot be certified below `_T_CAP`
+    raises TailBoundError, the first such entry in order.
     """
-    t_cut = max(16, n_start, int(4 * max(abs(a), abs(b), 1.0)) + 1)
-    head = 0.0
-    head_to = n_start - 1
-    while True:
-        if head_to < t_cut:
-            n = np.arange(head_to + 1, t_cut + 1, dtype=np.float64)
-            head += float(np.sum((n + a) ** (-alpha) * (n + b) ** (-beta)))
-            head_to = t_cut
-        lo, hi = _tail_bracket(t_cut, a, b, alpha, beta)
-        est = head + 0.5 * (lo + hi)
-        cert = 0.5 * (hi - lo)
-        if cert <= tail_eps * (est + head_extra):
-            return est, cert
-        if t_cut >= _T_CAP:
-            raise TailBoundError(
-                f"cannot certify tail to eps={tail_eps} below cutoff {t_cut}"
-            )
-        t_cut *= 2
+    shift = a.astype(np.int64)
+    cut = np.maximum(np.maximum(n_start, 16), (4 * np.maximum(np.abs(a), 1.0)).astype(np.int64) + 1)
+    done_to = n_start - 1
+    head, val, cert = np.zeros((3, a.size))
+    pow_a = pow_b = np.empty(0)
+    rows = np.arange(a.size)
+    failed = None
+    while rows.size:
+        pow_a = _inverse_powers(pow_a, int((cut[rows] + shift[rows]).max()), alpha)
+        pow_b = _inverse_powers(pow_b, int(cut[rows].max()), beta)
+        for i in rows.tolist():
+            # n in (done_to, cut]: factors (n + a)^-alpha and n^-beta
+            lo, hi, sh = done_to[i], cut[i], shift[i]
+            head[i] += float(np.sum(pow_a[lo + sh : hi + sh] * pow_b[lo:hi]))
+        done_to[rows] = cut[rows]
+        t_lo, t_hi = _tail_brackets(cut[rows], a[rows], alpha, beta)
+        est = head[rows] + 0.5 * (t_lo + t_hi)
+        half = 0.5 * (t_hi - t_lo)
+        ok = half <= tail_eps * (est + head_extra[rows])
+        val[rows[ok]] = est[ok]
+        cert[rows[ok]] = half[ok]
+        rows = rows[~ok]
+        stuck = rows[cut[rows] >= _T_CAP]
+        if stuck.size:
+            # entries after the first stuck one can no longer be reported
+            failed = int(stuck[0])
+            rows = rows[rows < failed]
+        cut[rows] *= 2
+    if failed is not None:
+        raise TailBoundError(f"cannot certify tail to eps={tail_eps} below cutoff {cut[failed]}")
+    return val, cert
 
 
 # ---------------------------------------------------------------- part ii
@@ -244,29 +279,24 @@ def shifted_tail_curve(
         ms = list(range(m_lo, m_hi + 1))
     else:
         ms = sorted(set(int(m) for m in grid))
-    lhs, err, kept = [], [], []
-    for m in ms:
-        if m >= 0:
-            val, cert = _certified_shifted_sum(m + 1.0, 0.0, alpha, beta, 1, tail_eps)
-        else:
+    ms_arr = np.array(ms, dtype=np.int64)
+    # for M < 0 the terms n <= -M (the hump) are summed exactly first
+    humps = np.zeros(ms_arr.size)
+    for i, m in enumerate(ms):
+        if m < 0:
             n = np.arange(1, -m + 1, dtype=np.float64)
-            hump = float(np.sum((np.abs(n + m) + 1.0) ** (-alpha) * n ** (-beta)))
-            val, cert = _certified_shifted_sum(
-                m + 1.0, 0.0, alpha, beta, -m + 1, tail_eps, head_extra=hump
-            )
-            val += hump
-        kept.append(m)
-        lhs.append(val)
-        err.append(cert)
-    ms_arr = np.array(kept, dtype=np.int64)
+            humps[i] = float(np.sum((np.abs(n + m) + 1.0) ** (-alpha) * n ** (-beta)))
+    val, err = _certified_shifted_sums(
+        ms_arr + 1.0, alpha, beta, np.maximum(1, 1 - ms_arr), tail_eps, head_extra=humps
+    )
     rhs = (np.abs(ms_arr) + 1.0) ** (1.0 - alpha - beta)
     return RatioCurve(
         "ii",
         {"alpha": alpha, "beta": beta, "tail_eps": tail_eps},
         ms_arr,
-        np.array(lhs),
+        val + humps,
         rhs,
-        np.array(err),
+        err,
     )
 
 
@@ -293,20 +323,23 @@ def _composition_table(h: int, l: int, length: int) -> np.ndarray:
     entries (near index l) carry the largest relative error, below 1e-12
     for h <= 3 at length 8192.
     """
-    w = _weight_array(h, length)
     if l == 1:
-        out = w.copy()
+        out = _weight_array(h, length)
     else:
         prev = _composition_table(h, l - 1, length)
         if (length + 1) ** 2 <= 40_000_000:
-            out = np.convolve(prev, w)[: length + 1]
+            out = np.convolve(prev, _weight_array(h, length))[: length + 1]
         else:
             # index 0 of both factors is zero, so convolve from index 1 on
-            # (half the transform size) and shift the result by two
+            # (half the transform size) against the cached spectrum of w[1:]
+            # and shift the result by two; at l = 2 prev[1:] is w[1:] too,
+            # so its spectrum is squared
             out = np.zeros(length + 1)
-            out[2:] = _fft_convolve_trunc(
-                prev[1:], w[1:], length - 1, fb=_weight_spectrum(h, length)
-            )
+            fw = _weight_spectrum(h, length)
+            if l == 2:
+                out[2:] = np.fft.irfft(fw * fw, 2 * (fw.size - 1))[: length - 1]
+            else:
+                out[2:] = _fft_convolve_trunc(prev[1:], fw, length - 1)
         out[:l] = 0.0
     out.flags.writeable = False
     return out
@@ -326,14 +359,11 @@ def _fft_size(n_linear: int) -> int:
     return n
 
 
-def _fft_convolve_trunc(
-    a: np.ndarray, b: np.ndarray, n_out: int, fb: np.ndarray | None = None
-) -> np.ndarray:
-    """First n_out entries of the linear convolution a * b; fb, when given,
-    is b's rfft at the transform size this helper picks."""
-    n = _fft_size(len(a) + len(b) - 1)
-    if fb is None:
-        fb = np.fft.rfft(b, n)
+def _fft_convolve_trunc(a: np.ndarray, fb: np.ndarray, n_out: int) -> np.ndarray:
+    """First n_out entries of the linear convolution of a with the sequence
+    whose rfft is fb, at fb's transform size (which must hold the whole
+    linear convolution)."""
+    n = 2 * (fb.size - 1)
     return np.fft.irfft(np.fft.rfft(a, n) * fb, n)[:n_out]
 
 
@@ -384,14 +414,25 @@ def _envelope(h: int, l: int, length: int) -> float:
     return lo
 
 
-def _signed_sum_point(
-    s: int, t: int, h: int, m: int, tail_eps: float, length: int
-) -> tuple[float, float]:
-    """lhs of part iv at one M >= 0 for interior 0 < s < t, with certificate."""
+def _signed_sum_points(
+    s: int, t: int, h: int, ms: list[int], tail_eps: float, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """lhs of part iv, with certificates, at the points M >= 0 of `ms` (one
+    sign group of a curve, in grid order) for interior 0 < s < t.
+
+    (s, t) = (1, 2) is a shifted sum of two weights.  Otherwise each point's
+    head pairs two exact table slices; its mid range (t_cut, length] pairs
+    the exact right factor with the enveloped left factor, whose powers
+    (n + M)^-gamma_s are the slice env[:M] of one vector; and the
+    pure-power tail beyond the table is bracketed for every point in one
+    batched call.  The tables, envelopes and limit constants are looked up
+    once.  A too-large M raises ValueError before any head is computed; an
+    uncertifiable tail raises TailBoundError naming the first such M.
+    """
     q = float(weight_exponent(h))
+    m_arr = np.array(ms, dtype=np.float64)
     if s == 1 and t == 2:
-        n_start = max(1, 1 - m)
-        return _certified_shifted_sum(float(m), 0.0, q, q, n_start, tail_eps)
+        return _certified_shifted_sums(m_arr, q, q, np.ones(m_arr.size, np.int64), tail_eps, np.zeros_like(m_arr))
     gam_s = -float(composition_rhs_exponent(s, h))
     gam_r = -float(composition_rhs_exponent(t - s, h))
     if gam_s + gam_r <= 1:
@@ -403,23 +444,26 @@ def _signed_sum_point(
     tab_r = _composition_table(h, t - s, length)
     lo_s, hi_s = _envelope(h, s, length), _limit_constant(h, s)
     lo_r, hi_r = _envelope(h, t - s, length), _limit_constant(h, t - s)
-    t_cut = length - m
-    if t_cut < length // 2:
-        raise ValueError(f"|M| = {m} too large for table length {length}")
-    head = float(np.dot(tab_s[1 + m : t_cut + m + 1], tab_r[1 : t_cut + 1]))
+    too_large = [m for m in ms if length - m < length // 2]
+    if too_large:
+        raise ValueError(f"|M| = {too_large[0]} too large for table length {length}")
+    # t_cut = length - M: the head runs over n <= t_cut
+    head = np.array([np.dot(tab_s[1 + m : length + 1], tab_r[1 : length - m + 1]) for m in ms])
     # (t_cut, length]: exact right factor, enveloped left factor
-    n_mid = np.arange(t_cut + 1, length + 1, dtype=np.float64)
-    mid_core = float(np.dot(tab_r[t_cut + 1 : length + 1], (n_mid + m) ** (-gam_s)))
+    env = np.arange(length + 1, length + max(ms) + 1, dtype=np.float64) ** (-gam_s)
+    mid = np.array([np.dot(tab_r[length - m + 1 : length + 1], env[:m]) for m in ms])
     # beyond the table: both factors enveloped, pure-power bracket
-    in_lo, in_hi = _tail_bracket(length, float(m), 0.0, gam_s, gam_r)
-    tail_lo = lo_s * mid_core + lo_s * lo_r * in_lo
-    tail_hi = hi_s * mid_core + hi_s * hi_r * in_hi
+    in_lo, in_hi = _tail_brackets(np.full(m_arr.size, length), m_arr, gam_s, gam_r)
+    tail_lo = lo_s * mid + lo_s * lo_r * in_lo
+    tail_hi = hi_s * mid + hi_s * hi_r * in_hi
     val = head + 0.5 * (tail_lo + tail_hi)
     cert = 0.5 * (tail_hi - tail_lo)
-    if cert > tail_eps * val:
+    bad = np.flatnonzero(cert > tail_eps * val)
+    if bad.size:
+        i = int(bad[0])
         raise TailBoundError(
-            f"signed-sum tail certificate {cert / val:.3g} exceeds eps={tail_eps} "
-            f"(s={s}, t={t}, h={h}, M={m}); raise tail_eps or enlarge the table"
+            f"signed-sum tail certificate {cert[i] / val[i]:.3g} exceeds eps={tail_eps} "
+            f"(s={s}, t={t}, h={h}, M={ms[i]}); raise tail_eps or enlarge the table"
         )
     return val, cert
 
@@ -437,9 +481,13 @@ def signed_composition_curve(
     s = 0 and s = t reduce to part iii evaluated at |M| (the constraint
     becomes a plain composition), read from one composition table with no
     series to truncate.  Interior cases use the exact head plus certified
-    tail; negative M folds onto the mirrored parameter (t-s, t) at -M.  Grid
-    points where the lhs vanishes (only the degenerate |M| < t delegation
-    points) are dropped.
+    tail; negative M folds onto the mirrored parameter (t-s, t) at -M.  The
+    interior points are evaluated per sign group (see ``_signed_sum_points``):
+    tables, envelopes and limit constants are looked up once, and all tails
+    of the group are bracketed in one batched call.  The l = 2 table squares
+    the cached weight spectrum instead of transforming w again.  Grid points
+    where the lhs vanishes (only the degenerate |M| < t delegation points)
+    are dropped.
 
     `tail_err` certifies series truncation only, so it is 0.0 for s = 0 and
     s = t.  FFT roundoff is not yet certified: composition tables of length
@@ -471,12 +519,13 @@ def signed_composition_curve(
             lhs.append(float(table[v]))
             err.append(0.0)
     else:
-        for m in ms:
-            ss = s if m >= 0 else t - s
-            val, cert = _signed_sum_point(ss, t, h, abs(m), tail_eps, length)
-            kept.append(m)
-            lhs.append(val)
-            err.append(cert)
+        # negative M folds onto (t - s, t) at |M|; the groups are in grid order
+        kept = ms
+        for ss, group in ((t - s, [-m for m in ms if m < 0]), (s, [m for m in ms if m >= 0])):
+            if group:
+                val, cert = _signed_sum_points(ss, t, h, group, tail_eps, length)
+                lhs.extend(val.tolist())
+                err.extend(cert.tolist())
     ms_arr = np.array(kept, dtype=np.int64)
     rhs = (np.abs(ms_arr) + 1.0) ** rhs_exp
     return RatioCurve(

@@ -24,6 +24,8 @@ from .counting import ReprTable, multiset_is_sparse, multiset_sums, validate_ele
 from .counting import repr_multiset, repr_strict
 from .fits import dyadic_fit
 
+_ZERO_SCAN = 1 << 20
+
 
 @dataclass(frozen=True)
 class BhgVerdict:
@@ -100,11 +102,15 @@ def basis_window(table: ReprTable, n_lo: int, n_hi: int) -> BasisReport:
     if table.max_n < n_hi:
         raise ValueError("table too short for requested window")
     window = table.counts[n_lo : n_hi + 1]
-    # the last zero, found without listing every zero: A's 4-fold window at
-    # N = 1e7 holds millions of them
-    zero = window == 0
-    last = zero.size - 1 - int(np.argmax(zero[::-1]))
-    last_zero = last + n_lo if zero[last] else None
+    # the last zero, scanned down from the top a piece at a time: a mask as
+    # wide as A's 4-fold window at N = 1e7 would sit on top of both tables
+    last_zero = None
+    for hi in range(window.size, 0, -_ZERO_SCAN):
+        lo = max(hi - _ZERO_SCAN, 0)
+        zero = window[lo:hi] == 0
+        if zero.any():
+            last_zero = n_lo + hi - 1 - int(np.argmax(zero[::-1]))
+            break
     coverage = float(np.count_nonzero(window) / window.size)
     fit_c, fit_exp, bins, resid = dyadic_fit(n_lo, window)
     return BasisReport(k, n_lo, n_hi, last_zero, coverage, fit_c, fit_exp, bins, resid)

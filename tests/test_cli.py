@@ -99,6 +99,26 @@ def test_lemma568_json_pinned(h, digest, tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "lemma568.json").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "flags, name, digest",
+    [
+        (["iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "2000"], "ratio_iv.csv",
+         "e52053d77958c74df48309027715ab9df9ea29306621a73e8f9d4874ef187118"),
+        (["ii", "--alpha", "0.6", "--beta", "0.7", "--mmax", "500"], "ratio_ii.csv",
+         "c806a35d5ceda307534b83cf437c6377879d373c3ee5b6a328b7b70490682d40"),
+        (["iv", "--h", "3", "--s", "2", "--t", "4", "--mmax", "2000"], "ratio_iv.csv",
+         "6b179a9990d4f6c6c9f2ce240f9412bd755d9effc30d58ffb8ad787fffca3f75"),
+        (["iv", "--h", "2", "--s", "1", "--t", "2", "--mmax", "2000"], "ratio_iv.csv",
+         "e6ada2cb5da3081a1a0cd71e3155a33fa8619fa32e85663d91be3ba4370ba52a"),
+    ],
+)
+def test_lemma4_csv_pinned(flags, name, digest, tmp_path):
+    # the bytes of the ratio CSV, as written when part ii and part iv
+    # evaluated their tails one grid point at a time
+    assert main(["lemma4", "--part", *flags, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_verify_pass(capsys):
     assert main(["verify", "--h", "2", "--n", "1500", "--seed", "2"]) == 0
     out = capsys.readouterr().out

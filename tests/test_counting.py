@@ -25,6 +25,17 @@ from tests.oracles import (
 )
 
 
+@pytest.mark.parametrize("repeats", [255, 256, 70_000])
+def test_largest_multiplicity_past_the_uint8_count(repeats):
+    # counted in uint8 first; a value repeated 256 times or more wraps
+    # there and is counted again in a dtype that holds it
+    rng = np.random.default_rng(repeats)
+    sums = np.concatenate([np.full(repeats, 4321), rng.integers(0, 4000, 3000)])
+    rng.shuffle(sums)
+    assert counting._largest_multiplicity(sums, 5000) == int(np.bincount(sums).max()) == repeats
+    assert counting._largest_multiplicity(sums[:0], 5000) == 0
+
+
 def test_multiset_examples():
     t = repr_multiset([1, 2, 3], 2, 6)
     assert t.counts.tolist() == [0, 0, 1, 1, 2, 1, 1]

@@ -16,10 +16,11 @@ from bhbasis.ratio_bounds import (
     _SERIES_TERMS,
     _composition_table,
     _fft_convolve_trunc,
-    _series_integral,
+    _series_integrals,
     _weight_array,
 )
 
+from tests import ratio_points
 from tests.curves import ratio_at
 
 
@@ -162,7 +163,7 @@ def test_fft_convolution_matches_direct():
     rng = np.random.default_rng(0)
     a, b = rng.random(3000), rng.random(3000)
     direct = np.convolve(a, b)[:3000]
-    fft = _fft_convolve_trunc(a, b, 3000)
+    fft = _fft_convolve_trunc(a, np.fft.rfft(b, 8192), 3000)
     assert np.max(np.abs(direct - fft)) < 1e-9
 
 
@@ -184,7 +185,7 @@ def test_fft_tables_match_iterated_convolution():
 
 
 def _series_integral_loop(u, a, b, alpha, beta):
-    """The coefficient loop _series_integral used before it was vectorised."""
+    """The coefficient loop the series integral used before it was vectorised."""
     s = alpha + beta
     r = max(abs(a), abs(b), 1.0)
     kk = _SERIES_TERMS
@@ -215,10 +216,20 @@ def test_series_integral_matches_coefficient_loop():
         (12.5, 2.0, -3.0, 0.3, 0.95),
     ]
     for u, a, b, alpha, beta in cases:
-        val, err = _series_integral(u, a, b, alpha, beta)
+        (val,), (err,) = _series_integrals(np.array([u]), np.array([a]), b, alpha, beta)
         want_val, want_err = _series_integral_loop(u, a, b, alpha, beta)
         assert val == pytest.approx(want_val, rel=1e-13), (u, a, b)
         assert err == pytest.approx(want_err, rel=1e-13), (u, a, b)
+
+
+def test_series_integrals_rows_equal_per_point_calls():
+    # one batched call per (b, alpha, beta) gives each row's per-point bytes
+    u = np.array([17.0, 16.5, 40.0, 1025.0, 524289.0, 524288.5])
+    a = np.array([0.0, 3.0, -9.5, 256.0, 131072.0, 5.0])
+    for b, alpha, beta in [(0.0, Q2, Q2), (0.0, 0.5714285714285714, 0.7142857142857143), (2.5, 0.8, 0.9)]:
+        vals, errs = _series_integrals(u, a, b, alpha, beta)
+        for row, (ui, ai) in enumerate(zip(u.tolist(), a.tolist())):
+            assert (vals[row], errs[row]) == ratio_points.series_integral(ui, ai, b, alpha, beta), (row, b)
 
 
 def test_signed_delegation_matches_composition_exactly():
@@ -277,3 +288,53 @@ def test_geometric_grid():
     grid = geometric_grid(1, 10_000, include=(100,))
     assert grid[0] == 1 and grid[-1] == 10_000 and 100 in grid
     assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+def _per_point_curve(s, t, h, grid, tail_eps, length):
+    """Part iv's interior lhs and certificates, one reference call per M."""
+    pairs = [
+        ratio_points.signed_sum_point(s if m >= 0 else t - s, t, h, abs(m), tail_eps, length)
+        for m in sorted(grid)
+    ]
+    return np.array([v for v, _ in pairs]), np.array([c for _, c in pairs])
+
+
+@pytest.mark.parametrize("s, t, h", [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 4, 3)])
+def test_signed_curve_matches_per_point_code(s, t, h):
+    grid = [-3000, -700, -100, -31, -5, -1, 0, 1, 2, 7, 64, 100, 999, 4000]
+    eps = 1e-6 if (s, t) == (1, 2) else 0.05
+    curve = signed_composition_curve(s, t, h, grid=grid, tail_eps=eps, length=1 << 17)
+    lhs, err = _per_point_curve(s, t, h, grid, eps, 1 << 17)
+    assert curve.lhs.tobytes() == lhs.tobytes()
+    assert curve.tail_err.tobytes() == err.tobytes()
+
+
+def test_shifted_tail_curve_matches_per_point_code():
+    grid = [-2000, -333, -40, -7, -1, 0, 1, 3, 40, 512, 2000]
+    for alpha, beta, eps in [(Q2, Q2, 1e-6), (0.6, 0.7, 1e-6), (0.8, 0.9, 1e-9)]:
+        curve = shifted_tail_curve(alpha, beta, -2000, 2000, tail_eps=eps, grid=grid)
+        pairs = [ratio_points.shifted_tail_point(alpha, beta, m, eps) for m in grid]
+        assert curve.lhs.tobytes() == np.array([v for v, _ in pairs]).tobytes()
+        assert curve.tail_err.tobytes() == np.array([c for _, c in pairs]).tobytes()
+
+
+def test_uncertifiable_point_mid_grid_is_named():
+    # at length 2^17 the (1, 3) certificates grow with M: 0.0055 at M = 50,
+    # 0.0068 at M = 400, so M = 400 is the first point above eps = 0.006
+    grid = [1, 2, 3, 50, 400, 1000, 5000]
+    with pytest.raises(TailBoundError, match=r"M=400\)"):
+        signed_composition_curve(1, 3, 2, grid=grid, tail_eps=0.006, length=1 << 17)
+    with pytest.raises(TailBoundError, match=r"M=400\)"):
+        _per_point_curve(1, 3, 2, grid, 0.006, 1 << 17)
+
+
+def test_too_large_m_raises_before_any_head(monkeypatch):
+    # |M| = 70000 exceeds half of 2^17; no head dot product may run first
+    _composition_table(2, 2, 1 << 17)
+
+    def no_dot(*args, **kwargs):
+        raise AssertionError("a head was computed")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    with pytest.raises(ValueError, match="70000 too large"):
+        signed_composition_curve(1, 3, 2, grid=[5, 70000], length=1 << 17)

@@ -60,6 +60,27 @@ def test_basis_window_last_zero_at_the_window_edges():
         assert rep.last_zero == want, zeros
 
 
+def test_basis_window_last_zero_across_scan_pieces():
+    # the last zero is searched from the top one 2^20-entry piece at a time
+    piece = 1 << 20
+    n_lo, n_hi = 7, 7 + 3 * piece - 1
+    for zeros, want in (
+        ([n_hi - piece], n_hi - piece),  # the top entry of the second piece
+        ([n_hi - piece + 1], n_hi - piece + 1),  # the bottom entry of the top piece
+        ([n_lo, n_lo + piece - 1], n_lo + piece - 1),
+        ([n_lo], n_lo),
+        ([], None),
+        ([n_lo - 1], None),
+    ):
+        counts = np.ones(n_hi + 1, dtype=np.uint16)
+        counts[zeros] = 0
+        rep = basis_window(ReprTable(counts, ("multiset", 4), 0), n_lo, n_hi)
+        assert rep.last_zero == want, zeros
+        assert rep.coverage == np.count_nonzero(counts[n_lo:]) / (n_hi - n_lo + 1)
+    rep = basis_window(ReprTable(np.zeros(n_hi + 1, dtype=np.uint16), ("multiset", 4), 0), n_lo, n_hi)
+    assert rep.last_zero == n_hi and rep.coverage == 0.0
+
+
 def test_exact_power_law_recovery():
     # real-valued exact power law: geometric-mean binning keeps log-log
     # affine, so the exponent comes back to float precision
