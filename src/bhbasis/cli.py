@@ -214,6 +214,8 @@ def cmd_lemma4(args) -> int:
             args.usage_error(f"--s must lie in [0, t] = [0, {args.t}], got {args.s}")
         if 0 < args.s < args.t == 2 * args.h:
             args.usage_error(f"--t must be below 2h = {2 * args.h} for 0 < s < t (the sum diverges), got {args.t}")
+        if args.s in (0, args.t) and args.tail_eps is not None:
+            args.usage_error(f"--part iv with --s {args.s} --t {args.t} has no tail and does not read --tail-eps")
     # part i sums over 1 <= n < M, part iii over l-tuples summing to M, and
     # part iv with s = 0 or s = t keeps only the points with |M| >= t
     lowest = {"i": 2, "iii": args.l}.get(args.part, 1)
@@ -221,8 +223,9 @@ def cmd_lemma4(args) -> int:
         lowest = args.t
     if args.mmax < lowest:
         args.usage_error(f"--mmax must be >= {lowest} for --part {args.part}, got {args.mmax}")
-    # an interior (s, t) other than (1, 2) needs |M| <= half its tables' fixed length
-    highest = ratio_bounds._LONG_TABLE // 2
+    # an interior (s, t) other than (1, 2) needs |M| <= a quarter of its
+    # tables' fixed length, where the tail bracket beyond the table starts
+    highest = ratio_bounds._LONG_TABLE // 4
     if args.part == "iv" and 0 < args.s < args.t and (args.s, args.t) != (1, 2) and args.mmax > highest:
         args.usage_error(f"--mmax must be <= {highest} for interior --s, --t other than 1, 2, got {args.mmax}")
     if args.tail_eps is not None and not args.tail_eps > 0:
@@ -307,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--seed", type=int, required=True)
         p.add_argument("--window", type=_parse_window, help="basis window lo:hi")
-        p.add_argument("--out", type=str, help="output directory")
 
     p = sub.add_parser("sample", help="draw one random set")
     p.add_argument("--h", type=int, required=True)
@@ -318,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="sample, clean, verify one seed")
     common(p)
+    p.add_argument("--out", type=str, help="output directory")
     p.add_argument("--series", action="store_true", help="also write (n, count) series CSV; needs --out")
     p.set_defaults(func=cmd_construct, usage_error=p.error)
 
@@ -327,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="multi-seed experiment with aggregates")
     common(p, seeds=True)
+    p.add_argument("--out", type=str, help="output directory")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sweep, usage_error=p.error)
 

@@ -68,10 +68,8 @@ def composition_rhs_exponent(l: int, h: int) -> Fraction:
 @dataclass(frozen=True)
 class RatioCurve:
     """Sweep of (M, lhs, rhs, ratio) with certified tail errors when the
-    lhs required truncation."""
+    lhs required truncation (None for parts i and iii)."""
 
-    part: str
-    params: dict
     m: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
@@ -145,40 +143,34 @@ def split_sum_curve(alpha: float, beta: float, m_max: int) -> RatioCurve:
     ms = np.arange(2, m_max + 1, dtype=np.int64)
     lhs = lhs_all[2:]
     rhs = ms.astype(np.float64) ** (1.0 - alpha - beta)
-    return RatioCurve("i", {"alpha": alpha, "beta": beta, "m_max": m_max}, ms, lhs, rhs)
+    return RatioCurve(ms, lhs, rhs)
 
 
 # ------------------------------------------------------- tail machinery
 
 
-def _series_integrals(u, a, b: float, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of (x+a)^-alpha (x+b)^-beta over [u, inf), one per entry of
-    the float arrays u and a, each with a certified truncation bound.
+def _series_integrals(u, a, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of (x+a)^-alpha x^-beta over [u, inf), one per entry of the
+    float arrays u and a, each with a certified truncation bound.
 
-    Expands the integrand as x^-(alpha+beta) times a binomial double series
-    in 1/x; requires u >= 4 max(|a|, |b|, 1) so the series remainder is
-    dominated by a fast geometric envelope.  Each row sums its own terms
+    Expands the integrand as x^-(alpha+beta) times the binomial series of
+    (1 + a/x)^-alpha; requires u >= 4 max(|a|, 1) so the series remainder
+    is dominated by a fast geometric envelope.  Each row sums its own terms
     with math.fsum; a row whose coefficients overflow (|a| beyond about
-    1e5) gets nan, which no certificate accepts.  For b = 0 the coefficient
-    convolution is the identity, so it is skipped.
+    1e5) gets nan, which no certificate accepts.
     """
     s = alpha + beta
     if s <= 1:
         raise TailBoundError(f"integral diverges: alpha + beta = {s} <= 1")
-    r = np.maximum(np.abs(a), max(abs(b), 1.0))
+    r = np.maximum(np.abs(a), 1.0)
     if np.any(u < 4 * r):
-        raise ValueError("series integral needs u >= 4 max(|a|, |b|, 1)")
+        raise ValueError("series integral needs u >= 4 max(|a|, 1)")
     kk = _SERIES_TERMS
     k_arr = np.arange(kk + 1, dtype=np.float64)
     j = k_arr[1:]
     ck = np.ones((a.size, kk + 1))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         np.cumprod(-(alpha + j - 1) / j * a[:, None], axis=1, out=ck[:, 1:])
-        if b != 0.0:
-            pb = np.ones(kk + 1)
-            np.cumprod(-(beta + j - 1) / j * b, out=pb[1:])
-            for row in ck:
-                row[:] = np.convolve(row, pb)[: kk + 1]
         terms = ck * u[:, None] ** (1.0 - s - k_arr) / (s + k_arr - 1.0)
     terms[~np.isfinite(terms).all(axis=1)] = np.nan
     val = [math.fsum(row.tolist()) for row in terms]
@@ -199,8 +191,8 @@ def _tail_brackets(t_cut, a, alpha: float, beta: float) -> tuple[np.ndarray, np.
     (product of such factors), so the sum lies between the integrals from
     t_cut + 1 and from t_cut + 1/2.
     """
-    low, err_low = _series_integrals(t_cut + 1.0, a, 0.0, alpha, beta)
-    high, err_high = _series_integrals(t_cut + 0.5, a, 0.0, alpha, beta)
+    low, err_low = _series_integrals(t_cut + 1.0, a, alpha, beta)
+    high, err_high = _series_integrals(t_cut + 0.5, a, alpha, beta)
     return low - err_low, high + err_high
 
 
@@ -290,14 +282,7 @@ def shifted_tail_curve(
         ms_arr + 1.0, alpha, beta, np.maximum(1, 1 - ms_arr), tail_eps, head_extra=humps
     )
     rhs = (np.abs(ms_arr) + 1.0) ** (1.0 - alpha - beta)
-    return RatioCurve(
-        "ii",
-        {"alpha": alpha, "beta": beta, "tail_eps": tail_eps},
-        ms_arr,
-        val + humps,
-        rhs,
-        err,
-    )
+    return RatioCurve(ms_arr, val + humps, rhs, err)
 
 
 # --------------------------------------------------------------- part iii
@@ -378,7 +363,7 @@ def composition_curve(l: int, h: int, m_max: int) -> RatioCurve:
     ms = np.arange(l, m_max + 1, dtype=np.int64)
     lhs = table[l:].copy()
     rhs = ms.astype(np.float64) ** float(composition_rhs_exponent(l, h))
-    return RatioCurve("iii", {"l": l, "h": h, "m_max": m_max}, ms, lhs, rhs)
+    return RatioCurve(ms, lhs, rhs)
 
 
 # ---------------------------------------------------------------- part iv
@@ -426,8 +411,10 @@ def _signed_sum_points(
     (n + M)^-gamma_s are the slice env[:M] of one vector; and the
     pure-power tail beyond the table is bracketed for every point in one
     batched call.  The tables, envelopes and limit constants are looked up
-    once.  A too-large M raises ValueError before any head is computed; an
-    uncertifiable tail raises TailBoundError naming the first such M.
+    once.  The bracket beyond the table starts at u = length + 1/2 and
+    needs u >= 4M, so an M above length/4 raises ValueError before the
+    tables are looked up; an uncertifiable tail raises TailBoundError
+    naming the first such M.
     """
     q = float(weight_exponent(h))
     m_arr = np.array(ms, dtype=np.float64)
@@ -440,13 +427,13 @@ def _signed_sum_points(
             f"signed sum diverges for interior s={s}, t={t} at h={h}: "
             f"tail exponent {gam_s + gam_r} <= 1"
         )
+    too_large = [m for m in ms if 4 * m > length]
+    if too_large:
+        raise ValueError(f"|M| = {too_large[0]} too large for table length {length}")
     tab_s = _composition_table(h, s, length)
     tab_r = _composition_table(h, t - s, length)
     lo_s, hi_s = _envelope(h, s, length), _limit_constant(h, s)
     lo_r, hi_r = _envelope(h, t - s, length), _limit_constant(h, t - s)
-    too_large = [m for m in ms if length - m < length // 2]
-    if too_large:
-        raise ValueError(f"|M| = {too_large[0]} too large for table length {length}")
     # t_cut = length - M: the head runs over n <= t_cut
     head = np.array([np.dot(tab_s[1 + m : length + 1], tab_r[1 : length - m + 1]) for m in ms])
     # (t_cut, length]: exact right factor, enveloped left factor
@@ -489,8 +476,11 @@ def signed_composition_curve(
     where the lhs vanishes (only the degenerate |M| < t delegation points)
     are dropped.
 
-    `tail_err` certifies series truncation only, so it is 0.0 for s = 0 and
-    s = t.  FFT roundoff is not yet certified: composition tables of length
+    `tail_eps` bounds each interior point's relative tail certificate
+    (default 1e-6 for t = 2, else 0.05); s = 0 and s = t have no tail and
+    do not read it.  Interior points need |M| <= length/4.  `tail_err`
+    certifies series truncation only, so it is 0.0 for s = 0 and s = t.
+    FFT roundoff is not yet certified: composition tables of length
     6324 and more are built by FFT (see ``_composition_table``), which
     affects the s = 0 and s = t values once max|M| >= 6324 and the interior
     heads at the default `length`.  ROADMAP "Certify every part-iii/iv
@@ -505,7 +495,7 @@ def signed_composition_curve(
     ms = sorted(set(int(m) for m in grid))
     rhs_exp = float(composition_rhs_exponent(t, h))
     if tail_eps is None:
-        tail_eps = 1e-6 if (s in (0, t) or t == 2) else 0.05
+        tail_eps = 1e-6 if t == 2 else 0.05
 
     kept, lhs, err = [], [], []
     max_abs = max(abs(m) for m in ms) if ms else 0
@@ -528,11 +518,4 @@ def signed_composition_curve(
                 err.extend(cert.tolist())
     ms_arr = np.array(kept, dtype=np.int64)
     rhs = (np.abs(ms_arr) + 1.0) ** rhs_exp
-    return RatioCurve(
-        "iv",
-        {"s": s, "t": t, "h": h, "tail_eps": tail_eps},
-        ms_arr,
-        np.array(lhs),
-        rhs,
-        np.array(err),
-    )
+    return RatioCurve(ms_arr, np.array(lhs), rhs, np.array(err))

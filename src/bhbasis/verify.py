@@ -29,8 +29,10 @@ _ZERO_SCAN = 1 << 20
 
 @dataclass(frozen=True)
 class BhgVerdict:
-    """Outcome of a B_h[g] check: ok, smallest violating target if any,
-    and whether the scan window covered every representable target."""
+    """Outcome of a B_h[g] check: ok, smallest violating target if any, and
+    the scanned window [0, max_n].  The scan always covers every
+    representable target, so window_limited is always false; the field
+    stays because stored reports carry it."""
 
     ok: bool
     witness: int | None
@@ -41,32 +43,24 @@ class BhgVerdict:
         return asdict(self)
 
 
-def is_bhg(a, h: int, g: int, max_n: int | None = None) -> BhgVerdict:
-    """True iff every target n <= max_n has at most g nondecreasing h-fold
-    representations in a.
-
-    max_n defaults to h * max(a), which makes the scan exhaustive; passing a
-    smaller window flags the verdict window_limited instead of raising.
-    """
+def is_bhg(a, h: int, g: int) -> BhgVerdict:
+    """True iff every target n has at most g nondecreasing h-fold
+    representations in a; the scan covers every n <= h * max(a)."""
     if g < 1:
         raise ValueError("g must be >= 1")
     arr = validate_elements(a)
     if arr.size == 0:
-        return BhgVerdict(True, None, False, 0 if max_n is None else max_n)
-    full = h * int(arr[-1])
-    if max_n is None:
-        max_n = full
-    window_limited = max_n < full
-    arr = arr[arr <= max_n]
+        return BhgVerdict(True, None, False, 0)
+    max_n = h * int(arr[-1])
     if multiset_is_sparse(arr, h, max_n):
         sums = multiset_sums(arr, h, limit=max_n + 1)
-        uniq, cnt = np.unique(sums[sums <= max_n], return_counts=True)
+        uniq, cnt = np.unique(sums, return_counts=True)
         bad = uniq[cnt > g]
     else:
         bad = np.flatnonzero(repr_multiset(arr, h, max_n).counts > g)
     if bad.size:
-        return BhgVerdict(False, int(bad[0]), window_limited, max_n)
-    return BhgVerdict(True, None, window_limited, max_n)
+        return BhgVerdict(False, int(bad[0]), False, max_n)
+    return BhgVerdict(True, None, False, max_n)
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,9 @@ def signed_sum_point(s, t, h, m, tail_eps, length):
     tab_r = _composition_table(h, t - s, length)
     lo_s, hi_s = _envelope(h, s, length), _limit_constant(h, s)
     lo_r, hi_r = _envelope(h, t - s, length), _limit_constant(h, t - s)
-    t_cut = length - m
-    if t_cut < length // 2:
+    if 4 * m > length:
         raise ValueError(f"|M| = {m} too large for table length {length}")
+    t_cut = length - m
     head = float(np.dot(tab_s[1 + m : t_cut + m + 1], tab_r[1 : t_cut + 1]))
     n_mid = np.arange(t_cut + 1, length + 1, dtype=np.float64)
     mid_core = float(np.dot(tab_r[t_cut + 1 : length + 1], (n_mid + m) ** (-gam_s)))

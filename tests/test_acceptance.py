@@ -2,11 +2,15 @@
 
 Each test prints one PASS/FAIL line per asserted condition before asserting,
 so a red criterion still reports its measurements.  Criteria 3a (coverage
-threshold), 5 (ratio-flatness thresholds) and 7b (one-sided saturation)
-encode asymptotic expectations that the construction provably approaches
-only beyond desk scale; they are asserted as stated and fail with
-quantitative diagnostics rather than being loosened.  See the failure
-messages for the analysis.
+threshold), 5 (ratio-flatness thresholds) and 7b (one-sided saturation) are
+asserted as stated and fail at desk scale with quantitative diagnostics
+rather than being loosened.  Whether 3a and 7b pass at larger N is not
+derived.  Criterion 5's sup check fails at any sweep end that reaches 1e4
+for five part-iii curves and their s = 0 and s = t mirrors (its 15 sup
+violations): each part-iii ratio with l >= 2 rises monotonically on
+[100, 1e4], and at 1e4 the sup/anchor of these five already reads 2.195
+(h = 2, l = 4) and 2.026, 3.085, 4.874, 7.962 (h = 3, l = 3..6).  See the
+failure messages for the analysis.
 """
 
 import json

@@ -298,6 +298,8 @@ def _no_work(*args, **kwargs):
         (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--tail-eps", "0"], "--tail-eps"),
         (["lemma4", "--part", "ii", "--alpha", "0.6", "--beta", "0.7", "--mmax", "10", "--tail-eps", "0"], "--tail-eps"),
         (["lemma4", "--part", "ii", "--alpha", "0.6", "--beta", "0.7", "--tail-eps", "nan"], "--tail-eps"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "131073"], "--mmax"),
+        (["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "200000"], "--mmax"),
     ],
 )
 def test_lemma_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, capsys):
@@ -309,6 +311,17 @@ def test_lemma_flags_out_of_range_are_usage_errors(argv, flag, monkeypatch, caps
         main(argv)
     assert exc.value.code == 2
     assert f"error: {flag} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["0", "2"])
+def test_lemma4_part_iv_without_tail_refuses_tail_eps(s, monkeypatch, capsys):
+    # s = 0 and s = t are plain composition sums with no tail to certify
+    for name in ("geometric_grid", "signed_composition_curve"):
+        monkeypatch.setattr(ratio_bounds, name, _no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma4", "--part", "iv", "--h", "2", "--s", s, "--t", "2", "--tail-eps", "0.001"])
+    assert exc.value.code == 2
+    assert "does not read --tail-eps" in capsys.readouterr().err
 
 
 def test_lemma4_uncertifiable_tail_is_one_fail_line(capsys):
@@ -391,6 +404,16 @@ def test_format_only_on_sweep(command, capsys):
         main([command, "--h", "2", "--n", "200", "--seed", "1", "--format", "csv"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def test_verify_takes_no_out(tmp_path, monkeypatch, capsys):
+    # verify prints PASS/FAIL lines and writes nothing, so --out is unknown
+    monkeypatch.setattr(harness, "sample_set", _no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--h", "2", "--n", "1500", "--seed", "2", "--out", str(tmp_path / "verify")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "verify").exists()
 
 
 def test_missing_seeds_rejected(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bhbasis import ratio_bounds
 from bhbasis.ratio_bounds import (
     TailBoundError,
     composition_curve,
@@ -206,30 +207,28 @@ def _series_integral_loop(u, a, b, alpha, beta):
 
 
 def test_series_integral_matches_coefficient_loop():
+    # the second shift b of the reference loop is 0, as in every tail bracket
     cases = [
-        (17.0, 0.0, 0.0, Q2, Q2),
-        (16.5, 3.0, 0.0, Q2, Q2),
-        (40.0, -9.5, 0.0, 0.8, 0.9),
-        (40.0, -9.5, 7.25, 0.8, 0.9),
-        (1025.0, 256.0, -100.0, 0.6, 0.7),
-        (524289.0, 131072.0, 0.0, 0.5714285714285714, 0.7142857142857143),
-        (12.5, 2.0, -3.0, 0.3, 0.95),
+        (17.0, 0.0, Q2, Q2),
+        (16.5, 3.0, Q2, Q2),
+        (40.0, -9.5, 0.8, 0.9),
+        (524289.0, 131072.0, 0.5714285714285714, 0.7142857142857143),
     ]
-    for u, a, b, alpha, beta in cases:
-        (val,), (err,) = _series_integrals(np.array([u]), np.array([a]), b, alpha, beta)
-        want_val, want_err = _series_integral_loop(u, a, b, alpha, beta)
-        assert val == pytest.approx(want_val, rel=1e-13), (u, a, b)
-        assert err == pytest.approx(want_err, rel=1e-13), (u, a, b)
+    for u, a, alpha, beta in cases:
+        (val,), (err,) = _series_integrals(np.array([u]), np.array([a]), alpha, beta)
+        want_val, want_err = _series_integral_loop(u, a, 0.0, alpha, beta)
+        assert val == pytest.approx(want_val, rel=1e-13), (u, a)
+        assert err == pytest.approx(want_err, rel=1e-13), (u, a)
 
 
 def test_series_integrals_rows_equal_per_point_calls():
-    # one batched call per (b, alpha, beta) gives each row's per-point bytes
+    # one batched call per (alpha, beta) gives each row's per-point bytes
     u = np.array([17.0, 16.5, 40.0, 1025.0, 524289.0, 524288.5])
     a = np.array([0.0, 3.0, -9.5, 256.0, 131072.0, 5.0])
-    for b, alpha, beta in [(0.0, Q2, Q2), (0.0, 0.5714285714285714, 0.7142857142857143), (2.5, 0.8, 0.9)]:
-        vals, errs = _series_integrals(u, a, b, alpha, beta)
+    for alpha, beta in [(Q2, Q2), (0.5714285714285714, 0.7142857142857143)]:
+        vals, errs = _series_integrals(u, a, alpha, beta)
         for row, (ui, ai) in enumerate(zip(u.tolist(), a.tolist())):
-            assert (vals[row], errs[row]) == ratio_points.series_integral(ui, ai, b, alpha, beta), (row, b)
+            assert (vals[row], errs[row]) == ratio_points.series_integral(ui, ai, 0.0, alpha, beta), (row, alpha)
 
 
 def test_signed_delegation_matches_composition_exactly():
@@ -329,7 +328,7 @@ def test_uncertifiable_point_mid_grid_is_named():
 
 
 def test_too_large_m_raises_before_any_head(monkeypatch):
-    # |M| = 70000 exceeds half of 2^17; no head dot product may run first
+    # |M| = 70000 exceeds a quarter of 2^17; no head dot product may run first
     _composition_table(2, 2, 1 << 17)
 
     def no_dot(*args, **kwargs):
@@ -338,3 +337,21 @@ def test_too_large_m_raises_before_any_head(monkeypatch):
     monkeypatch.setattr(np, "dot", no_dot)
     with pytest.raises(ValueError, match="70000 too large"):
         signed_composition_curve(1, 3, 2, grid=[5, 70000], length=1 << 17)
+
+
+def test_interior_m_above_a_quarter_of_the_table_is_refused(monkeypatch):
+    # the tail bracket beyond the table starts at u = length + 1/2 and needs
+    # u >= 4|M|: 2^17 is the last |M| a 2^19 table serves, and 2^17 + 1 is
+    # refused before any table or envelope is looked up
+    curve = signed_composition_curve(1, 3, 2, grid=[131072])
+    assert curve.lhs[0] == pytest.approx(9.2372, rel=1e-4)
+    assert curve.tail_err[0] == pytest.approx(0.0714, rel=1e-2)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was looked up")
+
+    monkeypatch.setattr(ratio_bounds, "_composition_table", no_table)
+    monkeypatch.setattr(ratio_bounds, "_envelope", no_table)
+    for grid in ([131073], [-131073], [5, 131073]):
+        with pytest.raises(ValueError, match="131073 too large"):
+            signed_composition_curve(1, 3, 2, grid=grid)

@@ -24,10 +24,11 @@ def test_is_bhg_examples():
 
 
 def test_is_bhg_window_flag():
+    # the scan always covers every target up to h * max(a)
     full = is_bhg([1, 2, 5, 11], 2, 1)
     assert full.window_limited is False and full.max_n == 22
-    partial = is_bhg([1, 2, 5, 11], 2, 1, max_n=10)
-    assert partial.window_limited is True
+    with pytest.raises(TypeError):
+        is_bhg([1, 2, 5, 11], 2, 1, max_n=10)
 
 
 def test_is_bhg_methods_agree():
