@@ -22,7 +22,9 @@ is the unit of work: the tails of all its points are bracketed in one
 batched series evaluation (per cutoff-doubling round for the shifted sums
 of part ii and part iv's (s, t) = (1, 2), per sign group for the other
 interior part-iv curves), and each point keeps the exact head, bounds and
-bytes it would have on its own.  Signed-constraint sums whose
+bytes it would have on its own.  Curve (s, t) of part iv at -M is curve
+(t - s, t) at M, so each folded sign group is evaluated once per process
+and serves both curves.  Signed-constraint sums whose
 factors are genuine convolution curves use two-sided envelopes
 c_lo * x^-gamma <= S_l(x) <= c_hi * x^-gamma, where c_hi is the exact
 limiting constant Gamma(1-q)^l / Gamma(l(1-q)) and c_lo is the last
@@ -156,8 +158,9 @@ def _series_integrals(u, a, alpha: float, beta: float) -> tuple[np.ndarray, np.n
     Expands the integrand as x^-(alpha+beta) times the binomial series of
     (1 + a/x)^-alpha; requires u >= 4 max(|a|, 1) so the series remainder
     is dominated by a fast geometric envelope.  Each row sums its own terms
-    with math.fsum; a row whose coefficients overflow (|a| beyond about
-    1e5) gets nan, which no certificate accepts.
+    with math.fsum.  A row whose coefficients a^k overflow (|a| beyond about
+    1.5e5) carries (a/u)^k instead, times u^(1-s); every other row keeps the
+    unscaled arithmetic.
     """
     s = alpha + beta
     if s <= 1:
@@ -172,7 +175,14 @@ def _series_integrals(u, a, alpha: float, beta: float) -> tuple[np.ndarray, np.n
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         np.cumprod(-(alpha + j - 1) / j * a[:, None], axis=1, out=ck[:, 1:])
         terms = ck * u[:, None] ** (1.0 - s - k_arr) / (s + k_arr - 1.0)
-    terms[~np.isfinite(terms).all(axis=1)] = np.nan
+    over = ~np.isfinite(terms).all(axis=1)
+    if over.any():
+        # |a/u| <= 1/4, so the scaled terms cannot overflow
+        uo = u[over]
+        sc = np.ones((uo.size, kk + 1))
+        with np.errstate(under="ignore"):
+            np.cumprod(-(alpha + j - 1) / j * (a[over] / uo)[:, None], axis=1, out=sc[:, 1:])
+            terms[over] = sc * (uo ** (1.0 - s))[:, None] / (s + k_arr - 1.0)
     val = [math.fsum(row.tolist()) for row in terms]
     # the bound in Python floats: libm's pow, which numpy's vector pow does
     # not match bit for bit
@@ -313,7 +323,7 @@ def _composition_table(h: int, l: int, length: int) -> np.ndarray:
     else:
         prev = _composition_table(h, l - 1, length)
         if (length + 1) ** 2 <= 40_000_000:
-            out = np.convolve(prev, _weight_array(h, length))[: length + 1]
+            out = np.convolve(prev, _composition_table(h, 1, length))[: length + 1]
         else:
             # index 0 of both factors is zero, so convolve from index 1 on
             # (half the transform size) against the cached spectrum of w[1:]
@@ -334,7 +344,7 @@ def _composition_table(h: int, l: int, length: int) -> np.ndarray:
 def _weight_spectrum(h: int, length: int) -> np.ndarray:
     """rfft of w[1:], shared by every order of the (h, length) tables."""
     n = _fft_size(2 * length - 1)
-    return np.fft.rfft(_weight_array(h, length)[1:], n)
+    return np.fft.rfft(_composition_table(h, 1, length)[1:], n)
 
 
 def _fft_size(n_linear: int) -> int:
@@ -403,7 +413,7 @@ def _signed_sum_points(
     s: int, t: int, h: int, ms: list[int], tail_eps: float, length: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """lhs of part iv, with certificates, at the points M >= 0 of `ms` (one
-    sign group of a curve, in grid order) for interior 0 < s < t.
+    sign group of a curve) for interior 0 < s < t.
 
     (s, t) = (1, 2) is a shifted sum of two weights.  Otherwise each point's
     head pairs two exact table slices; its mid range (t_cut, length] pairs
@@ -414,7 +424,8 @@ def _signed_sum_points(
     once.  The bracket beyond the table starts at u = length + 1/2 and
     needs u >= 4M, so an M above length/4 raises ValueError before the
     tables are looked up; an uncertifiable tail raises TailBoundError
-    naming the first such M.
+    naming the first such M.  Each point's value does not depend on the
+    other points of `ms` or their order.
     """
     q = float(weight_exponent(h))
     m_arr = np.array(ms, dtype=np.float64)
@@ -455,6 +466,20 @@ def _signed_sum_points(
     return val, cert
 
 
+@lru_cache(maxsize=64)
+def _signed_group(s: int, t: int, h: int, ms: tuple[int, ...], tail_eps: float, length: int):
+    """``_signed_sum_points`` at the ascending points `ms`, once per process.
+
+    Curve (s, t) at -M is curve (t - s, t) at M, so on a symmetric grid the
+    negative group of one curve is the positive group of its mirror.  The
+    arrays are read-only.
+    """
+    val, cert = _signed_sum_points(s, t, h, list(ms), tail_eps, length)
+    val.flags.writeable = False
+    cert.flags.writeable = False
+    return val, cert
+
+
 def signed_composition_curve(
     s: int,
     t: int,
@@ -471,14 +496,18 @@ def signed_composition_curve(
     tail; negative M folds onto the mirrored parameter (t-s, t) at -M.  The
     interior points are evaluated per sign group (see ``_signed_sum_points``):
     tables, envelopes and limit constants are looked up once, and all tails
-    of the group are bracketed in one batched call.  The l = 2 table squares
+    of the group are bracketed in one batched call.  Each folded group (M < 0,
+    M = 0 and M > 0, keyed by ascending |M|) is evaluated once per process,
+    so on a symmetric grid curve (t - s, t) reads its positive points from
+    the negative group of (s, t) and the reverse.  The l = 2 table squares
     the cached weight spectrum instead of transforming w again.  Grid points
     where the lhs vanishes (only the degenerate |M| < t delegation points)
     are dropped.
 
     `tail_eps` bounds each interior point's relative tail certificate
     (default 1e-6 for t = 2, else 0.05); s = 0 and s = t have no tail and
-    do not read it.  Interior points need |M| <= length/4.  `tail_err`
+    refuse it with ValueError.  Interior points need |M| <= length/4.  An
+    error names the first failing M in grid order.  `tail_err`
     certifies series truncation only, so it is 0.0 for s = 0 and s = t.
     FFT roundoff is not yet certified: composition tables of length
     6324 and more are built by FFT (see ``_composition_table``), which
@@ -492,6 +521,8 @@ def signed_composition_curve(
         raise ValueError(f"t must not exceed 2h = {2 * h}")
     if t == 0:
         raise ValueError("t must be positive")
+    if s in (0, t) and tail_eps is not None:
+        raise ValueError(f"s = {s}, t = {t} has no tail and does not read tail_eps")
     ms = sorted(set(int(m) for m in grid))
     rhs_exp = float(composition_rhs_exponent(t, h))
     if tail_eps is None:
@@ -509,13 +540,27 @@ def signed_composition_curve(
             lhs.append(float(table[v]))
             err.append(0.0)
     else:
-        # negative M folds onto (t - s, t) at |M|; the groups are in grid order
+        # negative M folds onto (t - s, t) at |M|, read in ascending |M| and
+        # reversed into grid order; M = 0 is a group of its own.  Each group
+        # is listed with the sign group it belongs to, in grid order
         kept = ms
-        for ss, group in ((t - s, [-m for m in ms if m < 0]), (s, [m for m in ms if m >= 0])):
-            if group:
-                val, cert = _signed_sum_points(ss, t, h, group, tail_eps, length)
-                lhs.extend(val.tolist())
-                err.extend(cert.tolist())
+        neg = sorted(-m for m in ms if m < 0)
+        zero, pos = [m for m in ms if m == 0], [m for m in ms if m > 0]
+        for ss, group, step, sign_group in ((t - s, neg, -1, neg[::-1]), (s, zero, 1, zero + pos), (s, pos, 1, pos)):
+            if not group:
+                continue
+            try:
+                val, cert = _signed_group(ss, t, h, tuple(group), tail_eps, length)
+            except (ValueError, TailBoundError) as exc:
+                failed = exc
+            else:
+                lhs.extend(val[::step].tolist())
+                err.extend(cert[::step].tolist())
+                continue
+            if sign_group != group:
+                # the error of the whole sign group in grid order names its first failing M
+                _signed_sum_points(ss, t, h, sign_group, tail_eps, length)
+            raise failed
     ms_arr = np.array(kept, dtype=np.int64)
     rhs = (np.abs(ms_arr) + 1.0) ** rhs_exp
     return RatioCurve(ms_arr, np.array(lhs), rhs, np.array(err))

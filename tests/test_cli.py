@@ -155,6 +155,13 @@ def test_lemma4_part_iv(capsys):
     assert "sup_ratio=" in capsys.readouterr().out
 
 
+def test_lemma4_part_ii_certifies_beyond_coefficient_overflow(capsys):
+    # |M| up to 2e5 lies past the |a| where the series coefficients a^k overflow
+    rc = main(["lemma4", "--part", "ii", "--alpha", "0.6", "--beta", "0.7", "--mmax", "200000"])
+    assert rc == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 _GRID = ratio_bounds.geometric_grid(1, 60, include=(100,))
 _SIGNED = [-m for m in _GRID] + _GRID
 

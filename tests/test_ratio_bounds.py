@@ -258,7 +258,7 @@ def test_signed_pair_diagonal_sum():
 def test_signed_sign_fold_symmetry():
     pos = signed_composition_curve(1, 3, 2, grid=[70])
     neg = signed_composition_curve(2, 3, 2, grid=[-70])
-    assert pos.lhs[0] == pytest.approx(neg.lhs[0], rel=1e-12)
+    assert pos.lhs[0] == neg.lhs[0]
 
 
 def test_signed_interior_refinement_consistency():
@@ -276,6 +276,15 @@ def test_signed_divergence_and_domain_errors():
         signed_composition_curve(1, 5, 2, grid=[10])  # t > 2h
     with pytest.raises(ValueError):
         signed_composition_curve(3, 2, 2, grid=[10])
+
+
+@pytest.mark.parametrize("s", [0, 2])
+def test_signed_without_tail_refuses_tail_eps(s):
+    # s = 0 and s = t are plain composition sums: there is no tail to certify
+    grid = [-5] if s == 0 else [5]
+    assert signed_composition_curve(s, 2, 2, grid=grid).tail_err.tolist() == [0.0]
+    with pytest.raises(ValueError, match="does not read tail_eps"):
+        signed_composition_curve(s, 2, 2, grid=grid, tail_eps=1e-30)
 
 
 def test_signed_tail_eps_enforced():
@@ -327,6 +336,23 @@ def test_uncertifiable_point_mid_grid_is_named():
         _per_point_curve(1, 3, 2, grid, 0.006, 1 << 17)
 
 
+def test_negative_group_error_names_first_m_in_grid_order():
+    # the negative group is cached in ascending |M|; its error still names
+    # the first failing M in grid order, the largest |M| that fails
+    grid = [-5000, -1000, -400, -50, -3]
+    with pytest.raises(TailBoundError, match=r"M=5000\)"):
+        signed_composition_curve(2, 3, 2, grid=grid, tail_eps=0.006, length=1 << 17)
+    with pytest.raises(ValueError, match="70000 too large"):
+        signed_composition_curve(1, 3, 2, grid=[-70000, -40000, 5], length=1 << 17)
+    # M = 0 is cached apart from M > 0, but a too-large M > 0 still comes
+    # first, as in the sign group M >= 0
+    with pytest.raises(ValueError, match="70000 too large"):
+        signed_composition_curve(1, 3, 2, grid=[0, 70000], tail_eps=1e-9, length=1 << 17)
+    # (1, 2): the cutoff named is that of M = -300 (4 * 300 + 1 doubled past 2^24)
+    with pytest.raises(TailBoundError, match="below cutoff 19677184$"):
+        signed_composition_curve(1, 2, 2, grid=[-300, -5, 0, 5, 300], tail_eps=1e-13)
+
+
 def test_too_large_m_raises_before_any_head(monkeypatch):
     # |M| = 70000 exceeds a quarter of 2^17; no head dot product may run first
     _composition_table(2, 2, 1 << 17)
@@ -355,3 +381,92 @@ def test_interior_m_above_a_quarter_of_the_table_is_refused(monkeypatch):
     for grid in ([131073], [-131073], [5, 131073]):
         with pytest.raises(ValueError, match="131073 too large"):
             signed_composition_curve(1, 3, 2, grid=grid)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_mirror_curves_agree_bytewise_in_either_order(h):
+    # curve (s, t) at -M is curve (t - s, t) at M, byte for byte, whichever
+    # of the two runs first on a cold group cache
+    pos = [1, 7, 100, 3000]
+    grid = [-m for m in pos] + [0] + pos
+    # every convergent interior (s, t): 0 < s < t < 2h
+    for s, t in [(s, t) for t in range(2, 2 * h) for s in range(1, t)]:
+        eps = None if t == 2 else 0.5
+        runs = []
+        for order in (((s, t), (t - s, t)), ((t - s, t), (s, t))):
+            ratio_bounds._signed_group.cache_clear()
+            kwargs = {"grid": grid, "tail_eps": eps, "length": 1 << 17}
+            runs.append({pair: signed_composition_curve(*pair, h, **kwargs) for pair in order})
+            # M = 0 is a group of its own, so both nonzero groups of the
+            # second curve (and the first's positive one, if it is its own
+            # mirror) come from the cache
+            assert ratio_bounds._signed_group.cache_info().hits == (4 if 2 * s == t else 2), (h, order)
+        for curves in runs:
+            here, mirror = curves[(s, t)], curves[(t - s, t)]
+            i, j = np.searchsorted(here.m, [-m for m in pos]), np.searchsorted(mirror.m, pos)
+            assert here.lhs[i].tobytes() == mirror.lhs[j].tobytes(), (h, s, t)
+            assert here.tail_err[i].tobytes() == mirror.tail_err[j].tobytes(), (h, s, t)
+        for pair in ((s, t), (t - s, t)):
+            assert runs[0][pair].lhs.tobytes() == runs[1][pair].lhs.tobytes(), (h, pair)
+            assert runs[0][pair].tail_err.tobytes() == runs[1][pair].tail_err.tobytes(), (h, pair)
+
+
+def test_mirror_curve_runs_no_head(monkeypatch):
+    # on a symmetric grid without 0, both sign groups of (2, 3) are the
+    # groups (1, 3) already evaluated
+    grid = [-700, -5, 5, 700]
+    ratio_bounds._signed_group.cache_clear()
+    first = signed_composition_curve(1, 3, 2, grid=grid, length=1 << 17)
+
+    def no_dot(*args, **kwargs):
+        raise AssertionError("a head was computed")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    mirror = signed_composition_curve(2, 3, 2, grid=grid, length=1 << 17)
+    assert mirror.lhs.tobytes() == first.lhs[::-1].tobytes()
+    assert ratio_bounds._signed_group.cache_info().hits == 2
+
+
+def test_cached_groups_are_read_only():
+    ratio_bounds._signed_group.cache_clear()
+    curve = signed_composition_curve(1, 3, 2, grid=[-70, -5, 5, 70], length=1 << 17)
+    for val, cert in (ratio_bounds._signed_group(s, 3, 2, (5, 70), 0.05, 1 << 17) for s in (1, 2)):
+        assert not val.flags.writeable and not cert.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            val[0] = 0.0
+    assert curve.lhs[2:].tolist() == ratio_bounds._signed_group(1, 3, 2, (5, 70), 0.05, 1 << 17)[0].tolist()
+
+
+def _shifted_sum_bracket(alpha, beta, m, n_head=1 << 22):
+    """Independent bracket of part ii's sum_{n >= 1} (|n+M|+1)^-alpha n^-beta:
+    an exact head over n <= n_head plus closed-form integral bounds of the
+    rest, where the summand lies between (n + max(a, 0))^-s and
+    (n + min(a, 0))^-s for a = M + 1 and s = alpha + beta, decreasing in n."""
+    s, a = alpha + beta, m + 1.0
+    head = 0.0
+    for lo in range(1, n_head + 1, 1 << 20):
+        n = np.arange(lo, min(lo + (1 << 20), n_head + 1), dtype=np.float64)
+        head += float(np.sum((np.abs(n + m) + 1.0) ** (-alpha) * n ** (-beta)))
+    low = (n_head + 1 + max(a, 0.0)) ** (1 - s) / (s - 1)
+    high = (n_head + min(a, 0.0)) ** (1 - s) / (s - 1)
+    return head + low, head + high
+
+
+@pytest.mark.parametrize("m", [150_000, -150_000])
+def test_shifted_sum_certified_beyond_coefficient_overflow(m):
+    # a^k overflows for |a| near 1.5e5 at k = 60; those rows carry (a/u)^k
+    curve = shifted_tail_curve(0.6, 0.7, -10, 10, grid=[m])
+    lo, hi = _shifted_sum_bracket(0.6, 0.7, m)
+    assert lo <= curve.lhs[0] <= hi, (lo, curve.lhs[0], hi)
+    assert curve.tail_err[0] <= 1e-6 * curve.lhs[0]
+    if m > 0:
+        assert (round(lo, 6), round(hi, 6)) == (0.165904, 0.166264)
+
+
+def test_signed_pair_certified_beyond_coefficient_overflow():
+    # part iv's (1, 2) at M >= 1 sums (n+M)^-q n^-q over n >= 1, part ii's sum at M - 1
+    curve = signed_composition_curve(1, 2, 2, grid=[-150_000, 150_000])
+    lo, hi = _shifted_sum_bracket(Q2, Q2, 150_000 - 1)
+    assert curve.lhs[0] == curve.lhs[1]
+    assert lo <= curve.lhs[1] <= hi, (lo, curve.lhs[1], hi)
+    assert curve.tail_err[1] <= 1e-6 * curve.lhs[1]
