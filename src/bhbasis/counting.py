@@ -35,6 +35,14 @@ each dense row adds at most one shifted copy of the row below per element
 that fits, so no entry exceeds (largest multiplicity in the last sparse
 row) x (fitting elements)^(rows above it), and the table and every dense
 row take the smaller of the two bounds.
+
+Sum-lists follow one rule too: every sparse row the kernel holds, and the
+list ``multiset_sums`` returns, is int32 when every sum it may hold (at most
+max_n) is below 2^31, and int64 otherwise (``_sum_dtype``).  At N = 1e7 the
+held row of B's 4-fold table is about 6e6 sums, so int32 halves the largest
+buffer of a basis check.  Only the candidate blocks of ``_blocks``, at most
+``_BLOCK`` entries, are formed in int64 before the sums beyond max_n are
+dropped.
 """
 
 from __future__ import annotations
@@ -109,6 +117,18 @@ def _count_dtype(bound: int):
     raise OverflowError(f"count bound {bound} exceeds the uint64 maximum {np.iinfo(np.uint64).max}")
 
 
+def _sum_dtype(max_n: int):
+    """The dtype of a sum-list whose sums are at most max_n: int32 below
+    2^31, int64 otherwise."""
+    return np.int32 if max_n <= np.iinfo(np.int32).max else np.int64
+
+
+def _row0(xs: list[int], max_n: int):
+    """Row 0 of the kernel, the empty tuple's sum before every group:
+    (sums, ends) of a sum-list that holds sums up to max_n."""
+    return np.zeros(1, dtype=_sum_dtype(max_n)), np.ones(len(xs) + 1, dtype=np.int64)
+
+
 def _extended(ends: np.ndarray, adds: np.ndarray, max_n: int, order: str) -> list[int]:
     """For each index whose addend fits below max_n, the number of leading
     tuples of a sparse row (grouped by last index, see ``_blocks``) that the
@@ -149,7 +169,7 @@ def _next_row(sums, ends, xs: list[int], w: int, max_n: int, order: str):
     max_n is never written, so in a large row it is never paged in; a
     concatenation of the blocks would hold the row twice."""
     adds = w * np.asarray(xs, dtype=np.int64)
-    row = np.empty(sum(_extended(ends, adds, max_n, order)), dtype=np.int64)
+    row = np.empty(sum(_extended(ends, adds, max_n, order)), dtype=_sum_dtype(max_n))
     sizes = np.zeros(len(xs) + 1, dtype=np.int64)
     size = 0
     for i0, counts, part in _blocks(sums, ends, xs, w, max_n, order):
@@ -176,7 +196,7 @@ def _sparse_rows(xs: list[int], weights: tuple[int, ...], width: int, order: str
     The top row is priced by ``_scatters_top_row`` once the table exists.
     """
     t = len(weights)
-    sums, ends = np.zeros(1, dtype=np.int64), np.ones(len(xs) + 1, dtype=np.int64)  # row 0
+    sums, ends = _row0(xs, width - 1)
     for j, w in enumerate(weights[:-1], start=1):
         size = sum(_extended(ends, w * np.asarray(xs, dtype=np.int64), width - 1, order))
         if size * _SCATTER_BYTES >= _dense_cells(xs, w, width) * itemsize or size > (t - j + 1) * width:
@@ -274,12 +294,16 @@ def _add_segmented_top_row(out: np.ndarray, sums, ends, xs: list[int], w: int, o
     """
     width = out.size
     seg = _SEGMENT_BYTES // out.itemsize
-    cuts = np.arange(-(-width // seg) + 1, dtype=np.int64) * seg
+    # Segment starts, all below width, in the sums' dtype: searchsorted
+    # would otherwise search a converted copy of each group.  Every sum is
+    # below the last segment's end, so a group's last edge is its end.
+    cuts = np.arange(-(-width // seg), dtype=sums.dtype) * seg
     starts, lag = _groups(sums, ends, order)
-    edges = np.empty((cuts.size, len(starts) - 1), dtype=np.int64)
+    edges = np.empty((cuts.size + 1, len(starts) - 1), dtype=np.int64)
+    edges[-1] = starts[1:]
     for g, (lo, hi) in enumerate(zip(starts, starts[1:])):
         sums[lo:hi].sort()
-        edges[:, g] = lo + np.searchsorted(sums[lo:hi], cuts)
+        edges[:-1, g] = lo + np.searchsorted(sums[lo:hi], cuts)
     sums %= seg
     edges = edges.tolist()
     last = len(starts) - 2
@@ -463,7 +487,8 @@ def multiset_sums(a, h: int, *, limit: int = 8_000_000) -> np.ndarray:
     if total > limit:
         raise ValueError(f"{total} multisets exceeds enumeration limit {limit}")
     xs = arr.tolist()
-    sums, ends = np.zeros(1, dtype=np.int64), np.ones(len(xs) + 1, dtype=np.int64)  # row 0
+    max_n = h * int(arr.max(initial=0))
+    sums, ends = _row0(xs, max_n)
     for _ in range(h):
-        sums, ends = _next_row(sums, ends, xs, 1, h * int(arr.max(initial=0)), _NONDECREASING)
+        sums, ends = _next_row(sums, ends, xs, 1, max_n, _NONDECREASING)
     return sums

@@ -29,6 +29,8 @@ from .sampling import ModelParams, expected_count, sample_set
 
 SCHEMA_VERSION = 1
 _ONE_SIDED_ARITY = 3
+# targets per piece of the floor check's quotients
+_FLOOR_PIECE = 1 << 16
 
 def _jsonify(obj):
     if isinstance(obj, dict):
@@ -157,9 +159,17 @@ def floor_exponent(h: int) -> float:
 
 
 def _floor_min_norm(strict: ReprTable, h: int, n_lo: int, n_hi: int) -> float:
-    """min over n in [n_lo, n_hi] of the strict 2h-count of n over n^(1/(4h-1))."""
-    counts = strict.counts[n_lo : n_hi + 1].astype(np.float64)
-    return float((counts / np.arange(n_lo, n_hi + 1, dtype=np.float64) ** floor_exponent(h)).min())
+    """min over n in [n_lo, n_hi] of the strict 2h-count of n over n^(1/(4h-1)).
+
+    Evaluated `_FLOOR_PIECE` targets at a time, so no float64 copy of the
+    window is made; each quotient, and so the minimum, is the same.
+    """
+    expo = floor_exponent(h)
+    mins = []
+    for a in range(n_lo, n_hi + 1, _FLOOR_PIECE):
+        b = min(a + _FLOOR_PIECE, n_hi + 1)
+        mins.append(float((strict.counts[a:b] / np.arange(a, b, dtype=np.float64) ** expo).min()))
+    return min(mins)
 
 
 def weighted_max_count(values, f, h: int) -> int:

@@ -1,6 +1,7 @@
 import io
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bhbasis.counting import (
 )
 from bhbasis.harness import default_one_sided
 from bhbasis.sampling import ModelParams, inclusion_probability, sample_set
+from bhbasis.verify import is_bhg
 
 from tests.oracles import (
     oracle_index_tuples,
@@ -532,6 +534,64 @@ def test_multiset_sums_enumeration():
     assert sums == [4, 5, 6, 12, 13, 20]
     with pytest.raises(ValueError):
         multiset_sums(range(1, 2000), 4, limit=1000)
+
+
+def test_sum_dtype_rule():
+    # the rule itself, at its edge; no table of that width is allocated
+    assert counting._sum_dtype(0) == np.int32
+    assert counting._sum_dtype(2**31 - 1) == np.int32
+    assert counting._sum_dtype(2**31) == np.int64
+    assert counting._sum_dtype(3 * 2**40) == np.int64
+
+
+@pytest.mark.parametrize(
+    "offsets, b3",
+    [
+        ((1, 4, 16, 64), True),  # base-4 digits: every 3-fold sum of offsets is distinct
+        ((1, 2, 3, 50), False),  # 2 + 2 + 2 = 1 + 2 + 3
+    ],
+)
+@pytest.mark.parametrize("base", [2**29, 2**30])
+def test_sums_past_int32_stay_exact(base, offsets, b3):
+    # 3 * 2^29 + 150 < 2^31 <= 3 * 2^30: one sum-list in each dtype
+    a = [base + d for d in offsets]
+    want = sorted(sum(c) for c in combinations_with_replacement(a, 3))
+    sums = multiset_sums(a, 3)
+    assert sums.dtype == counting._sum_dtype(3 * max(a))
+    assert sums.dtype == (np.int32 if base == 2**29 else np.int64)
+    assert sorted(sums.tolist()) == want
+    verdict = is_bhg(a, 3, 1)
+    assert verdict.ok == b3
+    repeated = [n for n, m in zip(want, want[1:]) if n == m]
+    assert verdict.witness == (None if b3 else repeated[0])
+    assert verdict.max_n == 3 * max(a)
+
+
+def test_held_row_costs_four_bytes_per_sum(monkeypatch):
+    # B's 4-fold table at N = 3e6: the held 3-fold row (about 1.9e6 sums in
+    # an allocation of 2.4e6) and the uint16 table are the only buffers that
+    # grow with N; a window-sized int64 buffer would add 9 MiB or more
+    n = 3 * 10**6
+    a = sample_set(ModelParams(2, n, 1)).elements
+    held = []
+    sparse_rows = counting._sparse_rows
+
+    def spy(*args):
+        rows = sparse_rows(*args)
+        held.append(rows[1])
+        return rows
+
+    monkeypatch.setattr(counting, "_sparse_rows", spy)
+    tracemalloc.start()
+    try:
+        table = repr_multiset(a, 4, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (sums,) = held
+    allocated = sums if sums.base is None else sums.base
+    assert sums.dtype == np.int32 and sums.size > 10**6
+    assert peak <= table.counts.nbytes + 4 * allocated.size + 2 * 2**20, peak
 
 
 def test_tables_are_immutable():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bhbasis import fits
 from bhbasis.fits import dyadic_fit, ols_loglog
 from bhbasis.harness import run_construction
 
@@ -68,6 +71,69 @@ def test_dyadic_fit_matches_reference_bits(dtype):
         assert _bits(dyadic_fit(n_lo, values)) == _bits(_dyadic_fit_reference(n_lo, values))
     fractions = np.linspace(-0.5, 3.0, 500)  # entries in (0, 1) enter, negatives do not
     assert _bits(dyadic_fit(2, fractions)) == _bits(_dyadic_fit_reference(2, fractions))
+
+
+def _leaf_sum(values: np.ndarray):
+    """fits._pairwise_sum over all of values."""
+    taken = 0
+
+    def leaf(m):
+        nonlocal taken
+        taken += m
+        return np.add.reduce(values[taken - m : taken])
+
+    total = fits._pairwise_sum(values.size, leaf)
+    assert taken == values.size
+    return total
+
+
+def test_leaf_sums_equal_add_reduce(monkeypatch):
+    rng = np.random.default_rng(5)
+    lengths = [(n, 128) for n in range(1, 301)]  # 128: the longest run numpy does not split
+    lengths += [(2**k + d, fits._PIECE) for k in range(1, 23) for d in (-1, 0, 1)]
+    for n, size in lengths:
+        monkeypatch.setattr(fits, "_PIECE", size)
+        values = rng.random(n) * rng.integers(1, 1000, n)
+        got, want = _leaf_sum(values), np.add.reduce(values)
+        assert float(got).hex() == float(want).hex(), (
+            f"numpy {np.__version__} no longer sums {n} float64 entries in the pairwise order "
+            f"fits._pairwise_sum rebuilds from {size}-entry leaves ({float(got).hex()} != "
+            f"{float(want).hex()}), so dyadic_fit's means would differ from np.mean"
+        )
+
+
+def test_dyadic_fit_matches_reference_bits_across_leaves():
+    # Blocks [3 2^j, 3 2^(j+1)); the last one is partial, holds 2.4e6 > 2^21
+    # entries and so about 2e6 positive logs, summed over several levels of
+    # _pairwise_sum, and ends in a partial piece.
+    n_lo, size = 3, 5_500_003
+    lo = 3 * 2**20  # the last block's first target
+    piece = fits._PIECE
+    rng = np.random.default_rng(23)
+    n = np.arange(n_lo, n_lo + size)
+    values = (1 + 0.3 * n**0.4 + rng.integers(0, 3, size=n.size)).astype(np.uint16)  # zero-free pieces
+    last = values[lo - n_lo :]
+    last[3 * piece : 5 * piece][rng.random(2 * piece) < 0.3] = 0  # pieces with holes
+    last[7 * piece : 8 * piece] = 0  # an all-zero piece
+    last[10 * piece - 500 : 11 * piece + 700] = 0  # zeros across two piece edges
+    assert (values.size - (lo - n_lo)) % piece and values.size - (lo - n_lo) > 2**21
+    assert _bits(dyadic_fit(n_lo, values)) == _bits(_dyadic_fit_reference(n_lo, values))
+
+
+def test_dyadic_fit_holds_no_window_sized_buffer():
+    rng = np.random.default_rng(9)
+    n = np.arange(1, 4 * 10**6 + 1)
+    values = np.floor(0.3 * n**0.4 + rng.integers(0, 3, size=n.size)).astype(np.uint16)
+    values[rng.random(n.size) < 0.05] = 0
+    tracemalloc.start()
+    try:
+        dyadic_fit(1, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two 2^16-entry float64 buffers and one piece's positions and gathers;
+    # the largest block's float64 logs alone would be 16 MiB
+    assert peak <= 4 * 2**20, peak
 
 
 def test_dyadic_fit_refuses_nonpositive_start():
