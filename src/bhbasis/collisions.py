@@ -23,12 +23,15 @@ increasing combination per run of equal weights, rows with a value repeated
 across runs dropped), their weighted sums are int64, and the join sorts the
 d sums stably and matches sums against them: the e sums by ``searchsorted``
 when the weights differ, pairs inside each group of equal d sums when they
-agree.  The disjoint pairs stay rows: they are normalised, checked and keyed
-as arrays, and only the first pair per record key becomes a record.  The
-join's row order is part of its contract (see ``_equal_sum_rows``): one
-element set can satisfy two assignments of a spec, so the order decides
-which assignment is reported.  Values whose side sums could leave int64 are
-refused up front.
+agree.  One stage, ``_joined_rows``, runs this join for every spec and
+checks every disjoint pair it yields (equal weighted sums, pairwise-distinct
+elements); both callers read it.  ``enumerate_collisions`` keeps the pairs
+as rows: they are normalised, checked and keyed as arrays, and only the
+first pair per record key becomes a record.  ``construct_a`` needs only C,
+the maximum of every row, so it builds no record.  The join's row order is
+part of its contract (see ``_equal_sum_rows``): one element set can satisfy
+two assignments of a spec, so the order decides which assignment is
+reported.  Values whose side sums could leave int64 are refused up front.
 """
 
 from __future__ import annotations
@@ -361,6 +364,33 @@ def _equal_sum_rows(values, spec: WeightSpec, side=None) -> tuple[np.ndarray, np
     return left[keep], right[keep]
 
 
+def _joined_rows(vals: np.ndarray, h: int):
+    """The equal-sum join of every spec over sorted distinct `vals`: yields
+    (kind, spec, rows) per spec that has pairs, the distinct-2h branch
+    first, then every reduced weighted branch.
+
+    Row i of `rows` is one joined pair (d slots, then e slots) in the
+    join's order.  Specs share sides: each weight tuple's rows are built
+    once per call.  Every row is checked before it is yielded: its signed
+    weighted sum must be 0 and its elements pairwise distinct, or
+    AssertionError is raised.
+    """
+    side = cache(lambda weights: _side_rows(vals, weights))
+    for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
+        (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
+    ]:
+        left, right = _equal_sum_rows(vals, spec, side)
+        if not len(left):
+            continue
+        rows = np.hstack([left, right])
+        ok = rows @ np.array(spec.d + tuple(-w for w in spec.e), dtype=np.int64) == 0
+        for i in range(1, rows.shape[1]):
+            ok &= (rows[:, :i] != rows[:, i : i + 1]).all(axis=1)
+        if not ok.all():
+            raise AssertionError(f"unsound join rows of {spec.d}|{spec.e}: {rows[~ok][:3].tolist()}")
+        yield kind, spec, rows
+
+
 def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
     """Every (largest element, canonical equality) pair witnessed inside b.
 
@@ -368,18 +398,9 @@ def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
     and every reduced weighted branch; records are deduplicated by
     (largest, kind, weights, element set) and returned in canonical order.
     """
-    vals = validate_elements(b)
-    # specs share sides: each weight tuple's rows are built once per call
-    side = cache(lambda weights: _side_rows(vals, weights))
     records: list[CollisionRecord] = []
-    # the distinct-2h branch, then every reduced weighted branch
-    for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
-        (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
-    ]:
-        left, right = _equal_sum_rows(vals, spec, side)
-        if len(left):
-            records += _spec_records(kind, spec, np.hstack([left, right]))
-
+    for kind, spec, rows in _joined_rows(validate_elements(b), h):
+        records += _spec_records(kind, spec, rows)
     return sorted(records, key=CollisionRecord.sort_key)
 
 
@@ -389,9 +410,16 @@ def deletion_set(records) -> frozenset[int]:
 
 
 def construct_a(b, h: int, *, records=None) -> tuple[int, ...]:
-    """b minus the deletion set of its `records` (enumerated if omitted): B_h[1] by construction."""
+    """b minus its deletion set C: B_h[1] by construction.
+
+    With `records`, C is their `deletion_set`.  Without, C is read off the
+    joined rows of ``_joined_rows``: the maximum of every row.  That is the
+    same C, since a record's largest element is its row's maximum and
+    deduplication drops no maximum; no record is built.
+    """
     arr = validate_elements(b)
-    if records is None:
-        records = enumerate_collisions(arr, h)
-    bad = deletion_set(records)
+    if records is not None:
+        bad = deletion_set(records)
+    else:
+        bad = {int(x) for _, _, rows in _joined_rows(arr, h) for x in rows.max(axis=1).tolist()}
     return tuple(int(x) for x in arr if int(x) not in bad)

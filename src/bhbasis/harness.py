@@ -13,6 +13,7 @@ increasing order; anything else raises ValueError.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 import json
@@ -212,6 +213,8 @@ def run_construction(
 
     Each 2h-fold table is built once, here; the multiset tables of B and A
     (`_tables`, with `keep_tables`) cover [0, max(n_hi, audit bound)].
+    Without `keep_tables`, each table is cut to the audit's [0, audit bound]
+    once its window statistics are taken.
     """
     _check_window(window, n)
     _check_audit_hi(audit_hi)
@@ -230,11 +233,27 @@ def run_construction(
     n_lo, n_hi = window if window is not None else default_window(n)
     k = 2 * h
     hi = min(audit_hi, n)
+
+    def audited(table: ReprTable, vals: list[int]) -> ReprTable:
+        # after its statistics only the audit reads a table, over [1, hi];
+        # the cut table's count is derived, so check the builder's first
+        if keep_tables:
+            return table
+        if table.source_size != bisect_right(vals, table.max_n):
+            raise ValueError(f"{table.semantics[0]} table was not built from the expected set")
+        return ReprTable(table.counts[: hi + 1].copy(), table.semantics, bisect_right(vals, hi))
+
+    # each table's statistics are taken as soon as it is built, so that
+    # without keep_tables one full-window table is held at a time
     table_b = repr_multiset(b_vals, k, max(n_hi, hi))
-    table_a = repr_multiset(a_vals, k, max(n_hi, hi))
-    strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi))
     basis_b = _ver.basis_window(table_b, n_lo, n_hi)
+    table_b = audited(table_b, b_vals)
+    table_a = repr_multiset(a_vals, k, max(n_hi, hi))
     basis_a = _ver.basis_window(table_a, n_lo, n_hi)
+    table_a = audited(table_a, a_vals)
+    strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi))
+    floor_min_norm = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
+    strict_b = audited(strict_b, b_vals)
 
     rec = {
         "h": h,
@@ -254,7 +273,7 @@ def run_construction(
         "basis_a": basis_a.to_json_dict(),
     }
 
-    rec["floor_min_norm"] = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
+    rec["floor_min_norm"] = floor_min_norm
     rec["weighted_max"] = {spec_key(f): weighted_max_count(b_vals, f, h) for f in one_sided}
 
     rec["decomposition"] = _ver.decomposition_summary(b_vals, h, 1, hi, (table_b, table_a, strict_b), records)

@@ -7,13 +7,16 @@ Inclusion decisions are made by a counter-based generator keyed by
 or on iteration order, so windows of different N with the same seed agree
 on their common prefix.
 
-The sampler works in blocks of _CHUNK indices with reused buffers.  It
-evaluates the power threshold only for candidates: indices whose uniform
-lies below the block's first threshold widened by a relative 2^-40.  The
-thresholds decrease in n and a double-precision pow is off by at most a few
-ulps, so no index that passes the rule is ever filtered out, and each
-candidate meets the unchanged rule u < n^(alpha-1) through the same pow on
-the same inputs.  The set B is therefore the one the rule defines.
+The sampler hashes blocks of _CHUNK indices into reused buffers and filters
+each block in runs: the first block in dyadic runs [1, 2), [2, 4), ...,
+[2^15, 2^16], every later block as one run.  It evaluates the power
+threshold only for candidates: indices whose uniform lies below their run's
+first threshold widened by a relative 2^-40.  Only the run [1, 2), whose
+threshold is 1, takes every index as a candidate.  The thresholds decrease
+in n and a double-precision pow is off by at most a few ulps, so no index
+that passes the rule is ever filtered out, and each candidate meets the
+unchanged rule u < n^(alpha-1) through the same pow on the same inputs.
+The set B is therefore the one the rule defines.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ _MIX2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
 
 _CHUNK = 1 << 16
-# relative widening of a block's first threshold in the candidate filter
+# relative widening of a run's first threshold in the candidate filter
 _MARGIN = 1.0 + 2.0 ** -40
 
 
@@ -104,7 +107,7 @@ def inclusion_probability(n: int, params: ModelParams) -> float:
     Evaluated in double precision through the same power routine used by
     sample_set, so scalar queries match the sampler's thresholds bit for bit.
     sample_set evaluates it only for candidates, indices whose uniform is
-    below their block's first threshold widened by 2^-40; every index it
+    below their run's first threshold widened by 2^-40; every index it
     keeps meets u < inclusion_probability(n) and every other index fails it.
     """
     if n < 1:
@@ -158,19 +161,32 @@ def sample_set(params: ModelParams) -> SampledSet:
     for lo in range(1, params.N + 1, _CHUNK):
         m = min(params.N - lo + 1, _CHUNK)
         k = _stream_uniform_block(params.seed, idx[:m], bits[:m], tmp[:m])
-        # every n in the block has threshold(n) <= threshold(lo) * _MARGIN,
-        # so each k with k * 2^-53 < threshold(n) is a candidate
-        widest = math.ceil(float(np.float64(lo) ** expo) * _MARGIN * 2.0**53)
-        if widest < 1 << 53:
-            cand = np.flatnonzero(k < np.uint64(widest))
-            survivors, k = idx[cand], k[cand]
-        else:  # the first block, where every index is a candidate
-            survivors = idx[:m]
-        u = k.astype(np.float64) * _INV53
-        kept.append(survivors[u < survivors.astype(np.float64) ** expo])
+        # the first block's thresholds fall from 1 at n = 1 to below 2^-11 at
+        # n = 2^16, so it is filtered in dyadic sub-blocks [2^j, 2^(j+1)),
+        # the last one ending at the block's end; every other block is one run
+        starts = [1 << j for j in range(_CHUNK.bit_length() - 1) if 1 << j <= m] if lo == 1 else [lo]
+        ends = starts[1:] + [lo + m]
+        for start, end in zip(starts, ends):
+            a, b = start - lo, end - lo
+            kept.append(_kept(idx[a:b], k[a:b], start, expo))
         idx += np.uint64(_CHUNK)  # the next block's indices
     elements = tuple(int(x) for x in np.concatenate(kept))
     return SampledSet(elements, params)
+
+
+def _kept(idx: np.ndarray, k: np.ndarray, lo: int, expo: np.float64) -> np.ndarray:
+    """The indices of a run starting at index lo that meet u < idx^expo, where
+    u = k·2^-53: pow runs only on candidates, whose k lies below the run's
+    first threshold widened by _MARGIN."""
+    # every n of the run has threshold(n) <= threshold(lo) * _MARGIN, so
+    # each k with k * 2^-53 < threshold(n) is a candidate
+    widest = math.ceil(float(np.float64(lo) ** expo) * _MARGIN * 2.0**53)
+    if widest < 1 << 53:
+        cand = np.flatnonzero(k < np.uint64(widest))
+        idx, k = idx[cand], k[cand]
+    # else the run starts at 1, whose threshold is 1: every index is a candidate
+    u = k.astype(np.float64) * _INV53
+    return idx[u < idx.astype(np.float64) ** expo]
 
 
 def _exact_parts(x: np.ndarray, q: np.ndarray) -> list[float]:

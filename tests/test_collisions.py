@@ -152,9 +152,53 @@ def test_side_rows_built_once_per_weights(monkeypatch):
     monkeypatch.setattr(collisions, "_side_rows", counted)
     for h, builds in ((3, 5), (2, 2)):
         for b in ([], [1, 2, 3], [1, 5, 17, 25], list(range(1, 15))):
-            calls.clear()
-            enumerate_collisions(b, h)
-            assert len(calls) == len(set(calls)) == builds, (b, h)
+            for run in (enumerate_collisions, construct_a):
+                calls.clear()
+                run(b, h)
+                assert len(calls) == len(set(calls)) == builds, (b, h, run)
+
+
+def test_construct_a_matches_records_on_theorem_pool():
+    # C read off the joined rows is the deletion set of the records, on
+    # every set of the theorem workload's pool (seeds 1-150, N = 1e5)
+    for seed in range(1, 151):
+        for h in (2, 3):
+            b = sample_set(ModelParams(h, 10**5, seed)).elements
+            records = enumerate_collisions(b, h)
+            want = tuple(x for x in b if x not in deletion_set(records))
+            assert construct_a(b, h) == want == construct_a(b, h, records=records), (seed, h)
+
+
+def test_construct_a_matches_oracle_deletion_set():
+    rng = np.random.default_rng(505)
+    for trial in range(80):
+        h = 2 + trial % 4
+        top = int(rng.integers(8, 60 if h < 4 else 30))
+        size = int(rng.integers(0, min((16, 12, 9, 8)[h - 2], top - 1)))
+        b = sorted(rng.choice(np.arange(1, top), size=size, replace=False).tolist())
+        c = oracle_deletion_set(b, h)
+        assert construct_a(b, h) == tuple(x for x in b if x not in c), (b, h)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # distinct elements, unequal sums: the first d element moves past every value
+        lambda left, right: (left + np.eye(1, left.shape[1], dtype=np.int64) * 1000, right),
+        # equal sums, one element repeated: every slot takes the row's first value
+        lambda left, right: (np.broadcast_to(left[:, :1], left.shape), np.broadcast_to(left[:, :1], right.shape)),
+    ],
+    ids=["unequal", "repeated"],
+)
+def test_construct_a_refuses_unsound_join_rows(monkeypatch, corrupt):
+    b = [1, 2, 3, 4, 5, 7, 11]
+    assert construct_a(b, 2) == (1, 2)
+    join = collisions._equal_sum_rows
+    monkeypatch.setattr(collisions, "_equal_sum_rows", lambda *args: corrupt(*join(*args)))
+    with pytest.raises(AssertionError, match="unsound join rows"):
+        construct_a(b, 2)
+    with pytest.raises(AssertionError):
+        enumerate_collisions(b, 2)
 
 
 def test_enumerate_collisions_small_example():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,48 @@ def test_keep_tables_side_channel():
     tables = rec["_tables"]
     assert tables["basis_b"].counts.shape == tables["basis_a"].counts.shape
     assert "_tables" not in json.loads(canonical_json(rec))
+
+
+def test_one_full_window_table_at_a_time(monkeypatch):
+    # without keep_tables, B's table is cut to the audit's [0, 5e4] once its
+    # window statistics are taken, so from A's build on the traced peak is
+    # below the one with every table kept by B's table less that prefix
+    # (the whole run's peak is reached inside B's own build at this N)
+    sizes = []
+
+    def spy(a, k, max_n):
+        if sizes:  # A's build
+            tracemalloc.reset_peak()
+        table = repr_multiset(a, k, max_n)
+        sizes.append(table.counts.nbytes)
+        return table
+
+    monkeypatch.setattr(harness_mod, "repr_multiset", spy)
+    peaks, recs = {}, {}
+    for keep in (True, False):
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            recs[keep] = run_construction(2, 3 * 10**6, 1, floor=False, keep_tables=keep)
+            peaks[keep] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    b_bytes = sizes[0]
+    prefix = b_bytes * (50_000 + 1) // (3 * 10**6 + 1)
+    assert b_bytes > 5 * 2**20
+    assert peaks[True] - peaks[False] >= b_bytes - prefix, (peaks, b_bytes)
+    assert canonical_json(recs[True]) == canonical_json(recs[False])
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("builder", ["repr_multiset", "repr_strict"])
+def test_table_from_wrong_set_is_refused(monkeypatch, keep, builder):
+    # a table built without the set's largest element is refused whether the
+    # audit reads it whole or cut to its prefix
+    build = getattr(harness_mod, builder)
+    monkeypatch.setattr(harness_mod, builder, lambda a, k, max_n: build(a[:-1], k, max_n))
+    with pytest.raises(ValueError, match="not built from the expected set"):
+        run_construction(2, 10**4, 1, floor=False, keep_tables=keep)
 
 
 @pytest.mark.parametrize("floor", [True, False])

@@ -85,9 +85,11 @@ def test_determinism_and_scalar_reference():
 
 
 def test_sample_set_matches_full_chunk_oracle():
-    # N at and around the block edges, for every h the oracle supports
+    # N at and around the block edges and the edges 2^k of the first
+    # block's dyadic runs, for every h the oracle supports
+    run_edges = {n for k in range(1, 16) for n in (2**k - 1, 2**k, 2**k + 1)}
     for h in (2, 3, 4, 5):
-        for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+        for n in sorted(run_edges | {1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7}):
             for seed in [*range(12), 99991, 2**64 - 1]:
                 params = ModelParams(h, n, seed)
                 assert sample_set(params).elements == sampler_oracle.sample_set(params), (h, n, seed)
