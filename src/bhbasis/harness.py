@@ -1,9 +1,11 @@
 """Seeded experiment orchestration with reproducible reports.
 
 A report is a pure function of its configuration: per-seed records are
-computed independently, one seed after another in order of seed value, and
-serialized as canonical JSON, so replaying a stored report reproduces it
-byte for byte.  Every record carries the decomposition audit over
+computed independently, in up to min(CPUs, seeds) processes, reduced in
+order of seed value and serialized as canonical JSON, so replaying a stored
+report reproduces it byte for byte whatever the CPU count.  The CPUs are the
+ones the process may run on, so `taskset -c 0` runs every seed in one
+process.  Every record carries the decomposition audit over
 [1, min(audit_hi, N)]; audit_hi is a positive integer, 50,000 by default.
 
 `ExperimentConfig`, `basis_floor_check` and `boundedness_check` share one
@@ -19,6 +21,8 @@ from fractions import Fraction
 import json
 import math
 import operator
+import os
+import pickle
 import statistics
 
 import numpy as np
@@ -83,6 +87,73 @@ def seed_list(seeds) -> tuple[int, ...]:
     if not vals or len(set(vals)) != len(vals):
         raise ValueError("seeds must be a nonempty list of distinct integers")
     return tuple(vals)
+
+
+def _run_share(fn, seeds, first: int, step: int) -> tuple[list, tuple[int, BaseException] | None]:
+    """fn over `seeds` in order, up to the first failure: the results so far
+    and (index in the full seed list, exception), or None."""
+    out = []
+    for j, seed in enumerate(seeds):
+        try:
+            out.append(fn(seed))
+        except Exception as exc:
+            return out, (first + j * step, exc)
+    return out, None
+
+
+def _seed_map(fn, seeds: tuple[int, ...]) -> list:
+    """[fn(seed) for seed in seeds], in up to min(CPUs, len(seeds)) processes.
+
+    Share w is seeds[w::workers]; the parent runs share 0 and a forked child
+    each other share, whose results come back pickled over a pipe, so each
+    value is the one a serial loop computes.  The exception raised is the one
+    of the earliest failing seed.  Every child is reaped before this returns
+    or raises; with one CPU or one seed nothing is forked.  Children are
+    forked, not spawned: a spawned one would import numpy and bhbasis again,
+    which takes about as long as the share it would run.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)) if affinity else 1, len(seeds))
+    shares = [None] * workers
+    children = []  # (share index, pid, read end of its pipe)
+    ends = []  # (share index, pickled share, wait status)
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller's frames, and it
+                # runs none of the parent's exit handlers or buffer flushes
+                code = 1
+                try:
+                    os.close(rfd)
+                    data = pickle.dumps(_run_share(fn, seeds[w::workers], w, workers), pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(wfd, "wb") as fh:
+                        fh.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            children.append((w, pid, rfd))
+        shares[0] = _run_share(fn, seeds[0::workers], 0, workers)
+    finally:
+        for w, pid, rfd in children:
+            with os.fdopen(rfd, "rb") as fh:
+                data = fh.read()
+            ends.append((w, data, os.waitpid(pid, 0)[1]))
+    for w, data, status in ends:
+        if not data:
+            raise RuntimeError(
+                f"the worker for seeds {list(seeds[w::workers])} ended without a result (wait status {status})"
+            )
+        shares[w] = pickle.loads(data)
+    failures = [share[1] for share in shares if share[1]]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out = [None] * len(seeds)
+    for w, (values, _) in enumerate(shares):
+        out[w::workers] = values
+    return out
 
 
 def _check_audit_hi(audit_hi) -> None:
@@ -287,8 +358,8 @@ def run_construction(
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """All seeds of a configuration, plus aggregate medians."""
-    records = [
-        run_construction(
+    records = _seed_map(
+        lambda seed: run_construction(
             config.h,
             config.n,
             seed,
@@ -296,9 +367,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             audit_hi=config.audit_hi,
             floor=config.floor,
             one_sided=config.one_sided,
-        )
-        for seed in seed_list(config.seeds)
-    ]
+        ),
+        seed_list(config.seeds),
+    )
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
@@ -336,11 +407,14 @@ def basis_floor_check(h: int, n: int, seeds, n_lo: int) -> dict:
     """
     if n_lo < 1 or n_lo > n:
         raise ValueError("need 1 <= n_lo <= N")
-    per_seed = {}
-    for seed in seed_list(seeds):
+    seeds = seed_list(seeds)
+
+    def one_seed(seed: int) -> float:
         strict = repr_strict(sample_set(ModelParams(h, n, seed)).elements, 2 * h, n)
-        per_seed[str(seed)] = _floor_min_norm(strict, h, n_lo, n)
-    vals = list(per_seed.values())
+        return _floor_min_norm(strict, h, n_lo, n)
+
+    vals = _seed_map(one_seed, seeds)
+    per_seed = {str(seed): v for seed, v in zip(seeds, vals)}
     return {
         "h": h,
         "n": n,
@@ -367,14 +441,27 @@ def boundedness_check(h: int, n_list, seeds) -> dict:
     n_max = n_values[-1]
     l6 = {spec_key(f): {str(nv): [] for nv in n_values} for f in one_sided}
     l8 = {pair_key(s): {str(nv): [] for nv in n_values} for s in two_sided}
-    for seed in seeds:
+
+    def one_seed(seed: int) -> list[tuple[list[int], list[int]]]:
+        # per window: the one-sided maxima and the two-sided totals
         sampled = sample_set(ModelParams(h, n_max, seed))
+        rows = []
         for nv in n_values:
             vals = [x for x in sampled.elements if x <= nv]
-            for f in one_sided:
-                l6[spec_key(f)][str(nv)].append(weighted_max_count(vals, f, h))
-            for spec in two_sided:
-                l8[pair_key(spec)][str(nv)].append(solution_total(vals, spec, h))
+            rows.append(
+                (
+                    [weighted_max_count(vals, f, h) for f in one_sided],
+                    [solution_total(vals, spec, h) for spec in two_sided],
+                )
+            )
+        return rows
+
+    for rows in _seed_map(one_seed, seeds):
+        for nv, (maxima, totals) in zip(n_values, rows):
+            for f, m in zip(one_sided, maxima):
+                l6[spec_key(f)][str(nv)].append(m)
+            for spec, t in zip(two_sided, totals):
+                l8[pair_key(spec)][str(nv)].append(t)
     out = {
         "h": h,
         "n_values": n_values,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -305,3 +306,109 @@ def test_shared_tables_match_fresh_ones(floor, audit_hi):
     assert rec["basis_a"] == basis_window(fresh_a, n_lo, n_hi).to_json_dict()
     want_floor = harness_mod._floor_min_norm(fresh_strict, 2, n_lo, n_hi) if floor else None
     assert rec["floor_min_norm"] == want_floor
+
+
+# The seed map: the three multi-seed checks run their seeds in up to
+# min(CPUs, seeds) processes.  With 2 CPUs the parent runs seeds 1, 3, 5 of
+# SEEDS and a child 2, 4; with 3 CPUs the parent runs 1, 4 and two children
+# run 2, 5 and 3.
+
+SEEDS = (1, 2, 3, 4, 5)
+
+
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _pooled_calls(seeds=SEEDS):
+    return (
+        lambda: canonical_json(basis_floor_check(2, 3000, seeds, 1000)),
+        lambda: canonical_json(boundedness_check(2, [500, 2000], seeds)),
+        lambda: canonical_json(run_experiment(ExperimentConfig(h=2, n=2000, seeds=seeds, audit_hi=1000))),
+    )
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pooled_outputs_do_not_depend_on_cpus(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    outputs = {}
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        outputs[cpus] = [call() for call in _pooled_calls()]
+        _assert_no_child()
+    assert outputs[1] == outputs[2] == outputs[3]
+    # none at one CPU, then one and two children per call
+    assert len(forks) == 3 * (0 + 1 + 2)
+
+
+def test_one_cpu_or_one_seed_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _set_cpus(monkeypatch, 1)
+    for call in _pooled_calls():
+        call()
+    _set_cpus(monkeypatch, 4)
+    for call in _pooled_calls(seeds=(7,)):
+        call()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for call in _pooled_calls():
+        call()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (2, 3),  # a child's seed before the parent's (2 CPUs)
+        (3, 4),  # the parent's seed before a child's (2 CPUs)
+        (3,),  # only the parent's share fails
+        (4,),  # only a child's share fails
+    ],
+)
+def test_earliest_failing_seed_surfaces(monkeypatch, bad):
+    sample = harness_mod.sample_set
+
+    def failing(params):
+        if params.seed in bad:
+            raise ValueError(f"seed {params.seed}")
+        return sample(params)
+
+    monkeypatch.setattr(harness_mod, "sample_set", failing)
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        for call in _pooled_calls():
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert exc.type is ValueError and str(exc.value) == f"seed {min(bad)}"
+            _assert_no_child()
+
+
+def test_worker_without_a_result_is_named(monkeypatch):
+    parent = os.getpid()
+    sample = harness_mod.sample_set
+
+    def dying(params):
+        if os.getpid() != parent:
+            os._exit(3)
+        return sample(params)
+
+    monkeypatch.setattr(harness_mod, "sample_set", dying)
+    _set_cpus(monkeypatch, 2)
+    for call in _pooled_calls():
+        with pytest.raises(RuntimeError, match=r"^the worker for seeds \[2, 4\] ended without a result \(wait status 768\)$"):
+            call()
+        _assert_no_child()
