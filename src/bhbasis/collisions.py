@@ -23,15 +23,15 @@ increasing combination per run of equal weights, rows with a value repeated
 across runs dropped), their weighted sums are int64, and the join sorts the
 d sums stably and matches sums against them: the e sums by ``searchsorted``
 when the weights differ, pairs inside each group of equal d sums when they
-agree.  One stage, ``_joined_rows``, runs this join for every spec and
-checks every disjoint pair it yields (equal weighted sums, pairwise-distinct
-elements); both callers read it.  ``enumerate_collisions`` keeps the pairs
-as rows: they are normalised, checked and keyed as arrays, and only the
-first pair per record key becomes a record.  ``construct_a`` needs only C,
-the maximum of every row, so it builds no record.  The join's row order is
-part of its contract (see ``_equal_sum_rows``): one element set can satisfy
-two assignments of a spec, so the order decides which assignment is
-reported.  Values whose side sums could leave int64 are refused up front.
+agree.  ``enumerate_collisions`` runs this join for every spec, checks
+every disjoint pair it yields (equal weighted sums, pairwise-distinct
+elements) and keeps the pairs as rows: they are normalised, checked and
+keyed as arrays, and only the first pair per record key becomes a record.
+The join's row order is part of its contract (see ``_equal_sum_rows``): one
+element set can satisfy two assignments of a spec, so the order decides
+which assignment is reported.  ``construct_a`` needs only C and runs no
+join: it reads C off the adjacent pairs of b's h-multisets sorted by sum.
+Values whose side sums could leave int64 are refused up front.
 """
 
 from __future__ import annotations
@@ -364,18 +364,21 @@ def _equal_sum_rows(values, spec: WeightSpec, side=None) -> tuple[np.ndarray, np
     return left[keep], right[keep]
 
 
-def _joined_rows(vals: np.ndarray, h: int):
-    """The equal-sum join of every spec over sorted distinct `vals`: yields
-    (kind, spec, rows) per spec that has pairs, the distinct-2h branch
-    first, then every reduced weighted branch.
+def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
+    """Every (largest element, canonical equality) pair witnessed inside b.
 
-    Row i of `rows` is one joined pair (d slots, then e slots) in the
-    join's order.  Specs share sides: each weight tuple's rows are built
-    once per call.  Every row is checked before it is yielded: its signed
-    weighted sum must be 0 and its elements pairwise distinct, or
-    AssertionError is raised.
+    Covers the distinct-2h branch (two disjoint h-subsets with equal sums)
+    and every reduced weighted branch; records are deduplicated by
+    (largest, kind, weights, element set) and returned in canonical order.
+
+    Specs share sides: each weight tuple's rows are built once per call.
+    Every joined pair (d slots, then e slots) is checked before its records
+    are read: its signed weighted sum must be 0 and its elements pairwise
+    distinct, or AssertionError is raised.
     """
+    vals = validate_elements(b)
     side = cache(lambda weights: _side_rows(vals, weights))
+    records: list[CollisionRecord] = []
     for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
         (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
     ]:
@@ -388,18 +391,6 @@ def _joined_rows(vals: np.ndarray, h: int):
             ok &= (rows[:, :i] != rows[:, i : i + 1]).all(axis=1)
         if not ok.all():
             raise AssertionError(f"unsound join rows of {spec.d}|{spec.e}: {rows[~ok][:3].tolist()}")
-        yield kind, spec, rows
-
-
-def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
-    """Every (largest element, canonical equality) pair witnessed inside b.
-
-    Covers the distinct-2h branch (two disjoint h-subsets with equal sums)
-    and every reduced weighted branch; records are deduplicated by
-    (largest, kind, weights, element set) and returned in canonical order.
-    """
-    records: list[CollisionRecord] = []
-    for kind, spec, rows in _joined_rows(validate_elements(b), h):
         records += _spec_records(kind, spec, rows)
     return sorted(records, key=CollisionRecord.sort_key)
 
@@ -409,17 +400,32 @@ def deletion_set(records) -> frozenset[int]:
     return frozenset(r.largest for r in records)
 
 
-def construct_a(b, h: int, *, records=None) -> tuple[int, ...]:
+def construct_a(b, h: int) -> tuple[int, ...]:
     """b minus its deletion set C: B_h[1] by construction.
 
-    With `records`, C is their `deletion_set`.  Without, C is read off the
-    joined rows of ``_joined_rows``: the maximum of every row.  That is the
-    same C, since a record's largest element is its row's maximum and
-    deduplication drops no maximum; no record is built.
+    C is the largest element of the symmetric difference of every two
+    distinct h-multisets of b with equal sums.  As rows of descending
+    values, that is the larger value at the pair's first differing column.
+    Sorted lexicographically, the rows between two rows of one sum group
+    share the prefix the two share, so some adjacent pair differs first at
+    the same column with the same larger value: adjacent pairs give all of
+    C.  Values whose sort keys could leave int64 are refused before any work.
     """
-    arr = validate_elements(b)
-    if records is not None:
-        bad = deletion_set(records)
-    else:
-        bad = {int(x) for _, _, rows in _joined_rows(arr, h) for x in rows.max(axis=1).tolist()}
-    return tuple(int(x) for x in arr if int(x) not in bad)
+    vals = validate_elements(b)
+    m = math.comb(len(vals) + h - 1, h)
+    if vals.size and (h * int(vals[-1]) + 1) * m > _INT64_MAX:
+        raise OverflowError(f"sort keys of {m} {h}-multisets up to {vals[-1]} may leave int64")
+    # non-decreasing indices into the descending values, in lexicographic order
+    rows = vals[::-1][_combination_rows(len(vals) + h - 1, h) - np.arange(h)]
+    key = np.sort(rows.sum(axis=1) * m + np.arange(m))
+    sums, rank = np.divmod(key, m)
+    pair = np.flatnonzero(sums[1:] == sums[:-1])
+    left, right = rows[rank[pair]], rows[rank[pair + 1]]
+    differ = left != right
+    ok = (left.sum(axis=1) == right.sum(axis=1)) & differ.any(axis=1)
+    if not ok.all():
+        pairs = np.hstack([left, right])[~ok][:3].tolist()
+        raise AssertionError(f"unsound adjacent {h}-multisets (left | right): {pairs}")
+    at = np.arange(len(pair)), differ.argmax(axis=1)
+    bad = set(np.maximum(left[at], right[at]).tolist())
+    return tuple(x for x in vals.tolist() if x not in bad)

@@ -293,7 +293,9 @@ def run_construction(
     sampled = sample_set(params)
     b_vals = list(sampled.elements)
     records = _col.enumerate_collisions(b_vals, h)
-    a_vals = _col.construct_a(b_vals, h, records=records)
+    a_vals = _col.construct_a(b_vals, h)
+    if set(b_vals) - set(a_vals) != _col.deletion_set(records):
+        raise AssertionError(f"construct_a's deletion set differs from the records' at seed {seed}")
 
     verdict = _ver.is_bhg(a_vals, h, 1)
     if not verdict.ok:

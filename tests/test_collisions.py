@@ -1,5 +1,7 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 import hashlib
+import inspect
+from itertools import combinations, combinations_with_replacement
 import json
 
 import numpy as np
@@ -141,7 +143,8 @@ def test_check_rows_refuses_unsound_rows():
 
 def test_side_rows_built_once_per_weights(monkeypatch):
     # every spec of a call shares its sides: at h = 3 the weight tuples are
-    # (1,1,1), (2,), (1,1), (3,) and (2,1); at h = 2, (1,1) and (2,)
+    # (1,1,1), (2,), (1,1), (3,) and (2,1); at h = 2, (1,1) and (2,);
+    # construct_a runs no join and builds no side
     calls = []
     side_rows = collisions._side_rows
 
@@ -152,21 +155,49 @@ def test_side_rows_built_once_per_weights(monkeypatch):
     monkeypatch.setattr(collisions, "_side_rows", counted)
     for h, builds in ((3, 5), (2, 2)):
         for b in ([], [1, 2, 3], [1, 5, 17, 25], list(range(1, 15))):
-            for run in (enumerate_collisions, construct_a):
+            for run, want in ((enumerate_collisions, builds), (construct_a, 0)):
                 calls.clear()
                 run(b, h)
-                assert len(calls) == len(set(calls)) == builds, (b, h, run)
+                assert len(calls) == len(set(calls)) == want, (b, h, run)
+
+
+def test_construct_a_runs_no_join(monkeypatch):
+    # C comes from the multiset grouping alone: construct_a takes no
+    # records and reaches neither the join nor a side builder
+    assert list(inspect.signature(construct_a).parameters) == ["b", "h"]
+    assert not hasattr(collisions, "_joined_rows")
+    cases = [([1, 2, 3, 4, 5, 7, 11], 2), ([1, 5, 17, 25], 3), ([1, 2, 4, 8, 16, 31], 4)]
+    want = []
+    for b, h in cases:
+        c = deletion_set(enumerate_collisions(b, h))
+        want.append(tuple(x for x in b if x not in c))
+
+    def refused(*args):
+        raise AssertionError("construct_a reached the join")
+
+    monkeypatch.setattr(collisions, "_side_rows", refused)
+    monkeypatch.setattr(collisions, "_equal_sum_rows", refused)
+    assert [construct_a(b, h) for b, h in cases] == want
 
 
 def test_construct_a_matches_records_on_theorem_pool():
-    # C read off the joined rows is the deletion set of the records, on
-    # every set of the theorem workload's pool (seeds 1-150, N = 1e5)
+    # C read off the multiset grouping is the deletion set of the records,
+    # on every set of the theorem workload's pool (seeds 1-150, N = 1e5)
     for seed in range(1, 151):
         for h in (2, 3):
             b = sample_set(ModelParams(h, 10**5, seed)).elements
-            records = enumerate_collisions(b, h)
-            want = tuple(x for x in b if x not in deletion_set(records))
-            assert construct_a(b, h) == want == construct_a(b, h, records=records), (seed, h)
+            c = deletion_set(enumerate_collisions(b, h))
+            assert construct_a(b, h) == tuple(x for x in b if x not in c), (seed, h)
+
+
+@pytest.mark.parametrize(
+    "h, n, seeds", [(2, 10**7, (3, 12)), (3, 10**6, (1, 2)), (4, 10**6, (1,)), (5, 10**6, (1,))]
+)
+def test_construct_a_matches_records_at_scale(h, n, seeds):
+    for seed in seeds:
+        b = sample_set(ModelParams(h, n, seed)).elements
+        c = deletion_set(enumerate_collisions(b, h))
+        assert c and construct_a(b, h) == tuple(x for x in b if x not in c), (h, n, seed)
 
 
 def test_construct_a_matches_oracle_deletion_set():
@@ -180,6 +211,71 @@ def test_construct_a_matches_oracle_deletion_set():
         assert construct_a(b, h) == tuple(x for x in b if x not in c), (b, h)
 
 
+def test_adjacent_pairs_give_every_pair_maximum():
+    # the argument construct_a rests on, checked on its own: in an
+    # equal-sum group of h-multisets written as descending rows and sorted
+    # lexicographically, the larger values at the first differing column
+    # of adjacent rows are the largest elements of the symmetric
+    # differences of all pairs; values repeat inside rows
+    rng = np.random.default_rng(2718)
+    groups = 0
+    for h in (2, 3, 4, 5):
+        for _ in range(6):
+            values = rng.choice(np.arange(1, 25), size=int(rng.integers(3, 8)), replace=False).tolist()
+            by_sum = defaultdict(list)
+            for row in combinations_with_replacement(sorted(values, reverse=True), h):
+                by_sum[sum(row)].append(row)
+            for rows in by_sum.values():
+                if len(rows) < 3:
+                    continue
+                groups += 1
+                rows = sorted(rows[i] for i in rng.permutation(len(rows)))
+                adjacent = set()
+                for left, right in zip(rows, rows[1:]):
+                    k = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+                    adjacent.add(max(left[k], right[k]))
+                every = set()
+                for left, right in combinations(rows, 2):
+                    left, right = Counter(left), Counter(right)
+                    every.add(max((left - right) + (right - left)))
+                assert adjacent == every, (h, rows)
+    assert groups > 100
+
+
+def test_construct_a_small_sets_and_overflow(monkeypatch):
+    assert construct_a([], 2) == ()
+    assert construct_a([7], 3) == (7,)
+    assert construct_a([1, 2, 3], 2) == (1, 2)  # 1 + 3 = 2 + 2
+    # keys are sum * m + rank over the m = C(|b| + h - 1, h) multisets: just
+    # inside int64 they are exact, and one more element is refused before
+    # any row is built
+    near = [2**58 + k for k in (1, 2, 3, 4, 6)]
+    c = deletion_set(enumerate_collisions(near, 2))
+    assert c and construct_a(near, 2) == tuple(x for x in near if x not in c)
+    monkeypatch.setattr(collisions, "_combination_rows", None)
+    with pytest.raises(OverflowError):
+        construct_a(near + [2**58 + 7], 2)
+    with pytest.raises(OverflowError):
+        construct_a([2**62], 2)
+
+
+def test_construct_a_refuses_unsound_grouping(monkeypatch):
+    # a duplicated multiset row (row 1 a copy of row 0) makes an adjacent
+    # pair of equal rows
+    b = [1, 2, 3, 4, 5, 7, 11]
+    assert construct_a(b, 2) == (1, 2)
+    combination_rows = collisions._combination_rows
+
+    def duplicated(n, c):
+        rows = combination_rows(n, c)
+        rows[1] = rows[0]
+        return rows
+
+    monkeypatch.setattr(collisions, "_combination_rows", duplicated)
+    with pytest.raises(AssertionError, match="unsound adjacent"):
+        construct_a(b, 2)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -190,14 +286,12 @@ def test_construct_a_matches_oracle_deletion_set():
     ],
     ids=["unequal", "repeated"],
 )
-def test_construct_a_refuses_unsound_join_rows(monkeypatch, corrupt):
+def test_enumerate_collisions_refuses_unsound_join_rows(monkeypatch, corrupt):
     b = [1, 2, 3, 4, 5, 7, 11]
-    assert construct_a(b, 2) == (1, 2)
+    assert deletion_set(enumerate_collisions(b, 2)) == {3, 4, 5, 7, 11}
     join = collisions._equal_sum_rows
     monkeypatch.setattr(collisions, "_equal_sum_rows", lambda *args: corrupt(*join(*args)))
     with pytest.raises(AssertionError, match="unsound join rows"):
-        construct_a(b, 2)
-    with pytest.raises(AssertionError):
         enumerate_collisions(b, 2)
 
 
