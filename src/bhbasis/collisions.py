@@ -25,12 +25,12 @@ d sums stably and matches sums against them: the e sums by ``searchsorted``
 when the weights differ, pairs inside each group of equal d sums when they
 agree.  ``enumerate_collisions`` runs this join for every spec, checks
 every disjoint pair it yields (equal weighted sums, pairwise-distinct
-elements) and keeps the pairs as rows: they are normalised, checked and
-keyed as arrays, and only the first pair per record key becomes a record.
-The join's row order is part of its contract (see ``_equal_sum_rows``): one
-element set can satisfy two assignments of a spec, so the order decides
-which assignment is reported.  ``construct_a`` needs only C and runs no
-join: it reads C off the adjacent pairs of b's h-multisets sorted by sum.
+elements), then normalises and checks the pairs one at a time; the first
+pair per record key becomes a record.  The join's row order is part of
+its contract (see ``_equal_sum_rows``): one element set can satisfy two
+assignments of a spec, so the order decides which assignment is reported.
+``construct_a`` needs only C and runs no join: it reads C off the adjacent
+pairs of b's h-multisets sorted by sum.
 Values whose side sums could leave int64 are refused up front.
 """
 
@@ -160,102 +160,35 @@ class CollisionRecord:
         return (self.largest, self.kind, self.spec.d, self.spec.e, self.elements)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """How ``normalize_largest`` rearranges the rows of one spec.
+def normalize_largest(spec: WeightSpec, row) -> tuple[WeightSpec, tuple[int, ...]]:
+    """Normalise one pair of a spec (d slots, then e slots, in any slot
+    order): the side holding the largest element moves to d with that
+    element first, and every other slot follows in descending weight, then
+    descending element, order.
 
-    Columns are taken in `order` (each side by descending weight, d side
-    first); `runs` are the column ranges of equal weight on one side that
-    hold more than one slot.  When column c then holds the largest element,
-    `perms[c]` puts it first, the rest of its side after it and the other
-    side last, and `pattern[c]` indexes the normalised weights in `specs`.
+    Returns the normalised weights and elements.  Swapping sides is
+    harmless since the weighted sums are equal.
     """
-
-    order: np.ndarray
-    runs: tuple[tuple[int, int], ...]
-    perms: np.ndarray
-    pattern: np.ndarray
-    specs: tuple[WeightSpec, ...]
-
-
-@cache
-def _plan(spec: WeightSpec) -> _Plan:
-    k, arity = len(spec.d), spec.arity
-    sides = (range(k), range(k, arity))
-    weights = spec.d + spec.e
-    order = [i for side in sides for i in sorted(side, key=lambda i: -weights[i])]
-    weights = tuple(weights[i] for i in order)
-    runs, start = [], 0
-    for side in sides:
-        for _, size in _runs(weights[side.start : side.stop]):
-            if size > 1:
-                runs.append((start, start + size))
-            start += size
-    perms, pattern, specs = [], [], {}
-    for c in range(arity):
-        own, other = sides if c < k else sides[::-1]
-        perm = [c] + [i for i in own if i != c] + list(other)
-        normalised = WeightSpec(
-            tuple(weights[i] for i in perm[: len(own)]), tuple(weights[i] for i in perm[len(own) :])
-        )
-        perms.append(perm)
-        pattern.append(specs.setdefault(normalised, len(specs)))
-    return _Plan(np.array(order), tuple(runs), np.array(perms), np.array(pattern), tuple(specs))
+    k = len(spec.d)
+    d = sorted(zip(spec.d, row[:k]), reverse=True)
+    e = sorted(zip(spec.e, row[k:]), reverse=True)
+    largest = max(row)
+    if largest not in row[:k]:
+        d, e = e, d
+    head = next(slot for slot in d if slot[1] == largest)
+    d.remove(head)
+    d = [head] + d
+    return WeightSpec(tuple(w for w, _ in d), tuple(w for w, _ in e)), tuple(x for _, x in d + e)
 
 
-def normalize_largest(
-    spec: WeightSpec, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[WeightSpec, ...]]:
-    """Normalise the pairs of one spec, one pair per row (d slots, then e
-    slots, in any slot order): the side holding the largest element moves
-    to d with that element first, and every other slot follows in
-    descending weight, then descending element, order.
-
-    Returns the normalised rows, and per row the index of its normalised
-    weights in the returned specs.  Swapping sides is harmless since the
-    weighted sums are equal.
-    """
-    plan = _plan(spec)
-    rows = rows[:, plan.order]
-    for lo, hi in plan.runs:
-        rows[:, lo:hi] = np.sort(rows[:, lo:hi], axis=1)[:, ::-1]
-    # within a run the first column is the largest, so the head is the
-    # first column of some run and its side is already in slot order
-    head = rows.argmax(axis=1)
-    return np.take_along_axis(rows, plan.perms[head], axis=1), plan.pattern[head], plan.specs
-
-
-def _check_rows(rows: np.ndarray, pattern: np.ndarray, specs, ordered: np.ndarray) -> None:
-    """Raise AssertionError unless every normalised row is an equality of
-    its weights (``specs[pattern[i]]`` for row i) over pairwise-distinct
-    elements, its largest first; `ordered` is `rows` sorted along each row."""
-    signed = np.array([s.d + tuple(-w for w in s.e) for s in specs], dtype=np.int64)
-    ok = (rows * signed[pattern]).sum(axis=1) == 0
-    ok &= (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    ok &= rows[:, 0] == ordered[:, -1]
-    if not ok.all():
-        raise AssertionError(f"unsound collision rows: {rows[~ok][:3].tolist()}")
-
-
-def _spec_records(kind: str, spec: WeightSpec, rows: np.ndarray) -> list[CollisionRecord]:
-    """Records of one spec's joined rows: normalised, checked, and the
-    first row per (normalised weights, element set) in row order."""
-    rows, pattern, specs = normalize_largest(spec, rows)
-    ordered = np.sort(rows, axis=1)
-    _check_rows(rows, pattern, specs, ordered)
-    # the largest element is ordered[:, -1], and the kind is the spec's:
-    # no two specs share a normalised weight pattern, so keys never clash
-    # across specs
-    key = np.column_stack([pattern, ordered])
-    by_key = np.lexsort(key.T[::-1])
-    sorted_key = key[by_key]
-    starts = np.r_[True, (sorted_key[1:] != sorted_key[:-1]).any(axis=1)]
-    # lexsort is stable: a group's first member is its first row
-    first = by_key[starts]
-    return [
-        CollisionRecord(kind, specs[p], tuple(elements), elements[0])
-        for p, elements in zip(pattern[first].tolist(), rows[first].tolist())
-    ]
+def _check_row(spec: WeightSpec, elements: tuple[int, ...]) -> None:
+    """Raise AssertionError unless a normalised row is an equality of its
+    weights over pairwise-distinct elements, its largest first."""
+    k = len(spec.d)
+    lhs = sum(w * x for w, x in zip(spec.d, elements))
+    rhs = sum(w * x for w, x in zip(spec.e, elements[k:]))
+    if lhs != rhs or len(set(elements)) < len(elements) or elements[0] != max(elements):
+        raise AssertionError(f"unsound collision row of {spec.d}|{spec.e}: {elements}")
 
 
 def _runs(weights: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -374,25 +307,32 @@ def enumerate_collisions(b, h: int) -> list[CollisionRecord]:
     Specs share sides: each weight tuple's rows are built once per call.
     Every joined pair (d slots, then e slots) is checked before its records
     are read: its signed weighted sum must be 0 and its elements pairwise
-    distinct, or AssertionError is raised.
+    distinct, or AssertionError is raised.  Each pair is then normalised
+    (``normalize_largest``) and checked again, and the first pair per
+    (normalised weights, element set) becomes a record.
     """
     vals = validate_elements(b)
     side = cache(lambda weights: _side_rows(vals, weights))
-    records: list[CollisionRecord] = []
+    seen: dict[tuple, CollisionRecord] = {}
     for kind, spec in [(DISTINCT_2H, WeightSpec.distinct_2h(h))] + [
         (WEIGHTED, spec) for spec in reduced_weight_pairs(h)
     ]:
         left, right = _equal_sum_rows(vals, spec, side)
-        if not len(left):
-            continue
         rows = np.hstack([left, right])
         ok = rows @ np.array(spec.d + tuple(-w for w in spec.e), dtype=np.int64) == 0
         for i in range(1, rows.shape[1]):
             ok &= (rows[:, :i] != rows[:, i : i + 1]).all(axis=1)
         if not ok.all():
             raise AssertionError(f"unsound join rows of {spec.d}|{spec.e}: {rows[~ok][:3].tolist()}")
-        records += _spec_records(kind, spec, rows)
-    return sorted(records, key=CollisionRecord.sort_key)
+        for row in rows.tolist():
+            weights, elements = normalize_largest(spec, row)
+            _check_row(weights, elements)
+            # no two specs share normalised weights, so keys never clash
+            # across specs, and the first row per key is kept
+            key = weights, frozenset(elements)
+            if key not in seen:
+                seen[key] = CollisionRecord(kind, weights, elements, elements[0])
+    return sorted(seen.values(), key=CollisionRecord.sort_key)
 
 
 def deletion_set(records) -> frozenset[int]:

@@ -437,6 +437,8 @@ def boundedness_check(h: int, n_list, seeds) -> dict:
     meaningful per seed.
     """
     n_values = sorted(set(int(x) for x in n_list))
+    if not n_values or n_values[0] < 1:
+        raise ValueError("need a non-empty n_list of window bounds N >= 1")
     seeds = seed_list(seeds)
     one_sided = default_one_sided(h)
     two_sided = tuple(_col.reduced_weight_pairs(h))

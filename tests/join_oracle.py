@@ -1,5 +1,5 @@
 """The recursive-generator equal-sum join and the per-pair record builder
-that `collisions` replaced, kept verbatim as oracles.
+that `collisions` once replaced, kept verbatim as oracles.
 
 `collisions._equal_sum_rows` must join exactly the pairs `equal_sum_pairs`
 yields, in exactly this order: `enumerate_collisions` keeps the first pair
@@ -7,7 +7,9 @@ it sees per record key, so the order decides which of two assignments of
 one element set is reported.  `enumerate_collisions` here is the record
 builder that ran over those pairs: one `normalize_largest` and one
 `holds` (a `CollisionRecord` method until then) per pair, and a
-first-seen dict.
+first-seen dict.  The library again builds its records one pair at a
+time, from the numpy join's rows; this module stays the reference its
+records are compared with.
 """
 
 from collections import defaultdict

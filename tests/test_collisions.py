@@ -13,7 +13,7 @@ from bhbasis.collisions import (
     WEIGHTED,
     CollisionRecord,
     WeightSpec,
-    _check_rows,
+    _check_row,
     construct_a,
     deletion_set,
     enumerate_collisions,
@@ -39,27 +39,24 @@ def _by_hand(kind, d_slots, e_slots):
 
 def _normalise(cases):
     """(normalised elements, normalised spec) per (spec, elements) case,
-    from one `normalize_largest` call per spec; every batch must pass the
+    one `normalize_largest` call per case; every row must pass the
     soundness check."""
-    by_spec = defaultdict(list)
-    for i, (spec, elements) in enumerate(cases):
-        by_spec[spec].append(i)
-    out = [None] * len(cases)
-    for spec, idx in by_spec.items():
-        rows, pattern, specs = normalize_largest(spec, np.array([cases[i][1] for i in idx], dtype=np.int64))
-        _check_rows(rows, pattern, specs, np.sort(rows, axis=1))
-        for i, row, p in zip(idx, rows.tolist(), pattern.tolist()):
-            out[i] = (tuple(row), specs[p])
+    out = []
+    for spec, elements in cases:
+        weights, normalised = normalize_largest(spec, elements)
+        _check_row(weights, normalised)
+        out.append((normalised, weights))
     return out
 
 
 def test_normalize_largest_swaps_sides():
     # 2*5 + 1 = 2*2 + 7, the reduction of (1, 5, 5) against (2, 2, 7), and
-    # 2*9 + 1 = 2*8 + 3, already largest-side, in one batch
+    # 2*9 + 1 = 2*8 + 3, already largest-side
     spec = WeightSpec((2, 1), (2, 1))
-    rows, pattern, specs = normalize_largest(spec, np.array([[5, 1, 2, 7], [9, 1, 8, 3]]))
-    assert rows.tolist() == [[7, 2, 5, 1], [9, 1, 8, 3]]
-    assert [specs[p] for p in pattern] == [WeightSpec((1, 2), (2, 1)), spec]
+    assert _normalise([(spec, (5, 1, 2, 7)), (spec, (9, 1, 8, 3))]) == [
+        ((7, 2, 5, 1), WeightSpec((1, 2), (2, 1))),
+        ((9, 1, 8, 3), spec),
+    ]
     # (2, 9, 9) against (5, 7, 8): kept, and reached from any slot order
     want = ((9, 2, 8, 7, 5), WeightSpec((2, 1), (1, 1, 1)))
     assert _normalise(
@@ -75,8 +72,8 @@ def test_canonicalize_random_pairs_properties():
     # random equal-sum multiset pairs, reduced by the independent
     # Counter-based reducer: the reduction is a true equality over
     # pairwise-distinct elements within the reduced-form bounds, and
-    # largest-normalization of whole batches, from either side order and
-    # any slot order, puts the largest element first, keeps the (weight,
+    # largest-normalization of each pair, from either side order and any
+    # slot order, puts the largest element first, keeps the (weight,
     # element) content, keeps the equality true, is idempotent and agrees
     # with the per-record normaliser it replaced
     from tests.oracles import reduce_multiset_pair
@@ -123,22 +120,50 @@ def test_canonicalize_random_pairs_properties():
 def test_check_rows_refuses_unsound_rows():
     # 4 + 1 = 3 + 2 and 2*3 = 1 + 5, normalised
     spec = WeightSpec((1, 1), (1, 1))
-    rows, pattern, specs = normalize_largest(spec, np.array([[1, 4, 2, 3], [3, 2, 1, 4]]))
-    assert rows.tolist() == [[4, 1, 3, 2], [4, 1, 3, 2]]
-    _check_rows(rows, pattern, specs, np.sort(rows, axis=1))
+    for row in ((1, 4, 2, 3), (3, 2, 1, 4)):
+        assert normalize_largest(spec, row) == (spec, (4, 1, 3, 2))
+    _check_row(spec, (4, 1, 3, 2))
     bad_rows = [
-        [1, 4, 3, 2],  # true and distinct, but the head is not the largest
-        [5, 1, 3, 2],  # unequal sums
+        (1, 4, 3, 2),  # true and distinct, but the head is not the largest
+        (5, 1, 3, 2),  # unequal sums
     ]
     for bad in bad_rows:
-        corrupt = np.array([rows[0].tolist(), bad])
-        with pytest.raises(AssertionError):
-            _check_rows(corrupt, pattern, specs, np.sort(corrupt, axis=1))
-    rows, pattern, specs = normalize_largest(WeightSpec((2,), (1, 1)), np.array([[3, 1, 5], [3, 3, 3]]))
-    assert rows.tolist() == [[5, 1, 3], [3, 3, 3]]
-    with pytest.raises(AssertionError):  # 2*3 = 3 + 3 repeats an element
-        _check_rows(rows, pattern, specs, np.sort(rows, axis=1))
-    _check_rows(rows[:1], pattern[:1], specs, np.sort(rows[:1], axis=1))
+        with pytest.raises(AssertionError, match="unsound collision row"):
+            _check_row(spec, bad)
+    spec = WeightSpec((2,), (1, 1))
+    assert normalize_largest(spec, (3, 1, 5)) == (WeightSpec((1, 1), (2,)), (5, 1, 3))
+    assert normalize_largest(spec, (3, 3, 3)) == (spec, (3, 3, 3))
+    with pytest.raises(AssertionError, match="unsound collision row"):  # 2*3 = 3 + 3 repeats an element
+        _check_row(spec, (3, 3, 3))
+    _check_row(WeightSpec((1, 1), (2,)), (5, 1, 3))
+
+
+def test_normalize_largest_called_once_per_joined_row(monkeypatch):
+    # the tracer counts calls of collisions.normalize_largest as
+    # collisions.candidates: one per row the join returns, over every spec
+    rows, calls = [], []
+    join, normalize = collisions._equal_sum_rows, collisions.normalize_largest
+
+    def joined(*args):
+        left, right = join(*args)
+        rows.append(len(left))
+        return left, right
+
+    def counted(spec, row):
+        calls.append(spec)
+        return normalize(spec, row)
+
+    monkeypatch.setattr(collisions, "_equal_sum_rows", joined)
+    monkeypatch.setattr(collisions, "normalize_largest", counted)
+    basis = sample_set(ModelParams(2, 10**7, 7)).elements
+    cases = [([], 2), ([1, 2, 3, 4, 5, 7, 11], 2), ([1, 5, 17, 25], 3), (list(range(1, 15)), 3), (basis, 2)]
+    for b, h in cases:
+        rows.clear()
+        calls.clear()
+        recs = enumerate_collisions(b, h)
+        assert len(calls) == sum(rows) >= len(recs), (b, h)
+    # the basis-shaped set, run last, joins 267 rows into 267 records
+    assert len(calls) == len(recs) == 267
 
 
 def test_side_rows_built_once_per_weights(monkeypatch):
@@ -499,6 +524,16 @@ def test_records_match_generator_join_on_theorem_sets():
             assert got == records_to_jsonl(_oracle_records(b, h)), (seed, h)
             digest.update(got.encode())
     assert digest.hexdigest() == "accad6aded1efd4a7ac985d49274ff587e733cc3b08f70bb7acddb0b6c324d2f"
+
+
+@pytest.mark.parametrize("h, seeds", [(4, (1, 2)), (5, (1,))])
+def test_records_match_generator_join_at_high_order(h, seeds):
+    # the records, not only their deletion set, equal those of the
+    # generator join under the per-pair record builder at h = 4 and 5
+    for seed in seeds:
+        b = list(sample_set(ModelParams(h, 10**6, seed)).elements)
+        got = enumerate_collisions(b, h)
+        assert got and got == _oracle_records(b, h), (h, seed)
 
 
 def test_join_refuses_int64_overflow():

@@ -111,6 +111,14 @@ def test_boundedness_check_shape_and_nesting():
         assert out["two_sided"]["2|1,1"]["total"]["2000"][i] >= out["two_sided"]["2|1,1"]["total"]["500"][i]
 
 
+@pytest.mark.parametrize("n_list", [[], [0, 100], [-5], [0]])
+def test_boundedness_check_refuses_bad_window_bounds(monkeypatch, n_list):
+    # refused before any sampling, as basis_floor_check refuses a bad n_lo
+    monkeypatch.setattr(harness_mod, "sample_set", None)
+    with pytest.raises(ValueError, match="n_list"):
+        boundedness_check(2, n_list, [1])
+
+
 @pytest.mark.parametrize("seeds", [[3, 3], [1, 2, 1], [], [1.5]])
 def test_both_checks_refuse_bad_seeds(seeds):
     # one seed rule for ExperimentConfig and both lemma checks
