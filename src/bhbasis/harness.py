@@ -77,11 +77,19 @@ def default_one_sided(h: int) -> tuple[tuple[int, ...], ...]:
     return tuple(f for f in _col.one_sided_weights(h) if len(f) <= _ONE_SIDED_ARITY)
 
 
+def _index(x, what: str) -> int:
+    """operator.index(x); ValueError naming `what` for a bool or a value
+    that is not an integer."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise ValueError(f"{what}: {x!r} is not an integer")
+    return operator.index(x)
+
+
 def seed_list(seeds) -> tuple[int, ...]:
     """The seeds in increasing order; raises ValueError unless they are a
     nonempty collection of distinct integers."""
     try:
-        vals = sorted(operator.index(s) for s in seeds)
+        vals = sorted(_index(s, "seeds") for s in seeds)
     except TypeError:
         raise ValueError("seeds must be integers") from None
     if not vals or len(set(vals)) != len(vals):
@@ -157,7 +165,7 @@ def _seed_map(fn, seeds: tuple[int, ...]) -> list:
 
 
 def _check_audit_hi(audit_hi) -> None:
-    if not isinstance(audit_hi, int) or audit_hi < 1:
+    if _index(audit_hi, "audit_hi") < 1:
         raise ValueError(f"audit_hi must be a positive integer, got {audit_hi!r}")
 
 
@@ -167,7 +175,7 @@ EXPERIMENT_MIN_N = 10
 
 def _check_window(window, n: int) -> None:
     if window is not None:
-        lo, hi = window
+        lo, hi = (_index(x, "window") for x in window)
         if not 1 <= lo <= hi <= n:
             raise ValueError(f"window must satisfy 1 <= lo <= hi <= N = {n}, got {lo}:{hi}")
 
@@ -186,15 +194,19 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.h < 2:
+        # every field is checked as given: nothing is coerced, so a replayed
+        # config runs exactly what its report says or is refused
+        if _index(self.h, "h") < 2:
             raise ValueError("h must be >= 2")
-        if self.n < EXPERIMENT_MIN_N:
+        if _index(self.n, "N") < EXPERIMENT_MIN_N:
             raise ValueError(f"N must be >= {EXPERIMENT_MIN_N}")
         seed_list(self.seeds)
         _check_window(self.window, self.n)
         _check_audit_hi(self.audit_hi)
+        if not isinstance(self.floor, bool):
+            raise ValueError(f"floor: {self.floor!r} is not true or false")
         for f in self.one_sided:
-            _col.validate_one_sided(f, self.h)
+            _col.validate_one_sided([_index(w, "one_sided") for w in f], self.h)
 
     def resolved_window(self) -> tuple[int, int]:
         return self.window if self.window is not None else default_window(self.n)
@@ -214,12 +226,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         return cls(
-            h=int(d["h"]),
-            n=int(d["n"]),
-            seeds=tuple(int(s) for s in d["seeds"]),
+            h=d["h"],
+            n=d["n"],
+            seeds=tuple(d["seeds"]),
             window=tuple(d["window"]) if d.get("window") is not None else None,
             audit_hi=d["audit_hi"],
-            floor=bool(d.get("floor", True)),
+            floor=d.get("floor", True),
             one_sided=tuple(tuple(f) for f in d.get("one_sided", [])),
             out_dir=d.get("out_dir"),
         )
@@ -508,8 +520,9 @@ def validate_report(report: dict) -> None:
     need(report.get("schema_version") == SCHEMA_VERSION, "bad schema_version")
     cfg = report.get("config")
     need(isinstance(cfg, dict), "missing config")
-    for key, typ in (("h", int), ("n", int), ("seeds", list), ("window", list), ("audit_hi", int)):
-        need(isinstance(cfg.get(key), typ), f"config.{key} must be {typ.__name__}")
+    # the values themselves are ExperimentConfig's to check
+    for key in ("h", "n", "seeds", "window", "audit_hi"):
+        need(cfg.get(key) is not None, f"config.{key} missing")
     try:
         ExperimentConfig.from_dict(cfg)
     except (TypeError, ValueError) as exc:

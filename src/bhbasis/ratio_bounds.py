@@ -213,27 +213,48 @@ def _inverse_powers(pw: np.ndarray, top: int, alpha: float) -> np.ndarray:
     return np.concatenate([pw, np.arange(pw.size + 1, top + 1, dtype=np.float64) ** (-alpha)])
 
 
+def _cutoffs(a: float, n_start: int) -> tuple[int, int]:
+    """First and last cutoff of a shifted sum's head: the first lets the
+    tail bracket start (u >= 4 max(|a|, 1)), the last is the first one
+    doubled up to `_T_CAP`."""
+    first = max(n_start, 16, int(4 * max(abs(a), 1.0)) + 1)
+    return first, first << ((_T_CAP - 1) // first).bit_length()
+
+
+def _uncertified(tail_eps: float, a: float, n_start: int) -> TailBoundError:
+    return TailBoundError(f"cannot certify tail to eps={tail_eps} below cutoff {_cutoffs(a, n_start)[1]}")
+
+
 def _certified_shifted_sums(a, alpha: float, beta: float, n_start, tail_eps: float, head_extra):
     """sum_{n >= n_start} (n+a)^-alpha n^-beta for each entry of the
     integral-valued float array a and the int array n_start (with
-    n_start + a >= 1), each with certified relative tail error <= tail_eps.
+    n_start + a >= 1), with a certified tail error.
 
     head_extra holds an already-exact additive contribution per entry,
-    counted toward the total when judging relative accuracy.  The work runs
-    in rounds: each adds every uncertified entry's head up to its cutoff,
-    brackets all their tails in one batched call and doubles the cutoffs of
-    the entries still uncertified.  Head factors are read from two shared
-    vectors of x^-alpha and x^-beta over integer x.  Returns (values,
-    certified errors); an entry that cannot be certified below `_T_CAP`
-    raises TailBoundError, the first such entry in order.
+    counted toward the total when judging relative accuracy: an entry is
+    certified when its error is at most tail_eps * (value + head_extra).
+    The work runs in rounds: each adds every open entry's head up to its
+    cutoff, brackets all their tails in one batched call and doubles the
+    cutoffs of the entries still open.  Head factors are read from two
+    shared vectors of x^-alpha and x^-beta over integer x.
+
+    An entry closes when it is certified, when it has reached its last
+    cutoff (see `_cutoffs`), or when it is refused.  The brackets of the
+    entries open after round 1 are taken once more at their last cutoffs;
+    brackets shrink as the cutoff grows, and no later value exceeds
+    value + 2 error of any round, so an entry whose half-width there
+    exceeds 2 tail_eps (value + 2 error + head_extra) can never be
+    certified and is refused at once; the factor 2 absorbs rounding.
+    Never raises for an uncertified entry: returns every entry's last
+    (value, error), and the caller judges them.
     """
+    cut, last = np.array([_cutoffs(x, n) for x, n in zip(a.tolist(), n_start.tolist())], np.int64).reshape(-1, 2).T
     shift = a.astype(np.int64)
-    cut = np.maximum(np.maximum(n_start, 16), (4 * np.maximum(np.abs(a), 1.0)).astype(np.int64) + 1)
     done_to = n_start - 1
     head, val, cert = np.zeros((3, a.size))
+    floor = None
     pow_a = pow_b = np.empty(0)
     rows = np.arange(a.size)
-    failed = None
     while rows.size:
         pow_a = _inverse_powers(pow_a, int((cut[rows] + shift[rows]).max()), alpha)
         pow_b = _inverse_powers(pow_b, int(cut[rows].max()), beta)
@@ -243,20 +264,15 @@ def _certified_shifted_sums(a, alpha: float, beta: float, n_start, tail_eps: flo
             head[i] += float(np.sum(pow_a[lo + sh : hi + sh] * pow_b[lo:hi]))
         done_to[rows] = cut[rows]
         t_lo, t_hi = _tail_brackets(cut[rows], a[rows], alpha, beta)
-        est = head[rows] + 0.5 * (t_lo + t_hi)
-        half = 0.5 * (t_hi - t_lo)
-        ok = half <= tail_eps * (est + head_extra[rows])
-        val[rows[ok]] = est[ok]
-        cert[rows[ok]] = half[ok]
-        rows = rows[~ok]
-        stuck = rows[cut[rows] >= _T_CAP]
-        if stuck.size:
-            # entries after the first stuck one can no longer be reported
-            failed = int(stuck[0])
-            rows = rows[rows < failed]
+        val[rows] = head[rows] + 0.5 * (t_lo + t_hi)
+        cert[rows] = 0.5 * (t_hi - t_lo)
+        rows = rows[(cert[rows] > tail_eps * (val[rows] + head_extra[rows])) & (cut[rows] < last[rows])]
+        if floor is None:
+            floor = np.zeros(a.size)
+            t_lo, t_hi = _tail_brackets(last[rows], a[rows], alpha, beta)
+            floor[rows] = 0.5 * (t_hi - t_lo)
+        rows = rows[floor[rows] <= 2 * tail_eps * (val[rows] + 2 * cert[rows] + head_extra[rows])]
         cut[rows] *= 2
-    if failed is not None:
-        raise TailBoundError(f"cannot certify tail to eps={tail_eps} below cutoff {cut[failed]}")
     return val, cert
 
 
@@ -272,7 +288,8 @@ def shifted_tail_curve(
     grid=None,
 ) -> RatioCurve:
     """Part ii: infinite shifted sums over a signed M range with certified
-    truncation tails."""
+    truncation tails; the first M, in grid order, whose tail cannot be
+    certified to `tail_eps` raises TailBoundError."""
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("exponents must lie strictly inside (0, 1)")
     if alpha + beta <= 1:
@@ -288,9 +305,11 @@ def shifted_tail_curve(
         if m < 0:
             n = np.arange(1, -m + 1, dtype=np.float64)
             humps[i] = float(np.sum((np.abs(n + m) + 1.0) ** (-alpha) * n ** (-beta)))
-    val, err = _certified_shifted_sums(
-        ms_arr + 1.0, alpha, beta, np.maximum(1, 1 - ms_arr), tail_eps, head_extra=humps
-    )
+    a, n_start = ms_arr + 1.0, np.maximum(1, 1 - ms_arr)
+    val, err = _certified_shifted_sums(a, alpha, beta, n_start, tail_eps, head_extra=humps)
+    bad = np.flatnonzero(err > tail_eps * (val + humps))
+    if bad.size:
+        raise _uncertified(tail_eps, float(a[bad[0]]), int(n_start[bad[0]]))
     rhs = (np.abs(ms_arr) + 1.0) ** (1.0 - alpha - beta)
     return RatioCurve(ms_arr, val + humps, rhs, err)
 
@@ -409,11 +428,11 @@ def _envelope(h: int, l: int, length: int) -> float:
     return lo
 
 
-def _signed_sum_points(
-    s: int, t: int, h: int, ms: list[int], tail_eps: float, length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """lhs of part iv, with certificates, at the points M >= 0 of `ms` (one
-    sign group of a curve) for interior 0 < s < t.
+@lru_cache(maxsize=64)
+def _signed_group(s: int, t: int, h: int, ms: tuple[int, ...], tail_eps: float, length: int):
+    """lhs of part iv, with certificates, at the ascending points M >= 0 of
+    `ms` (one folded sign group of a curve) for interior 0 < s < t, once per
+    process.
 
     (s, t) = (1, 2) is a shifted sum of two weights.  Otherwise each point's
     head pairs two exact table slices; its mid range (t_cut, length] pairs
@@ -422,59 +441,38 @@ def _signed_sum_points(
     pure-power tail beyond the table is bracketed for every point in one
     batched call.  The tables, envelopes and limit constants are looked up
     once.  The bracket beyond the table starts at u = length + 1/2 and
-    needs u >= 4M, so an M above length/4 raises ValueError before the
-    tables are looked up; an uncertifiable tail raises TailBoundError
-    naming the first such M.  Each point's value does not depend on the
-    other points of `ms` or their order.
-    """
-    q = float(weight_exponent(h))
-    m_arr = np.array(ms, dtype=np.float64)
-    if s == 1 and t == 2:
-        return _certified_shifted_sums(m_arr, q, q, np.ones(m_arr.size, np.int64), tail_eps, np.zeros_like(m_arr))
-    gam_s = -float(composition_rhs_exponent(s, h))
-    gam_r = -float(composition_rhs_exponent(t - s, h))
-    if gam_s + gam_r <= 1:
-        raise TailBoundError(
-            f"signed sum diverges for interior s={s}, t={t} at h={h}: "
-            f"tail exponent {gam_s + gam_r} <= 1"
-        )
-    too_large = [m for m in ms if 4 * m > length]
-    if too_large:
-        raise ValueError(f"|M| = {too_large[0]} too large for table length {length}")
-    tab_s = _composition_table(h, s, length)
-    tab_r = _composition_table(h, t - s, length)
-    lo_s, hi_s = _envelope(h, s, length), _limit_constant(h, s)
-    lo_r, hi_r = _envelope(h, t - s, length), _limit_constant(h, t - s)
-    # t_cut = length - M: the head runs over n <= t_cut
-    head = np.array([np.dot(tab_s[1 + m : length + 1], tab_r[1 : length - m + 1]) for m in ms])
-    # (t_cut, length]: exact right factor, enveloped left factor
-    env = np.arange(length + 1, length + max(ms) + 1, dtype=np.float64) ** (-gam_s)
-    mid = np.array([np.dot(tab_r[length - m + 1 : length + 1], env[:m]) for m in ms])
-    # beyond the table: both factors enveloped, pure-power bracket
-    in_lo, in_hi = _tail_brackets(np.full(m_arr.size, length), m_arr, gam_s, gam_r)
-    tail_lo = lo_s * mid + lo_s * lo_r * in_lo
-    tail_hi = hi_s * mid + hi_s * hi_r * in_hi
-    val = head + 0.5 * (tail_lo + tail_hi)
-    cert = 0.5 * (tail_hi - tail_lo)
-    bad = np.flatnonzero(cert > tail_eps * val)
-    if bad.size:
-        i = int(bad[0])
-        raise TailBoundError(
-            f"signed-sum tail certificate {cert[i] / val[i]:.3g} exceeds eps={tail_eps} "
-            f"(s={s}, t={t}, h={h}, M={ms[i]}); raise tail_eps or enlarge the table"
-        )
-    return val, cert
-
-
-@lru_cache(maxsize=64)
-def _signed_group(s: int, t: int, h: int, ms: tuple[int, ...], tail_eps: float, length: int):
-    """``_signed_sum_points`` at the ascending points `ms`, once per process.
+    needs u >= 4M and a convergent sum; ``signed_composition_curve`` checks
+    both before any group is evaluated.  Nothing is judged here: every
+    point's (value, certificate) is returned, certified or not, so a
+    failing group is evaluated once too.  Each point's value does not
+    depend on the other points of `ms` or their order.
 
     Curve (s, t) at -M is curve (t - s, t) at M, so on a symmetric grid the
     negative group of one curve is the positive group of its mirror.  The
     arrays are read-only.
     """
-    val, cert = _signed_sum_points(s, t, h, list(ms), tail_eps, length)
+    q = float(weight_exponent(h))
+    m_arr = np.array(ms, dtype=np.float64)
+    if t == 2:
+        val, cert = _certified_shifted_sums(m_arr, q, q, np.ones(m_arr.size, np.int64), tail_eps, np.zeros_like(m_arr))
+    else:
+        gam_s = -float(composition_rhs_exponent(s, h))
+        gam_r = -float(composition_rhs_exponent(t - s, h))
+        tab_s = _composition_table(h, s, length)
+        tab_r = _composition_table(h, t - s, length)
+        lo_s, hi_s = _envelope(h, s, length), _limit_constant(h, s)
+        lo_r, hi_r = _envelope(h, t - s, length), _limit_constant(h, t - s)
+        # t_cut = length - M: the head runs over n <= t_cut
+        head = np.array([np.dot(tab_s[1 + m : length + 1], tab_r[1 : length - m + 1]) for m in ms])
+        # (t_cut, length]: exact right factor, enveloped left factor
+        env = np.arange(length + 1, length + max(ms) + 1, dtype=np.float64) ** (-gam_s)
+        mid = np.array([np.dot(tab_r[length - m + 1 : length + 1], env[:m]) for m in ms])
+        # beyond the table: both factors enveloped, pure-power bracket
+        in_lo, in_hi = _tail_brackets(np.full(m_arr.size, length), m_arr, gam_s, gam_r)
+        tail_lo = lo_s * mid + lo_s * lo_r * in_lo
+        tail_hi = hi_s * mid + hi_s * hi_r * in_hi
+        val = head + 0.5 * (tail_lo + tail_hi)
+        cert = 0.5 * (tail_hi - tail_lo)
     val.flags.writeable = False
     cert.flags.writeable = False
     return val, cert
@@ -494,20 +492,25 @@ def signed_composition_curve(
     becomes a plain composition), read from one composition table with no
     series to truncate.  Interior cases use the exact head plus certified
     tail; negative M folds onto the mirrored parameter (t-s, t) at -M.  The
-    interior points are evaluated per sign group (see ``_signed_sum_points``):
+    interior points are evaluated per sign group (see ``_signed_group``):
     tables, envelopes and limit constants are looked up once, and all tails
     of the group are bracketed in one batched call.  Each folded group (M < 0,
     M = 0 and M > 0, keyed by ascending |M|) is evaluated once per process,
-    so on a symmetric grid curve (t - s, t) reads its positive points from
-    the negative group of (s, t) and the reverse.  The l = 2 table squares
+    failing or not, so on a symmetric grid curve (t - s, t) reads its
+    positive points from the negative group of (s, t) and the reverse.  The
+    groups are read in grid order and each point is judged once, as it is
+    read: the first point whose certificate exceeds `tail_eps` raises
+    TailBoundError, and no later group is evaluated.  The l = 2 table squares
     the cached weight spectrum instead of transforming w again.  Grid points
     where the lhs vanishes (only the degenerate |M| < t delegation points)
     are dropped.
 
     `tail_eps` bounds each interior point's relative tail certificate
     (default 1e-6 for t = 2, else 0.05); s = 0 and s = t have no tail and
-    refuse it with ValueError.  Interior points need |M| <= length/4.  An
-    error names the first failing M in grid order.  `tail_err`
+    refuse it with ValueError.  Interior points other than (1, 2) need
+    |M| <= length/4 and t < 2h (a convergent sum); both are checked before
+    any group is evaluated.  An error names the first failing M in grid
+    order, whatever ran before it.  `tail_err`
     certifies series truncation only, so it is 0.0 for s = 0 and s = t.
     FFT roundoff is not yet certified: composition tables of length
     6324 and more are built by FFT (see ``_composition_table``), which
@@ -540,27 +543,34 @@ def signed_composition_curve(
             lhs.append(float(table[v]))
             err.append(0.0)
     else:
+        if t > 2:
+            # (1, 2) sums two weights and reads no table
+            gam = -float(composition_rhs_exponent(s, h)) - float(composition_rhs_exponent(t - s, h))
+            if gam <= 1:
+                raise TailBoundError(f"signed sum diverges for interior s={s}, t={t} at h={h}: tail exponent {gam} <= 1")
+            too_large = [abs(m) for m in ms if 4 * abs(m) > length]
+            if too_large:
+                raise ValueError(f"|M| = {too_large[0]} too large for table length {length}")
         # negative M folds onto (t - s, t) at |M|, read in ascending |M| and
-        # reversed into grid order; M = 0 is a group of its own.  Each group
-        # is listed with the sign group it belongs to, in grid order
+        # reversed into grid order; M = 0 is a group of its own.  The groups
+        # are read in grid order and each point is judged once, as it is read
         kept = ms
         neg = sorted(-m for m in ms if m < 0)
         zero, pos = [m for m in ms if m == 0], [m for m in ms if m > 0]
-        for ss, group, step, sign_group in ((t - s, neg, -1, neg[::-1]), (s, zero, 1, zero + pos), (s, pos, 1, pos)):
+        for ss, group, step in ((t - s, neg, -1), (s, zero, 1), (s, pos, 1)):
             if not group:
                 continue
-            try:
-                val, cert = _signed_group(ss, t, h, tuple(group), tail_eps, length)
-            except (ValueError, TailBoundError) as exc:
-                failed = exc
-            else:
-                lhs.extend(val[::step].tolist())
-                err.extend(cert[::step].tolist())
-                continue
-            if sign_group != group:
-                # the error of the whole sign group in grid order names its first failing M
-                _signed_sum_points(ss, t, h, sign_group, tail_eps, length)
-            raise failed
+            val, cert = (x[::step].tolist() for x in _signed_group(ss, t, h, tuple(group), tail_eps, length))
+            for m, v, c in zip(group[::step], val, cert):
+                if c > tail_eps * v:
+                    if t == 2:
+                        raise _uncertified(tail_eps, float(m), 1)
+                    raise TailBoundError(
+                        f"signed-sum tail certificate {c / v:.3g} exceeds eps={tail_eps} "
+                        f"(s={ss}, t={t}, h={h}, M={m}); raise tail_eps or enlarge the table"
+                    )
+            lhs.extend(val)
+            err.extend(cert)
     ms_arr = np.array(kept, dtype=np.int64)
     rhs = (np.abs(ms_arr) + 1.0) ** rhs_exp
     return RatioCurve(ms_arr, np.array(lhs), rhs, np.array(err))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -379,6 +380,13 @@ def test_replay_subcommand(tmp_path, capsys):
     assert rc == 1
 
 
+def _golden_with(key, value) -> str:
+    """The golden report with config[key] replaced by value."""
+    report = json.loads((pathlib.Path(__file__).parent / "golden" / "report.json").read_text())
+    report["config"][key] = value
+    return json.dumps(report)
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [
@@ -389,6 +397,15 @@ def test_replay_subcommand(tmp_path, capsys):
          '"records": [1], "aggregate": {}}', "schema violation: record must be an object"),
         ('{"schema_version": 1, "config": {"h": 1, "n": 600, "seeds": [4], "window": [1, 600], "audit_hi": 10}}',
          "schema violation: config refused: h must be >= 2"),
+        # the golden report with one config value that must not be coerced
+        pytest.param(_golden_with("window", [1000.5, 20000]), "config refused: window: 1000.5 is not an integer",
+                     id="window-float"),
+        pytest.param(_golden_with("seeds", [1.5, 2, 3]), "config refused: seeds: 1.5 is not an integer",
+                     id="seed-float"),
+        pytest.param(_golden_with("audit_hi", True), "config refused: audit_hi: True is not an integer",
+                     id="audit_hi-bool"),
+        pytest.param(_golden_with("floor", "no"), "config refused: floor: 'no' is not true or false",
+                     id="floor-string"),
     ],
 )
 def test_bad_replay_report_is_usage_error(content, reason, tmp_path, monkeypatch, capsys):

@@ -191,6 +191,17 @@ def test_config_round_trip_and_validation():
         ExperimentConfig(h=1, n=100, seeds=(1,))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("h", 2.0), ("n", True), ("audit_hi", True), ("window", (10.5, 100)), ("seeds", (True,)),
+     ("one_sided", ((1.5, 1),)), ("floor", 1)],
+)
+def test_config_refuses_values_it_would_have_to_coerce(field, value):
+    # a bool or a non-integer is refused, not rounded or read as 0 or 1
+    with pytest.raises(ValueError, match=f"(?i)^{field}: "):
+        ExperimentConfig(**{"h": 2, "n": 100, "seeds": (1,), field: value})
+
+
 def test_emit_validate_replay(tmp_path, capsys):
     config = ExperimentConfig(h=2, n=800, seeds=(1, 2), audit_hi=400)
     report = run_experiment(config)

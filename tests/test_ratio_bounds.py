@@ -353,6 +353,98 @@ def test_negative_group_error_names_first_m_in_grid_order():
         signed_composition_curve(1, 2, 2, grid=[-300, -5, 0, 5, 300], tail_eps=1e-13)
 
 
+def _count_shifted_sums(monkeypatch) -> list:
+    """Record the a-array of every _certified_shifted_sums call."""
+    calls = []
+    real = ratio_bounds._certified_shifted_sums
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.tolist())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(ratio_bounds, "_certified_shifted_sums", counted)
+    return calls
+
+
+def test_failing_group_is_evaluated_once(monkeypatch):
+    # for (1, 2) the negative group (5, 300) is the positive one too; the
+    # curve reads it once and judges it in grid order, so no other group runs
+    calls = _count_shifted_sums(monkeypatch)
+    ratio_bounds._signed_group.cache_clear()
+    with pytest.raises(TailBoundError, match="below cutoff 19677184$"):
+        signed_composition_curve(1, 2, 2, grid=[-300, -5, 0, 5, 300], tail_eps=1e-13)
+    assert calls == [[5.0, 300.0]]
+
+
+def test_failing_group_is_served_from_the_cache(monkeypatch):
+    ratio_bounds._signed_group.cache_clear()
+    with pytest.raises(TailBoundError):
+        signed_composition_curve(1, 2, 2, grid=[-300, -5, 0, 5, 300], tail_eps=1e-13)
+    calls = _count_shifted_sums(monkeypatch)
+    with pytest.raises(TailBoundError, match="below cutoff 19677184$"):
+        signed_composition_curve(1, 2, 2, grid=[-300, -5, 0, 5, 300], tail_eps=1e-13)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda: shifted_tail_curve(0.6, 0.7, -10, 10, tail_eps=1e-13),
+        lambda: signed_composition_curve(1, 2, 2, grid=[-300, -5, 0, 5, 300], tail_eps=1e-13),
+    ],
+    ids=["ii", "iv-1-2"],
+)
+def test_uncertifiable_tail_is_refused_after_one_round(curve, monkeypatch):
+    # no entry certifies at 1e-13 below the cap, and the half-width at its
+    # last cutoff shows that after the first round: no head grows past its
+    # first cutoff (without the refusal the heads reach about 2^24)
+    tops = []
+    real = ratio_bounds._inverse_powers
+
+    def recorded(pw, top, alpha):
+        tops.append(top)
+        return real(pw, top, alpha)
+
+    monkeypatch.setattr(ratio_bounds, "_inverse_powers", recorded)
+    ratio_bounds._signed_group.cache_clear()
+    with pytest.raises(TailBoundError, match="below cutoff"):
+        curve()
+    # one round reads both power vectors once
+    assert len(tops) == 2 and max(tops) < 2000, tops
+
+
+def test_refusal_spares_a_point_certified_at_its_last_cutoff(monkeypatch):
+    # with the cap lowered to 2^12, tighten tail_eps just below the largest
+    # relative certificate of the per-point reference, which has no refusal,
+    # until the reference refuses the grid.  Then that certificate is one
+    # point's at its last cutoff: at eps just above it every point
+    # certifies, that one with a margin of 1e-12, and the curve gives the
+    # reference's bytes; just below it the curve gives its message
+    for module in (ratio_bounds, ratio_points):
+        monkeypatch.setattr(module, "_T_CAP", 1 << 12)
+    alpha, beta, grid = 0.6, 0.7, [-7, 0, 5, 40]
+
+    def reference(eps):
+        return [ratio_points.shifted_tail_point(alpha, beta, m, eps) for m in grid]
+
+    pairs = reference(1.0)
+    while True:
+        stricter = max(c / v for v, c in pairs) * (1 - 1e-9)
+        try:
+            pairs = reference(stricter)
+        except TailBoundError as exc:
+            message = str(exc)
+            break
+    eps = max(c / v for v, c in pairs) * (1 + 1e-12)
+    pairs = reference(eps)
+    curve = shifted_tail_curve(alpha, beta, -7, 40, tail_eps=eps, grid=grid)
+    assert curve.lhs.tobytes() == np.array([v for v, _ in pairs]).tobytes()
+    assert curve.tail_err.tobytes() == np.array([c for _, c in pairs]).tobytes()
+    with pytest.raises(TailBoundError) as exc:
+        shifted_tail_curve(alpha, beta, -7, 40, tail_eps=stricter, grid=grid)
+    assert str(exc.value) == message
+
+
 def test_too_large_m_raises_before_any_head(monkeypatch):
     # |M| = 70000 exceeds a quarter of 2^17; no head dot product may run first
     _composition_table(2, 2, 1 << 17)
