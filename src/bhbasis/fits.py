@@ -44,7 +44,9 @@ def _pairwise_sum(n: int, leaf):
     return first + _pairwise_sum(n - n2, leaf)
 
 
-def _block_log_sums(values: np.ndarray, n_lo: int, lo: int, hi: int, ybuf: np.ndarray, xbuf: np.ndarray):
+def _block_log_sums(
+    values: np.ndarray, n_lo: int, lo: int, hi: int, ybuf: np.ndarray, xbuf: np.ndarray, ramp: np.ndarray
+):
     """The number of positive entries of values over the block [lo, hi]
     (values[i] sits at n = n_lo + i), and the sums of their logs and of
     their abscissae's logs as an array of two; None if there are none.
@@ -53,7 +55,9 @@ def _block_log_sums(values: np.ndarray, n_lo: int, lo: int, hi: int, ybuf: np.nd
     in index order, as np.mean does (``_pairwise_sum``).  The block is read
     in `_PIECE`-entry pieces, each leaf's values and abscissae are gathered
     into the `_PIECE`-entry buffers ybuf and xbuf, logged in place and
-    reduced, and only the current piece's positive positions are held.
+    reduced, and only the current piece's positive positions are held.  A
+    piece with no zero takes its abscissae from `ramp`, the float64 ramp
+    0, 1, ..., `_PIECE` - 1, shifted by the piece's start in one add.
     """
     starts = range(lo, hi + 1, _PIECE)
 
@@ -80,12 +84,11 @@ def _block_log_sums(values: np.ndarray, n_lo: int, lo: int, hi: int, ybuf: np.nd
             y, x = ybuf[k : k + c], xbuf[k : k + c]
             if pos is None:
                 y[...] = part[off : off + c]
-                x[...] = np.arange(off, off + c)
+                np.add(ramp[off : off + c], start, out=x)
             else:
                 sel = pos[off : off + c]
                 y[...] = part[sel]
-                x[...] = sel
-            x += start
+                np.add(sel, start, out=x)
             off, left, k = off + c, left - c, k + c
         y, x = ybuf[:m], xbuf[:m]
         np.log(y, out=y)
@@ -111,11 +114,11 @@ def dyadic_fit(n_lo: int, values: np.ndarray) -> tuple[float, float, int, float]
         raise ValueError(f"n_lo must be >= 1, got {n_lo}")
     values = np.asarray(values)
     n_hi = n_lo + values.size - 1
-    ybuf, xbuf = np.empty(_PIECE), np.empty(_PIECE)
+    ybuf, xbuf, ramp = np.empty(_PIECE), np.empty(_PIECE), np.arange(_PIECE, dtype=np.float64)
     xs, ys = [], []
     lo = n_lo
     while lo <= n_hi:
-        logs = _block_log_sums(values, n_lo, lo, min(2 * lo - 1, n_hi), ybuf, xbuf)
+        logs = _block_log_sums(values, n_lo, lo, min(2 * lo - 1, n_hi), ybuf, xbuf, ramp)
         if logs is not None:
             k, (sum_y, sum_x) = logs
             ys.append(np.exp(sum_y / k))

@@ -18,12 +18,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 import json
 import math
 import operator
 import os
 import pickle
 import statistics
+import struct
 
 import numpy as np
 
@@ -109,52 +111,154 @@ def _run_share(fn, seeds, first: int, step: int) -> tuple[list, tuple[int, BaseE
     return out, None
 
 
-def _seed_map(fn, seeds: tuple[int, ...]) -> list:
-    """[fn(seed) for seed in seeds], in up to min(CPUs, len(seeds)) processes.
-
-    Share w is seeds[w::workers]; the parent runs share 0 and a forked child
-    each other share, whose results come back pickled over a pipe, so each
-    value is the one a serial loop computes.  The exception raised is the one
-    of the earliest failing seed.  Every child is reaped before this returns
-    or raises; with one CPU or one seed nothing is forked.  Children are
-    forked, not spawned: a spawned one would import numpy and bhbasis again,
-    which takes about as long as the share it would run.
-    """
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(affinity(0)) if affinity else 1, len(seeds))
-    shares = [None] * workers
-    children = []  # (share index, pid, read end of its pipe)
-    ends = []  # (share index, pickled share, wait status)
+    return len(affinity(0)) if affinity else 1
+
+
+# seed-map shares running at once, set in the parent and in every forked
+# share while a seed map runs; run_construction forks its side child only
+# with at least 2 CPUs per share
+_shares = 1
+
+# a result on the pipe: pickle length, out-of-band buffer count, then one
+# length per buffer
+_HEADER = struct.Struct("<QQ")
+
+
+def _send(fd: int, value) -> None:
+    """Write value to the pipe fd as a protocol-5 pickle whose out-of-band
+    buffers (the data of contiguous numpy arrays) follow it as raw bytes."""
+    buffers = []
+    data = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
+    raws = [buf.raw() for buf in buffers]
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(_HEADER.pack(len(data), len(raws)))
+        fh.write(struct.pack(f"<{len(raws)}Q", *(raw.nbytes for raw in raws)))
+        fh.write(data)
+        for raw in raws:
+            fh.write(raw)
+
+
+def _receive(fd: int):
+    """What `_send` wrote to the pipe fd, as (pickle, read-only buffers), or
+    None if the writer ended before all of it arrived.
+
+    Each buffer is read straight into its own allocation, which the
+    unpickled array then wraps: no second copy is made, and the array is
+    read-only as every ReprTable's counts are.
+    """
+    with os.fdopen(fd, "rb", buffering=0) as fh:
+
+        def fill(buf) -> bool:
+            view = memoryview(buf).cast("B")
+            while view.nbytes:
+                got = fh.readinto(view)
+                if not got:
+                    return False
+                view = view[got:]
+            return True
+
+        header = bytearray(_HEADER.size)
+        if not fill(header):
+            return None
+        size, count = _HEADER.unpack(header)
+        sizes = bytearray(8 * count)
+        if not fill(sizes):
+            return None
+        parts = [np.empty(n, dtype=np.uint8) for n in (size, *struct.unpack(f"<{count}Q", sizes))]
+        if not all(fill(part) for part in parts):
+            return None
+    return parts[0], [memoryview(part).toreadonly() for part in parts[1:]]
+
+
+def _forked(jobs, here: int | None) -> list:
+    """[fn() for name, fn in jobs]: jobs[here] in this process and each other
+    job in a forked child, or, with `here` None, every job here in order.
+
+    Each child's value or exception comes back over a pipe (`_send`).  The
+    exception raised is that of the first failing job in list order, the
+    one the serial loop raises, and a child that ends without a result
+    raises RuntimeError naming its job.  Every child is reaped before this
+    returns or raises.  Children are forked, not spawned: a spawned one
+    would import numpy and bhbasis again, which takes about as long as the
+    work it would run.
+    """
+    if here is None:
+        return [fn() for _, fn in jobs]
+    children = {}  # job index: (pid, read end of its pipe)
+    ends = {}  # job index: (what it sent or None, wait status)
     try:
-        for w in range(1, workers):
+        for i, (_, fn) in enumerate(jobs):
+            if i == here:
+                continue
             rfd, wfd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(rfd)
+                os.close(wfd)
+                raise
             if pid == 0:
                 # the child never returns into the caller's frames, and it
                 # runs none of the parent's exit handlers or buffer flushes
                 code = 1
                 try:
                     os.close(rfd)
-                    data = pickle.dumps(_run_share(fn, seeds[w::workers], w, workers), pickle.HIGHEST_PROTOCOL)
-                    with os.fdopen(wfd, "wb") as fh:
-                        fh.write(data)
+                    _send(wfd, _outcome(fn))
                     code = 0
                 finally:
                     os._exit(code)
             os.close(wfd)
-            children.append((w, pid, rfd))
-        shares[0] = _run_share(fn, seeds[0::workers], 0, workers)
+            children[i] = (pid, rfd)
+        mine = _outcome(jobs[here][1])
     finally:
-        for w, pid, rfd in children:
-            with os.fdopen(rfd, "rb") as fh:
-                data = fh.read()
-            ends.append((w, data, os.waitpid(pid, 0)[1]))
-    for w, data, status in ends:
-        if not data:
-            raise RuntimeError(
-                f"the worker for seeds {list(seeds[w::workers])} ended without a result (wait status {status})"
-            )
-        shares[w] = pickle.loads(data)
+        for i, (pid, rfd) in children.items():
+            sent = _receive(rfd)
+            ends[i] = (sent, os.waitpid(pid, 0)[1])
+    values = []
+    for i, (name, _) in enumerate(jobs):
+        if i == here:
+            exc, value = mine
+        else:
+            sent, status = ends[i]
+            if sent is None:
+                raise RuntimeError(f"the worker for {name} ended without a result (wait status {status})")
+            exc, value = pickle.loads(sent[0], buffers=sent[1])
+        if exc is not None:
+            raise exc
+        values.append(value)
+    return values
+
+
+def _outcome(fn) -> tuple[Exception | None, object]:
+    """(None, fn()), or (the exception, None) if fn raises one."""
+    try:
+        return None, fn()
+    except Exception as exc:
+        return exc, None
+
+
+def _seed_map(fn, seeds: tuple[int, ...]) -> list:
+    """[fn(seed) for seed in seeds], in up to min(CPUs, len(seeds)) processes.
+
+    Share w is seeds[w::workers]; the parent runs share 0 and a forked child
+    each other share (`_forked`), so each value is the one a serial loop
+    computes.  The exception raised is the one of the earliest failing seed.
+    With one CPU or one seed nothing is forked.
+    """
+    global _shares
+    workers = min(_cpus(), len(seeds))
+    jobs = [
+        (f"seeds {list(seeds[w::workers])}", partial(_run_share, fn, seeds[w::workers], w, workers))
+        for w in range(workers)
+    ]
+    outer, _shares = _shares, workers
+    try:
+        shares = _forked(jobs, 0)
+    finally:
+        _shares = outer
     failures = [share[1] for share in shares if share[1]]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
@@ -297,7 +401,10 @@ def run_construction(
     Each 2h-fold table is built once, here; the multiset tables of B and A
     (`_tables`, with `keep_tables`) cover [0, max(n_hi, audit bound)].
     Without `keep_tables`, each table is cut to the audit's [0, audit bound]
-    once its window statistics are taken.
+    once its window statistics are taken.  With at least 2 CPUs per running
+    seed-map share, B's table and its window statistics are made in a
+    forked child while this process makes A's and expected_b; the record,
+    the tables and any error are the ones the one-process run makes.
     """
     _check_window(window, n)
     _check_audit_hi(audit_hi)
@@ -328,14 +435,22 @@ def run_construction(
             raise ValueError(f"{table.semantics[0]} table was not built from the expected set")
         return ReprTable(table.counts[: hi + 1].copy(), table.semantics, bisect_right(vals, hi))
 
-    # each table's statistics are taken as soon as it is built, so that
-    # without keep_tables one full-window table is held at a time
-    table_b = repr_multiset(b_vals, k, max(n_hi, hi))
-    basis_b = _ver.basis_window(table_b, n_lo, n_hi)
-    table_b = audited(table_b, b_vals)
-    table_a = repr_multiset(a_vals, k, max(n_hi, hi))
-    basis_a = _ver.basis_window(table_a, n_lo, n_hi)
-    table_a = audited(table_a, a_vals)
+    def window_side(vals: list[int]):
+        # a table's statistics are taken as soon as it is built, so that
+        # without keep_tables one full-window table is held at a time
+        table = repr_multiset(vals, k, max(n_hi, hi))
+        return _ver.basis_window(table, n_lo, n_hi), audited(table, vals)
+
+    # with 2 CPUs for this process, B's side runs in a forked child while
+    # this process runs A's, and expected_b, whose stages are the shorter
+    # ones; with fewer, both run here, B's first
+    (basis_b, table_b), (basis_a, table_a, expected_b) = _forked(
+        [
+            (f"B's table of seed {seed}", lambda: window_side(b_vals)),
+            (f"A's table of seed {seed}", lambda: (*window_side(a_vals), expected_count(params, 1, n))),
+        ],
+        1 if _cpus() >= 2 * _shares else None,
+    )
     strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi))
     floor_min_norm = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
     strict_b = audited(strict_b, b_vals)
@@ -347,7 +462,7 @@ def run_construction(
         "b_size": len(b_vals),
         "c_size": len(b_vals) - len(a_vals),
         "a_size": len(a_vals),
-        "expected_b": expected_count(params, 1, n),
+        "expected_b": expected_b,
         "bh1": verdict.to_json_dict(),
         "collisions": {
             "total": len(records),

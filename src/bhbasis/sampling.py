@@ -214,12 +214,40 @@ def _exact_parts(x: np.ndarray, q: np.ndarray) -> list[float]:
     return parts
 
 
+def _split_parts(x: np.ndarray, q: np.ndarray) -> list[float]:
+    """Two floats whose exact sum is the exact sum of the float64 array x (at
+    most _CHUNK positive entries, none below half the largest); x is consumed
+    and q, of x's length, is scratch.
+
+    One split of `_exact_parts`, with sigma = 2^(e + 17) for 2·max(x) in
+    [2^(e-1), 2^e): q = (sigma + x) - sigma is exact and on the grid
+    2^-52 * sigma, and the remainder x - q is at most 2^-53 * sigma = 2^19
+    units of the smallest entry's ulp, each entry being a multiple of that
+    unit.  Both sums stay below 2^53 of their units, so each is exact in any
+    order.  Raises ValueError if an entry is below half the largest.
+    """
+    if x.size > _CHUNK:
+        raise ValueError("at most _CHUNK terms per split")
+    top = float(x.max())
+    if not 0 < top <= 2 * float(x.min()):
+        raise ValueError("a split needs positive terms within a factor 2 of each other")
+    sigma = math.ldexp(1.0, math.frexp(2 * top)[1] + 17)
+    np.add(x, sigma, out=q)
+    q -= sigma
+    x -= q
+    return [float(q.sum()), float(x.sum())]
+
+
 def expected_count(params: ModelParams, lo: int, hi: int) -> float:
     """Sum of inclusion probabilities over [lo, hi]: the exactly rounded sum of
     the float64 terms.
 
     Correct rounding makes the result independent of summation order, so it
-    does not depend on numpy's summation strategy, on _CHUNK or on lo.
+    does not depend on numpy's summation strategy, on _CHUNK or on lo.  A
+    block starting above _CHUNK holds terms within a factor 2 of each other
+    (the exponent lies in (-1, 0)), so one exact split sums it
+    (`_split_parts`); a block starting lower is extracted until nothing is
+    left (`_exact_parts`).
     """
     if lo < 1 or hi > params.N:
         raise ValueError("range must satisfy 1 <= lo, hi <= N")
@@ -233,5 +261,6 @@ def expected_count(params: ModelParams, lo: int, hi: int) -> float:
     for start in range(lo, hi + 1, _CHUNK):
         m = min(hi - start + 1, _CHUNK)
         x = np.add(offsets[:m], start, out=terms[:m])
-        parts += _exact_parts(np.power(x, expo, out=x), scratch[:m])
+        split = _split_parts if start > _CHUNK else _exact_parts
+        parts += split(np.power(x, expo, out=x), scratch[:m])
     return math.fsum(parts)

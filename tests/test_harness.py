@@ -246,7 +246,9 @@ def test_one_full_window_table_at_a_time(monkeypatch):
     # without keep_tables, B's table is cut to the audit's [0, 5e4] once its
     # window statistics are taken, so from A's build on the traced peak is
     # below the one with every table kept by B's table less that prefix
-    # (the whole run's peak is reached inside B's own build at this N)
+    # (the whole run's peak is reached inside B's own build at this N); one
+    # CPU keeps both builds in this process, where tracemalloc sees them
+    _set_cpus(monkeypatch, 1)
     sizes = []
 
     def spy(a, k, max_n):
@@ -287,7 +289,9 @@ def test_table_from_wrong_set_is_refused(monkeypatch, keep, builder):
 @pytest.mark.parametrize("floor", [True, False])
 def test_each_2h_fold_table_built_once(monkeypatch, floor):
     # multiset(B), multiset(A) and strict(B) once each for the window, the
-    # floor and the audit, plus the audit's own strict(B \ C1), strict(B \ C2)
+    # floor and the audit, plus the audit's own strict(B \ C1), strict(B \ C2);
+    # with 2 CPUs multiset(B) is built in the side child, which this spy
+    # does not see, and every other table once here
     builds = []
 
     def spy(fn):
@@ -301,12 +305,16 @@ def test_each_2h_fold_table_built_once(monkeypatch, floor):
     for mod in (harness_mod, verify_mod):
         monkeypatch.setattr(mod, "repr_multiset", spy(repr_multiset))
         monkeypatch.setattr(mod, "repr_strict", spy(repr_strict))
-    rec = run_construction(2, 20_000, 1, floor=floor, **GOLDEN_SEED)
     b = tuple(sample_set(ModelParams(2, 20_000, 1)).elements)
     a = tuple(x for x in b if x not in deletion_set(enumerate_collisions(b, 2)))
-    assert rec["c_size"] > 0
-    assert len(builds) == len(set(builds)) == 5
-    assert {(("multiset", 4), b), (("multiset", 4), a), (("strict", 4), b)} < set(builds)
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        builds.clear()
+        rec = run_construction(2, 20_000, 1, floor=floor, **GOLDEN_SEED)
+        assert rec["c_size"] > 0
+        assert len(builds) == len(set(builds)) == (5 if cpus == 1 else 4)
+        assert {(("multiset", 4), a), (("strict", 4), b)} < set(builds)
+        assert ((("multiset", 4), b) in builds) == (cpus == 1)
 
 
 @pytest.mark.parametrize("floor", [True, False])
@@ -352,41 +360,169 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_pooled_outputs_do_not_depend_on_cpus(monkeypatch):
-    forks = []
+def _count_forks(monkeypatch, tmp_path):
+    """Count every fork from here on, in this process and in its children:
+    returns a function that reads the count."""
+    log = tmp_path / "forks"
+    log.touch()
     fork = os.fork
 
     def counting_fork():
         pid = fork()
         if pid:
-            forks.append(pid)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    return lambda: len(log.read_text().splitlines())
+
+
+def test_pooled_outputs_do_not_depend_on_cpus(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch, tmp_path)
     outputs = {}
     for cpus in (1, 2, 3):
         _set_cpus(monkeypatch, cpus)
         outputs[cpus] = [call() for call in _pooled_calls()]
         _assert_no_child()
     assert outputs[1] == outputs[2] == outputs[3]
-    # none at one CPU, then one and two children per call
-    assert len(forks) == 3 * (0 + 1 + 2)
+    # none at one CPU, then one and two children per call, in any process:
+    # a pooled run_construction has fewer than 2 CPUs per share, so it
+    # forks no side child
+    assert forks() == 3 * (0 + 1 + 2)
 
 
-def test_one_cpu_or_one_seed_forks_nothing(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+def test_one_cpu_or_one_seed_forks_nothing(monkeypatch, tmp_path):
+    forks = _count_forks(monkeypatch, tmp_path)
     _set_cpus(monkeypatch, 1)
     for call in _pooled_calls():
         call()
+    assert forks() == 0
+    # with one seed the seed map forks nothing; run_experiment's one
+    # run_construction has all 4 CPUs and forks its side child
     _set_cpus(monkeypatch, 4)
-    for call in _pooled_calls(seeds=(7,)):
-        call()
+    floor, bounded, experiment = _pooled_calls(seeds=(7,))
+    floor()
+    bounded()
+    assert forks() == 0
+    experiment()
+    assert forks() == 1
+    _assert_no_child()
     monkeypatch.delattr(os, "sched_getaffinity")
     for call in _pooled_calls():
         call()
+    assert forks() == 1
+
+
+@pytest.mark.parametrize(
+    "cpus, seeds, want",
+    [
+        (2, SEEDS, 1),  # one seed-map child, no side child
+        (3, SEEDS, 2),
+        (4, (1, 2), 1 + 2),  # 2 CPUs per share: each share forks a side child
+        (3, (1, 2), 1),  # 1.5 CPUs per share: none does
+        (2, (1,), 1),  # one seed: only the side child
+    ],
+)
+def test_pooled_run_experiment_fork_counts(monkeypatch, tmp_path, cpus, seeds, want):
+    forks = _count_forks(monkeypatch, tmp_path)
+    _set_cpus(monkeypatch, cpus)
+    report = _pooled_calls(seeds)[2]()
+    assert forks() == want
+    _assert_no_child()
+    _set_cpus(monkeypatch, 1)
+    assert report == _pooled_calls(seeds)[2]()
+
+
+# run_construction with 2 CPUs for itself builds B's side in a forked child
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_record_does_not_depend_on_cpus(monkeypatch, tmp_path, keep):
+    forks = _count_forks(monkeypatch, tmp_path)
+    texts, tables = {}, {}
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        rec = run_construction(2, 20_000, 1, keep_tables=keep, **GOLDEN_SEED)
+        texts[cpus] = canonical_json(rec)
+        tables[cpus] = rec.get("_tables")
+        _assert_no_child()
+    assert forks() == 2
+    assert texts[1] == texts[2] == texts[3]
+    if keep:
+        for cpus in (2, 3):
+            for key in ("basis_b", "basis_a"):
+                one, many = tables[1][key], tables[cpus][key]
+                assert many.counts.dtype == one.counts.dtype
+                assert many.counts.tobytes() == one.counts.tobytes()
+                assert (many.semantics, many.source_size) == (one.semantics, one.source_size)
+                assert not many.counts.flags.writeable
+
+
+def _failing_builds(monkeypatch, fails):
+    """Make repr_multiset raise LookupError naming the set, B or A, for each
+    set named in `fails`."""
+    build = harness_mod.repr_multiset
+    b_size = len(sample_set(ModelParams(2, 20_000, 1)))
+
+    def spy(a, k, max_n):
+        which = "B" if len(a) == b_size else "A"
+        if which in fails:
+            raise LookupError(f"no table for {which} of size {len(a)}")
+        return build(a, k, max_n)
+
+    monkeypatch.setattr(harness_mod, "repr_multiset", spy)
+
+
+def _side_errors(monkeypatch, tmp_path):
+    """The exception type and message of run_construction at 1, 2 and 3 CPUs,
+    checking that no child is left behind."""
+    forks = _count_forks(monkeypatch, tmp_path)
+    out = {}
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        with pytest.raises(Exception) as exc:
+            run_construction(2, 20_000, 1, **GOLDEN_SEED)
+        out[cpus] = (exc.type, str(exc.value))
+        _assert_no_child()
+    assert forks() == 2
+    return out
+
+
+@pytest.mark.parametrize("fails", ["A", "B", "AB"])
+def test_side_failure_is_the_serial_one(monkeypatch, tmp_path, fails):
+    # B's build fails in the child, A's in this process after the fork, or
+    # both: the error is the one-process run's, B's first
+    _failing_builds(monkeypatch, fails)
+    errors = _side_errors(monkeypatch, tmp_path)
+    assert errors[1] == errors[2] == errors[3]
+    assert errors[1][0] is LookupError and errors[1][1].startswith(f"no table for {fails[-1]} of size")
+
+
+def test_expected_b_failure_is_the_serial_one(monkeypatch, tmp_path):
+    def failing(params, lo, hi):
+        raise ArithmeticError(f"expected_count over [{lo}, {hi}]")
+
+    monkeypatch.setattr(harness_mod, "expected_count", failing)
+    errors = _side_errors(monkeypatch, tmp_path)
+    assert errors[1] == errors[2] == errors[3] == (ArithmeticError, "expected_count over [1, 20000]")
+
+
+def test_side_child_without_a_result_is_named(monkeypatch):
+    parent = os.getpid()
+    build = harness_mod.repr_multiset
+
+    def dying(a, k, max_n):
+        if os.getpid() != parent:
+            os._exit(3)
+        return build(a, k, max_n)
+
+    monkeypatch.setattr(harness_mod, "repr_multiset", dying)
+    _set_cpus(monkeypatch, 2)
+    want = r"^the worker for B's table of seed 1 ended without a result \(wait status 768\)$"
+    with pytest.raises(RuntimeError, match=want):
+        run_construction(2, 20_000, 1, **GOLDEN_SEED)
+    _assert_no_child()
 
 
 @pytest.mark.parametrize(

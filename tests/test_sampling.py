@@ -163,6 +163,29 @@ def test_expected_count_is_exactly_rounded(monkeypatch):
     assert expected_count(ModelParams(2, 20_000, 1), 1, 20_000) == 56.33993700880703
 
 
+def test_expected_count_equals_fsum_on_random_ranges():
+    # every block past the first is summed by one exact split; the result is
+    # still the exactly rounded sum of the same float64 terms
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        h = int(rng.integers(2, 6))
+        lo = int(rng.integers(1, 3 * _CHUNK))
+        hi = lo + int(rng.integers(0, 6 * _CHUNK))
+        p = ModelParams(h, hi, 0)
+        assert expected_count(p, lo, hi) == math.fsum(_inclusion_terms(p, lo, hi)), (h, lo, hi)
+
+
+def test_split_is_exact_within_a_factor_2():
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 2.0**-20, 3.0**-7):
+        x = rng.uniform(1.0, 2.0, _CHUNK) * scale  # full random mantissas
+        parts = sampling._split_parts(x.copy(), np.empty_like(x))
+        assert len(parts) == 2 and math.fsum(parts) == math.fsum(x.tolist())
+    for bad in ([1.0, 0.49], [0.0, 0.0], [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="factor 2"):
+            sampling._split_parts(np.array(bad), np.empty(2))
+
+
 def test_mean_size_concentrates():
     n = 10**6
     v = expected_count(ModelParams(2, n, 0), 1, n)
