@@ -403,25 +403,17 @@ def run_construction(
     Without `keep_tables`, each table is cut to the audit's [0, audit bound]
     once its window statistics are taken.  With at least 2 CPUs per running
     seed-map share, B's table and its window statistics are made in a
-    forked child while this process makes A's and expected_b; the record,
-    the tables and any error are the ones the one-process run makes.
+    child forked right after sampling, while this process runs the rest:
+    the collision stage and the B_h[1] check, A's table and window,
+    expected_b, strict(B) and the floor.  The record, the tables and any
+    error are the ones the one-process run makes, which runs B's side
+    first and then the rest.
     """
     _check_window(window, n)
     _check_audit_hi(audit_hi)
     params = ModelParams(h, n, seed)
     sampled = sample_set(params)
     b_vals = list(sampled.elements)
-    records = _col.enumerate_collisions(b_vals, h)
-    a_vals = _col.construct_a(b_vals, h)
-    if set(b_vals) - set(a_vals) != _col.deletion_set(records):
-        raise AssertionError(f"construct_a's deletion set differs from the records' at seed {seed}")
-
-    verdict = _ver.is_bhg(a_vals, h, 1)
-    if not verdict.ok:
-        raise AssertionError(
-            f"pipeline violation: cleaned set not B_{h}[1] at seed {seed}, witness {verdict.witness}"
-        )
-
     n_lo, n_hi = window if window is not None else default_window(n)
     k = 2 * h
     hi = min(audit_hi, n)
@@ -441,19 +433,30 @@ def run_construction(
         table = repr_multiset(vals, k, max(n_hi, hi))
         return _ver.basis_window(table, n_lo, n_hi), audited(table, vals)
 
+    def the_rest():
+        # the collision stage, A's side, expected_b, strict(B) and the floor
+        records = _col.enumerate_collisions(b_vals, h)
+        a_vals = _col.construct_a(b_vals, h)
+        if set(b_vals) - set(a_vals) != _col.deletion_set(records):
+            raise AssertionError(f"construct_a's deletion set differs from the records' at seed {seed}")
+        verdict = _ver.is_bhg(a_vals, h, 1)
+        if not verdict.ok:
+            raise AssertionError(
+                f"pipeline violation: cleaned set not B_{h}[1] at seed {seed}, witness {verdict.witness}"
+            )
+        basis_a, table_a = window_side(a_vals)
+        expected_b = expected_count(params, 1, n)
+        strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi))
+        floor_min_norm = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
+        return records, a_vals, verdict, basis_a, table_a, expected_b, audited(strict_b, b_vals), floor_min_norm
+
     # with 2 CPUs for this process, B's side runs in a forked child while
-    # this process runs A's, and expected_b, whose stages are the shorter
-    # ones; with fewer, both run here, B's first
-    (basis_b, table_b), (basis_a, table_a, expected_b) = _forked(
-        [
-            (f"B's table of seed {seed}", lambda: window_side(b_vals)),
-            (f"A's table of seed {seed}", lambda: (*window_side(a_vals), expected_count(params, 1, n))),
-        ],
+    # this process runs the rest, which holds every stage the tracer spans
+    # but B's table and window; with fewer, both run here, B's side first
+    (basis_b, table_b), (records, a_vals, verdict, basis_a, table_a, expected_b, strict_b, floor_min_norm) = _forked(
+        [(f"B's table of seed {seed}", lambda: window_side(b_vals)), (f"the rest of seed {seed}", the_rest)],
         1 if _cpus() >= 2 * _shares else None,
     )
-    strict_b = repr_strict(b_vals, k, max(n_hi if floor else 0, hi))
-    floor_min_norm = _floor_min_norm(strict_b, h, n_lo, n_hi) if floor else None
-    strict_b = audited(strict_b, b_vals)
 
     rec = {
         "h": h,

@@ -36,14 +36,17 @@ Exponents are carried as exact fractions and floated once at evaluation.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
+import threading
 
 import numpy as np
 
 from .fits import theil_sen_slope
+from .harness import _cpus
 
 _T_CAP = 1 << 24
 _SERIES_TERMS = 60
@@ -428,6 +431,74 @@ def _envelope(h: int, l: int, length: int) -> float:
     return lo
 
 
+@lru_cache(maxsize=1)
+def _blas_threads() -> int | None:
+    """The threads numpy's own OpenBLAS (the ILP64 scipy-openblas build of
+    numpy's wheels) splits one long dot product across, as it reports them
+    when first asked; None for any other BLAS, whose threads are unknown."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        fn = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    fn.restype = ctypes.c_int
+    return max(1, fn())
+
+
+def _heads(tab_s: np.ndarray, tab_r: np.ndarray, ms: tuple[int, ...], length: int) -> np.ndarray:
+    """The head np.dot(tab_s[1 + M : length + 1], tab_r[1 : length - M + 1])
+    of each point M of `ms`, in order.
+
+    With 2 points or more, and at least 2 CPUs per thread of numpy's
+    OpenBLAS, a second thread takes every other point while this one takes
+    the rest (np.dot releases the GIL), and it is joined before this
+    returns or raises.  Otherwise the heads run one at a time: a BLAS that
+    splits each dot product over the CPUs itself is left to do so alone,
+    since a second caller only contends with it (OpenBLAS's default of one
+    thread per CPU makes part iv slower split), and a BLAS whose threads
+    are unknown is treated as one that splits.  Each head is the same np.dot
+    over the same slices on either path, so the values are the same bytes,
+    and an error is the first failing point's, the one the one-thread loop
+    raises; an interrupt in this thread is raised as it comes, after the
+    join.
+    """
+    out = np.empty(len(ms))
+
+    def share(first: int, step: int) -> tuple[int, Exception] | None:
+        # the heads of every step-th point from `first`, up to the first
+        # failure: None, or (that point's index, its exception)
+        for i in range(first, len(ms), step):
+            m = ms[i]
+            try:
+                out[i] = np.dot(tab_s[1 + m : length + 1], tab_r[1 : length - m + 1])
+            except Exception as exc:
+                return i, exc
+        return None
+
+    threads = _blas_threads()
+    if len(ms) < 2 or threads is None or _cpus() < 2 * threads:
+        failures = [share(0, 1)]
+    else:
+        # the second share's result stays this failure if its thread ends
+        # without one, so its points are never read unset
+        failures = [None, (len(ms), RuntimeError("a part-iv head thread ended early"))]
+
+        def other() -> None:
+            failures[1] = share(1, 2)
+
+        worker = threading.Thread(target=other, name="part-iv heads")
+        worker.start()
+        try:
+            failures[0] = share(0, 2)
+        finally:
+            worker.join()
+    failed = [f for f in failures if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return out
+
+
 @lru_cache(maxsize=64)
 def _signed_group(s: int, t: int, h: int, ms: tuple[int, ...], tail_eps: float, length: int):
     """lhs of part iv, with certificates, at the ascending points M >= 0 of
@@ -442,7 +513,9 @@ def _signed_group(s: int, t: int, h: int, ms: tuple[int, ...], tail_eps: float, 
     batched call.  The tables, envelopes and limit constants are looked up
     once.  The bracket beyond the table starts at u = length + 1/2 and
     needs u >= 4M and a convergent sum; ``signed_composition_curve`` checks
-    both before any group is evaluated.  Nothing is judged here: every
+    both before any group is evaluated.  The heads run two points at a time
+    on two threads where the CPUs allow (see ``_heads``), with the same
+    bytes as one at a time.  Nothing is judged here: every
     point's (value, certificate) is returned, certified or not, so a
     failing group is evaluated once too.  Each point's value does not
     depend on the other points of `ms` or their order.
@@ -463,7 +536,7 @@ def _signed_group(s: int, t: int, h: int, ms: tuple[int, ...], tail_eps: float, 
         lo_s, hi_s = _envelope(h, s, length), _limit_constant(h, s)
         lo_r, hi_r = _envelope(h, t - s, length), _limit_constant(h, t - s)
         # t_cut = length - M: the head runs over n <= t_cut
-        head = np.array([np.dot(tab_s[1 + m : length + 1], tab_r[1 : length - m + 1]) for m in ms])
+        head = _heads(tab_s, tab_r, ms, length)
         # (t_cut, length]: exact right factor, enveloped left factor
         env = np.arange(length + 1, length + max(ms) + 1, dtype=np.float64) ** (-gam_s)
         mid = np.array([np.dot(tab_r[length - m + 1 : length + 1], env[:m]) for m in ms])
@@ -493,9 +566,17 @@ def signed_composition_curve(
     series to truncate.  Interior cases use the exact head plus certified
     tail; negative M folds onto the mirrored parameter (t-s, t) at -M.  The
     interior points are evaluated per sign group (see ``_signed_group``):
-    tables, envelopes and limit constants are looked up once, and all tails
-    of the group are bracketed in one batched call.  Each folded group (M < 0,
-    M = 0 and M > 0, keyed by ascending |M|) is evaluated once per process,
+    tables, envelopes and limit constants are looked up once, all tails
+    of the group are bracketed in one batched call, and with at least 2
+    CPUs per thread of numpy's OpenBLAS its heads are split across two
+    threads (see ``_heads``), which leaves every value, certificate and
+    error as it is on one thread (no thread outlives the call).  With
+    OpenBLAS's default of one thread per CPU they stay on one thread.  The
+    BLAS's own thread count is another
+    matter: OpenBLAS splits each long dot product over its threads, so the
+    interior values can differ in the last bits between, say,
+    OPENBLAS_NUM_THREADS=1 and 2.  Each folded group (M < 0, M = 0 and
+    M > 0, keyed by ascending |M|) is evaluated once per process,
     failing or not, so on a symmetric grid curve (t - s, t) reads its
     positive points from the negative group of (s, t) and the reverse.  The
     groups are read in grid order and each point is judged once, as it is

@@ -459,6 +459,32 @@ def test_record_does_not_depend_on_cpus(monkeypatch, tmp_path, keep):
                 assert not many.counts.flags.writeable
 
 
+def test_side_child_is_forked_before_the_collision_stage(monkeypatch, tmp_path):
+    # with 2 CPUs only B's table and window run in the side child, forked
+    # right after sampling; the collision stage, strict(B) and the floor run
+    # in this process after the fork, and in the same order on one CPU
+    forks = _count_forks(monkeypatch, tmp_path)
+    parent = os.getpid()
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, os.getpid() == parent, forks()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness_mod._col, "enumerate_collisions", spy("collisions", harness_mod._col.enumerate_collisions))
+    monkeypatch.setattr(harness_mod, "repr_strict", spy("strict", harness_mod.repr_strict))
+    monkeypatch.setattr(harness_mod, "_floor_min_norm", spy("floor", harness_mod._floor_min_norm))
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        calls.clear()
+        run_construction(2, 20_000, 1, floor=True, **GOLDEN_SEED)
+        _assert_no_child()
+        assert calls == [(name, True, cpus - 1) for name in ("collisions", "strict", "floor")]
+
+
 def _failing_builds(monkeypatch, fails):
     """Make repr_multiset raise LookupError naming the set, B or A, for each
     set named in `fails`."""

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,8 +21,10 @@ from bhbasis.ratio_bounds import (
     _SERIES_TERMS,
     _composition_table,
     _fft_convolve_trunc,
+    _limit_constant,
     _series_integrals,
     _weight_array,
+    composition_rhs_exponent,
 )
 
 from tests import ratio_points
@@ -562,3 +568,210 @@ def test_signed_pair_certified_beyond_coefficient_overflow():
     assert curve.lhs[0] == curve.lhs[1]
     assert lo <= curve.lhs[1] <= hi, (lo, curve.lhs[1], hi)
     assert curve.tail_err[1] <= 1e-6 * curve.lhs[1]
+
+
+# Part iv's heads on two threads: with at least 2 CPUs per thread of
+# numpy's OpenBLAS, `_heads` hands every other point of a sign group to a
+# second thread.  The tests below fix the BLAS thread count at 1 and set
+# the CPU count.
+
+# every convergent interior (s, t): 0 < s < t < 2h
+_INTERIOR = [(h, s, t) for h in (2, 3) for t in range(2, 2 * h) for s in range(1, t)]
+_HEAD_POS = [1, 2, 7, 64, 100, 999, 4000]
+_HEAD_GRID = [-m for m in _HEAD_POS] + [0] + _HEAD_POS
+_HEAD_LENGTH = 1 << 17
+
+
+def _set_cpus(monkeypatch, cpus, blas_threads=1):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(ratio_bounds, "_blas_threads", lambda: blas_threads)
+
+
+def _interior_curves() -> dict:
+    """Every interior curve on a symmetric grid from a cold group cache,
+    checking that each call leaves as many threads alive as it found."""
+    ratio_bounds._signed_group.cache_clear()
+    curves = {}
+    for h, s, t in _INTERIOR:
+        before = threading.active_count()
+        eps = None if t == 2 else 0.5
+        curves[h, s, t] = signed_composition_curve(s, t, h, grid=_HEAD_GRID, tail_eps=eps, length=_HEAD_LENGTH)
+        assert threading.active_count() == before, (h, s, t)
+    return curves
+
+
+def _started_threads(monkeypatch) -> list:
+    """The name of every thread started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def test_heads_split_bytes_do_not_depend_on_cpus(monkeypatch):
+    started = _started_threads(monkeypatch)
+    curves = {}
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        started.clear()
+        curves[cpus] = _interior_curves()
+        # at 2 CPUs one thread per evaluated group of 2 points or more: on a
+        # symmetric grid the nonzero groups of (h, t) are the t - 1 groups
+        # of s = 1 .. t - 1, and (1, 2) computes no heads
+        want = sum(t - 1 for h in (2, 3) for t in range(3, 2 * h))
+        assert started == ["part-iv heads"] * (want if cpus == 2 else 0)
+    for key in _INTERIOR:
+        one, two = curves[1][key], curves[2][key]
+        assert one.m.tobytes() == two.m.tobytes(), key
+        assert one.lhs.tobytes() == two.lhs.tobytes(), key
+        assert one.tail_err.tobytes() == two.tail_err.tobytes(), key
+
+
+@pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (3, 2), (2, None)])
+def test_heads_split_starts_no_thread_without_2_cpus_per_blas_thread(monkeypatch, cpus, blas_threads):
+    # one CPU, a BLAS that already splits each dot product over the CPUs, or
+    # a BLAS whose thread count is unknown
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    _set_cpus(monkeypatch, cpus, blas_threads)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert len(_interior_curves()) == len(_INTERIOR)
+
+
+def _raising_dot(monkeypatch, raises: dict) -> None:
+    # np.dot raising raises[M] at the head of each M in `raises`
+    dot = np.dot
+
+    def raising_dot(a, b):
+        m = _HEAD_LENGTH - a.size
+        if a.size > _HEAD_LENGTH // 2 and m in raises:  # a head, not a mid term
+            raise raises[m]
+        return dot(a, b)
+
+    monkeypatch.setattr(np, "dot", raising_dot)
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [
+        (7,),  # this thread's point
+        (2, 7),  # the second thread's point first
+        (1, 64),  # this thread's point first
+        (64, 100),  # the second thread's first, then this thread's
+        (7, 999),  # this thread's first, then the second thread's
+    ],
+)
+def test_heads_split_error_is_the_first_failing_points(monkeypatch, failing):
+    # (1, 3)'s negative group, (2, 3) at |M|, is evaluated first; its points
+    # in ascending |M| are _HEAD_POS, this thread taking 1, 7, 100, 4000
+    _raising_dot(monkeypatch, {m: FloatingPointError(f"no head at M = {m}") for m in failing})
+    errors = {}
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        ratio_bounds._signed_group.cache_clear()
+        before = threading.active_count()
+        with pytest.raises(Exception) as exc:
+            signed_composition_curve(1, 3, 2, grid=_HEAD_GRID, length=_HEAD_LENGTH)
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name == "part-iv heads"]
+        errors[cpus] = (exc.type, str(exc.value))
+    assert errors[1] == errors[2] == (FloatingPointError, f"no head at M = {min(failing)}")
+
+
+def test_heads_split_interrupt_in_this_thread_wins(monkeypatch):
+    # this thread's point 7 is interrupted after the second thread's point 2
+    # failed: the interrupt is raised, not the lower point's error, and the
+    # second thread is joined first
+    _raising_dot(monkeypatch, {2: FloatingPointError("no head at M = 2"), 7: KeyboardInterrupt()})
+    _set_cpus(monkeypatch, 2)
+    ratio_bounds._signed_group.cache_clear()
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        signed_composition_curve(1, 3, 2, grid=_HEAD_GRID, length=_HEAD_LENGTH)
+    assert threading.active_count() == before
+    ratio_bounds._signed_group.cache_clear()
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_heads_split_second_thread_ending_early_is_an_error(monkeypatch):
+    # SystemExit ends the second thread at its point 2: its later points are
+    # never computed, so the group must not return
+    _raising_dot(monkeypatch, {2: SystemExit()})
+    _set_cpus(monkeypatch, 2)
+    ratio_bounds._signed_group.cache_clear()
+    with pytest.raises(RuntimeError, match="head thread ended early"):
+        signed_composition_curve(1, 3, 2, grid=_HEAD_GRID, length=_HEAD_LENGTH)
+    ratio_bounds._signed_group.cache_clear()
+
+
+def test_blas_threads_is_what_openblas_reads():
+    # numpy's OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS; the
+    # probe knows the ILP64 scipy-openblas build of numpy's wheels only
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not the ILP64 scipy-openblas build")
+    code = "from bhbasis import ratio_bounds; print(ratio_bounds._blas_threads())"
+    src = os.path.dirname(os.path.dirname(ratio_bounds.__file__))
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == str(threads)
+
+
+# An independent check of the interior heads on FFT-built tables: at length
+# 8192 every table of order 2 and more is built by FFT (8192 > 6323).  The
+# reference builds its tables by iterated np.convolve and evaluates each
+# point the way tests/ratio_points.py does.
+
+_FFT_LENGTH = 8192
+
+
+def _convolved_tables(h: int, length: int) -> list:
+    """[None, S_1, ..., S_(2h-1)] over [0, length] by iterated np.convolve."""
+    w = np.zeros(length + 1)
+    w[1:] = np.arange(1, length + 1, dtype=np.float64) ** (-float(weight_exponent(h)))
+    tables = [None, w]
+    for _ in range(2, 2 * h):
+        tables.append(np.convolve(tables[-1], w)[: length + 1])
+    return tables
+
+
+def _convolved_point(tables, h: int, s: int, t: int, m: int, length: int) -> float:
+    """lhs of part iv at M = m >= 0, from `tables`: the exact head, the mid
+    range against the enveloped left factor and the bracketed pure-power
+    tail, with the lower envelope constants read off `tables`' last 8 entries."""
+    xs = np.arange(length - 7, length + 1, dtype=np.float64)
+    lo, hi, gam = {}, {}, {}
+    for l in (s, t - s):
+        gam[l] = -float(composition_rhs_exponent(l, h))
+        lo[l] = 1.0 if l == 1 else float(np.min(tables[l][-8:] * xs ** gam[l]))
+        hi[l] = _limit_constant(h, l)
+    tab_s, tab_r, r = tables[s], tables[t - s], t - s
+    head = float(np.dot(tab_s[1 + m : length + 1], tab_r[1 : length - m + 1]))
+    n_mid = np.arange(length - m + 1, length + 1, dtype=np.float64)
+    mid = float(np.dot(tab_r[length - m + 1 : length + 1], (n_mid + m) ** (-gam[s])))
+    in_lo, in_hi = ratio_points.tail_bracket(length, float(m), 0.0, gam[s], gam[r])
+    tail_lo = lo[s] * mid + lo[s] * lo[r] * in_lo
+    tail_hi = hi[s] * mid + hi[s] * hi[r] * in_hi
+    return head + 0.5 * (tail_lo + tail_hi)
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_fft_heads_match_convolved_tables(h):
+    assert (_FFT_LENGTH + 1) ** 2 > 40_000_000
+    pos = [1, 5, 64, 500, 2048]
+    grid = [-m for m in pos] + [0] + pos
+    tables = _convolved_tables(h, _FFT_LENGTH)
+    for t in range(3, 2 * h):
+        for s in range(1, t):
+            curve = signed_composition_curve(s, t, h, grid=grid, tail_eps=1.0, length=_FFT_LENGTH)
+            for m, lhs in zip(curve.m.tolist(), curve.lhs.tolist()):
+                ss = s if m >= 0 else t - s
+                want = _convolved_point(tables, h, ss, t, abs(m), _FFT_LENGTH)
+                assert abs(lhs - want) <= 1e-12 * want, (h, s, t, m, lhs, want)
