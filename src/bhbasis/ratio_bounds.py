@@ -317,6 +317,65 @@ def shifted_tail_curve(
     return RatioCurve(ms_arr, val + humps, rhs, err)
 
 
+# ------------------------------------------------------------ two threads
+
+
+@lru_cache(maxsize=1)
+def _blas_threads() -> int | None:
+    """The threads numpy's own OpenBLAS (the ILP64 scipy-openblas build of
+    numpy's wheels) splits one long dot product across, as it reports them
+    when first asked; None for any other BLAS, whose threads are unknown."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        fn = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    fn.restype = ctypes.c_int
+    return max(1, fn())
+
+
+def _both(first, second, what: str) -> tuple:
+    """(first(), second()) for two callables that release the GIL while
+    they work (part iv's head shares and transform pairs).
+
+    With at least 2 CPUs per thread of numpy's OpenBLAS, second runs on a
+    thread named "part-iv <what>s" while this thread runs first, and that
+    thread is joined before this returns or raises.  Otherwise both run
+    here, first then second, so the results are the same bytes: a BLAS
+    that splits each dot product over the CPUs itself is left to do so
+    alone, since a second caller only contends with it (OpenBLAS's default
+    of one thread per CPU makes part iv's heads slower split), and a BLAS
+    whose threads are unknown is treated as one that splits.  The error
+    raised is the one-thread order's: first's, else second's.  An
+    interrupt in this thread is raised as it comes, after the join; a
+    second thread ended by anything but an Exception is a RuntimeError.
+    """
+    threads = _blas_threads()
+    if threads is None or _cpus() < 2 * threads:
+        return first(), second()
+    # second's (value, exception) stays this failure if its thread ends
+    # without one, so its result is never read unset
+    results = [(None, RuntimeError(f"a part-iv {what} thread ended early"))]
+
+    def run() -> None:
+        try:
+            results[0] = (second(), None)
+        except Exception as exc:
+            results[0] = (None, exc)
+
+    worker = threading.Thread(target=run, name=f"part-iv {what}s")
+    worker.start()
+    try:
+        value = first()
+    finally:
+        worker.join()
+    other, exc = results[0]
+    if exc is not None:
+        raise exc
+    return value, other
+
+
 # --------------------------------------------------------------- part iii
 
 
@@ -335,10 +394,15 @@ def _composition_table(h: int, l: int, length: int) -> np.ndarray:
 
     Entries below l are exact zeros.  Tables with (length + 1)^2 <= 4e7 are
     built by direct convolution, exact up to double-precision summation.
-    Longer ones are built by FFT, which is not exact: its roundoff is
+    Longer ones (length >= 6324) are built by FFT from half-size transform
+    pairs: prev[1:] and w[1:] are cut in halves (see ``_halves``; 2^19
+    points at length 2^19), and two rffts of prev's halves and two irffts
+    give the table (see ``_truncated_product``); w's half spectra are
+    cached per (h, length).  FFT is not exact: its roundoff is
     absolute, a few ulps of the table's largest entry, so the smallest
     entries (near index l) carry the largest relative error, below 1e-12
-    for h <= 3 at length 8192.
+    for h <= 3 at length 8192 and below 4e-12 up to length 2^17 + 1 (S_6(6)
+    of h = 3 is off by 1.8e-12 there, as with one full-size transform).
     """
     if l == 1:
         out = _weight_array(h, length)
@@ -348,40 +412,63 @@ def _composition_table(h: int, l: int, length: int) -> np.ndarray:
             out = np.convolve(prev, _composition_table(h, 1, length))[: length + 1]
         else:
             # index 0 of both factors is zero, so convolve from index 1 on
-            # (half the transform size) against the cached spectrum of w[1:]
             # and shift the result by two; at l = 2 prev[1:] is w[1:] too,
-            # so its spectrum is squared
-            out = np.zeros(length + 1)
+            # so its half spectra are copies of the cached ones
+            k, n = _halves(length)
             fw = _weight_spectrum(h, length)
             if l == 2:
-                out[2:] = np.fft.irfft(fw * fw, 2 * (fw.size - 1))[: length - 1]
+                fa = tuple(x.copy() for x in fw)
             else:
-                out[2:] = _fft_convolve_trunc(prev[1:], fw, length - 1)
+                fa = _half_spectra(prev[1:], k, n)
+            out = np.zeros(length + 1)
+            out[2:] = _truncated_product(fa, fw, k, length - 1)
         out[:l] = 0.0
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=8)
-def _weight_spectrum(h: int, length: int) -> np.ndarray:
-    """rfft of w[1:], shared by every order of the (h, length) tables."""
-    n = _fft_size(2 * length - 1)
-    return np.fft.rfft(_composition_table(h, 1, length)[1:], n)
+def _weight_spectrum(h: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half spectra of w[1:] (see ``_half_spectra``), shared by every
+    order of the (h, length) tables; read-only."""
+    spectra = _half_spectra(_composition_table(h, 1, length)[1:], *_halves(length))
+    for x in spectra:
+        x.flags.writeable = False
+    return spectra
 
 
-def _fft_size(n_linear: int) -> int:
-    n = 1
-    while n < n_linear:
-        n <<= 1
-    return n
+def _halves(length: int) -> tuple[int, int]:
+    """The cut k = ceil(length / 2) of a length-entry factor, and the
+    transform size n, the power of two that holds the 2k - 1 entries of
+    the linear convolution of two k-entry halves."""
+    k = (length + 1) // 2
+    return k, 1 << (2 * k - 2).bit_length()
 
 
-def _fft_convolve_trunc(a: np.ndarray, fb: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out entries of the linear convolution of a with the sequence
-    whose rfft is fb, at fb's transform size (which must hold the whole
-    linear convolution)."""
-    n = 2 * (fb.size - 1)
-    return np.fft.irfft(np.fft.rfft(a, n) * fb, n)[:n_out]
+def _half_spectra(a: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rffts at n points of a[:k] and a[k:], on two threads where
+    ``_both`` allows."""
+    return _both(lambda: np.fft.rfft(a[:k], n), lambda: np.fft.rfft(a[k:], n), "transform")
+
+
+def _truncated_product(fa: tuple, fb: tuple, k: int, n_out: int) -> np.ndarray:
+    """The first n_out entries of the linear convolution of a and b, from
+    the half spectra fa of a and fb of b, both cut at k (see
+    ``_half_spectra``; fa's arrays are overwritten).
+
+    With a = a0 + a1 and b = b0 + b1 cut at k, the convolution is a0*b0,
+    plus a0*b1 + a1*b0 shifted by k, plus a1*b1 shifted by 2k; so for
+    n_out <= 2k the first two inverse transforms suffice, and they run on
+    two threads where ``_both`` allows.
+    """
+    (a0, a1), (b0, b1) = fa, fb
+    n = 2 * (b0.size - 1)
+    a1 *= b0
+    a1 += a0 * b1
+    a0 *= b0
+    low, cross = _both(lambda: np.fft.irfft(a0, n), lambda: np.fft.irfft(a1, n), "transform")
+    low[k:n_out] += cross[: n_out - k]
+    return low[:n_out]
 
 
 def composition_curve(l: int, h: int, m_max: int) -> RatioCurve:
@@ -431,37 +518,16 @@ def _envelope(h: int, l: int, length: int) -> float:
     return lo
 
 
-@lru_cache(maxsize=1)
-def _blas_threads() -> int | None:
-    """The threads numpy's own OpenBLAS (the ILP64 scipy-openblas build of
-    numpy's wheels) splits one long dot product across, as it reports them
-    when first asked; None for any other BLAS, whose threads are unknown."""
-    core = getattr(np, "_core", None) or np.core
-    try:
-        lib = ctypes.CDLL(core._multiarray_umath.__file__)
-        fn = lib.scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    fn.restype = ctypes.c_int
-    return max(1, fn())
-
-
 def _heads(tab_s: np.ndarray, tab_r: np.ndarray, ms: tuple[int, ...], length: int) -> np.ndarray:
     """The head np.dot(tab_s[1 + M : length + 1], tab_r[1 : length - M + 1])
     of each point M of `ms`, in order.
 
-    With 2 points or more, and at least 2 CPUs per thread of numpy's
-    OpenBLAS, a second thread takes every other point while this one takes
-    the rest (np.dot releases the GIL), and it is joined before this
-    returns or raises.  Otherwise the heads run one at a time: a BLAS that
-    splits each dot product over the CPUs itself is left to do so alone,
-    since a second caller only contends with it (OpenBLAS's default of one
-    thread per CPU makes part iv slower split), and a BLAS whose threads
-    are unknown is treated as one that splits.  Each head is the same np.dot
-    over the same slices on either path, so the values are the same bytes,
-    and an error is the first failing point's, the one the one-thread loop
-    raises; an interrupt in this thread is raised as it comes, after the
-    join.
+    With 2 points or more, every other point is one share and the rest the
+    other, and ``_both`` runs the two shares (on two threads where it
+    allows; np.dot releases the GIL).  Each head is the same np.dot over
+    the same slices on either path, so the values are the same bytes, and
+    an error is the first failing point's, the one a loop over the points
+    in order raises.
     """
     out = np.empty(len(ms))
 
@@ -476,23 +542,10 @@ def _heads(tab_s: np.ndarray, tab_r: np.ndarray, ms: tuple[int, ...], length: in
                 return i, exc
         return None
 
-    threads = _blas_threads()
-    if len(ms) < 2 or threads is None or _cpus() < 2 * threads:
+    if len(ms) < 2:
         failures = [share(0, 1)]
     else:
-        # the second share's result stays this failure if its thread ends
-        # without one, so its points are never read unset
-        failures = [None, (len(ms), RuntimeError("a part-iv head thread ended early"))]
-
-        def other() -> None:
-            failures[1] = share(1, 2)
-
-        worker = threading.Thread(target=other, name="part-iv heads")
-        worker.start()
-        try:
-            failures[0] = share(0, 2)
-        finally:
-            worker.join()
+        failures = _both(lambda: share(0, 2), lambda: share(1, 2), "head")
     failed = [f for f in failures if f is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
@@ -514,7 +567,7 @@ def _signed_group(s: int, t: int, h: int, ms: tuple[int, ...], tail_eps: float, 
     once.  The bracket beyond the table starts at u = length + 1/2 and
     needs u >= 4M and a convergent sum; ``signed_composition_curve`` checks
     both before any group is evaluated.  The heads run two points at a time
-    on two threads where the CPUs allow (see ``_heads``), with the same
+    on two threads where the CPUs allow (see ``_heads`` and ``_both``), with the same
     bytes as one at a time.  Nothing is judged here: every
     point's (value, certificate) is returned, certified or not, so a
     failing group is evaluated once too.  Each point's value does not
@@ -568,11 +621,12 @@ def signed_composition_curve(
     interior points are evaluated per sign group (see ``_signed_group``):
     tables, envelopes and limit constants are looked up once, all tails
     of the group are bracketed in one batched call, and with at least 2
-    CPUs per thread of numpy's OpenBLAS its heads are split across two
-    threads (see ``_heads``), which leaves every value, certificate and
-    error as it is on one thread (no thread outlives the call).  With
-    OpenBLAS's default of one thread per CPU they stay on one thread.  The
-    BLAS's own thread count is another
+    CPUs per thread of numpy's OpenBLAS its heads, and the transform pairs
+    that build its long tables, are split across two threads (see
+    ``_both``), which leaves every table, value, certificate and error as
+    it is on one thread (no thread outlives the call).  With OpenBLAS's
+    default of one thread per CPU they stay on one thread.  The BLAS's own
+    thread count is another
     matter: OpenBLAS splits each long dot product over its threads, so the
     interior values can differ in the last bits between, say,
     OPENBLAS_NUM_THREADS=1 and 2.  Each folded group (M < 0, M = 0 and
@@ -581,8 +635,10 @@ def signed_composition_curve(
     positive points from the negative group of (s, t) and the reverse.  The
     groups are read in grid order and each point is judged once, as it is
     read: the first point whose certificate exceeds `tail_eps` raises
-    TailBoundError, and no later group is evaluated.  The l = 2 table squares
-    the cached weight spectrum instead of transforming w again.  Grid points
+    TailBoundError, and no later group is evaluated.  The long tables
+    (length 2^19 by default) are built from half-size transform pairs, and
+    the l = 2 table multiplies the cached half spectra of w instead of
+    transforming w again (see ``_composition_table``).  Grid points
     where the lhs vanishes (only the degenerate |M| < t delegation points)
     are dropped.
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -104,19 +107,26 @@ def test_lemma568_json_pinned(h, digest, tmp_path, capsys):
     "flags, name, digest",
     [
         (["iv", "--h", "2", "--s", "1", "--t", "3", "--mmax", "2000"], "ratio_iv.csv",
-         "e52053d77958c74df48309027715ab9df9ea29306621a73e8f9d4874ef187118"),
+         "9eeba2edc81150b22529082678092d09b930d69bd54ace7e35327b1c76037c6c"),
         (["ii", "--alpha", "0.6", "--beta", "0.7", "--mmax", "500"], "ratio_ii.csv",
          "c806a35d5ceda307534b83cf437c6377879d373c3ee5b6a328b7b70490682d40"),
         (["iv", "--h", "3", "--s", "2", "--t", "4", "--mmax", "2000"], "ratio_iv.csv",
-         "6b179a9990d4f6c6c9f2ce240f9412bd755d9effc30d58ffb8ad787fffca3f75"),
+         "42eade4a6e617a11be8c2de6b282948d06c28d1aa143323570d31c60d61c307f"),
         (["iv", "--h", "2", "--s", "1", "--t", "2", "--mmax", "2000"], "ratio_iv.csv",
          "e6ada2cb5da3081a1a0cd71e3155a33fa8619fa32e85663d91be3ba4370ba52a"),
     ],
 )
 def test_lemma4_csv_pinned(flags, name, digest, tmp_path):
     # the bytes of the ratio CSV, as written when part ii and part iv
-    # evaluated their tails one grid point at a time
-    assert main(["lemma4", "--part", *flags, "--out", str(tmp_path)]) == 0
+    # evaluated their tails one grid point at a time (the interior part-iv
+    # cases since their long tables are built from half-size transforms).
+    # The interior heads are 2^19-entry dot products whose last bits follow
+    # OpenBLAS's thread count, so every case runs in a child with one BLAS
+    # thread; the bytes then hold on any number of CPUs
+    src = os.path.dirname(os.path.dirname(ratio_bounds.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    argv = [sys.executable, "-m", "bhbasis.cli", "lemma4", "--part", *flags, "--out", str(tmp_path)]
+    subprocess.run(argv, env=env, capture_output=True, check=True)
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 

@@ -20,9 +20,11 @@ from bhbasis.ratio_bounds import (
 from bhbasis.ratio_bounds import (
     _SERIES_TERMS,
     _composition_table,
-    _fft_convolve_trunc,
+    _half_spectra,
+    _halves,
     _limit_constant,
     _series_integrals,
+    _truncated_product,
     _weight_array,
     composition_rhs_exponent,
 )
@@ -168,10 +170,12 @@ def test_composition_domain():
 
 def test_fft_convolution_matches_direct():
     rng = np.random.default_rng(0)
-    a, b = rng.random(3000), rng.random(3000)
-    direct = np.convolve(a, b)[:3000]
-    fft = _fft_convolve_trunc(a, np.fft.rfft(b, 8192), 3000)
-    assert np.max(np.abs(direct - fft)) < 1e-9
+    for size in (3000, 3001):
+        a, b = rng.random(size), rng.random(size)
+        direct = np.convolve(a, b)[:size]
+        k, n = _halves(size)
+        fft = _truncated_product(_half_spectra(a, k, n), _half_spectra(b, k, n), k, size)
+        assert np.max(np.abs(direct - fft)) < 1e-9, size
 
 
 def test_fft_tables_match_iterated_convolution():
@@ -775,3 +779,115 @@ def test_fft_heads_match_convolved_tables(h):
                 ss = s if m >= 0 else t - s
                 want = _convolved_point(tables, h, ss, t, abs(m), _FFT_LENGTH)
                 assert abs(lhs - want) <= 1e-12 * want, (h, s, t, m, lhs, want)
+
+
+# The long composition tables: prev[1:] and w[1:] are cut at
+# k = ceil(length / 2), and each table is built from two pairs of half-size
+# transforms, on two threads with at least 2 CPUs per BLAS thread.  At the
+# lengths below k is not half the transform size.
+
+_SPLIT_LENGTHS = [6324, 6325, 10_000, (1 << 17) + 1]
+
+
+def _clear_table_caches() -> None:
+    ratio_bounds._composition_table.cache_clear()
+    ratio_bounds._weight_spectrum.cache_clear()
+
+
+def _truncated_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first a.size entries of np.convolve(a, b), one np.convolve per
+    eighth of a (half the work of the whole convolution)."""
+    out = np.zeros(a.size)
+    step = -(-a.size // 8)
+    for i in range(0, a.size, step):
+        out[i:] += np.convolve(a[i : i + step], b[: a.size - i])[: a.size - i]
+    return out
+
+
+@pytest.mark.parametrize("length", _SPLIT_LENGTHS)
+def test_split_tables_match_iterated_convolution(length):
+    # the smallest entries carry the largest relative error: S_6(6) = 1 of
+    # h = 3 at length 2^17 + 1 is off by 1.8e-12, as with the full-size
+    # transform before the split, because FFT roundoff is a few ulps of the
+    # table's largest entry (2.7e4 there)
+    assert (length + 1) ** 2 > 40_000_000
+    k, n = _halves(length)
+    assert k == -(-length // 2) and k != n // 2
+    for h in (2, 3):
+        w = _weight_array(h, length)
+        direct = w.copy()
+        for l in range(2, 2 * h + 1):
+            direct = _truncated_convolve(direct, w)
+            table = _composition_table(h, l, length)
+            assert np.all(table[:l] == 0.0), (h, l)
+            rel = np.abs(table[l:] - direct[l:]) / direct[l:]
+            assert rel.max() < 4e-12, (length, h, l, rel.max())
+
+
+def _tables(length: int) -> dict:
+    """Every table of order 2 .. 2h for h = 2 and 3 from cold caches,
+    checking that each build leaves as many threads alive as it found."""
+    _clear_table_caches()
+    tables = {}
+    for h in (2, 3):
+        for l in range(2, 2 * h + 1):
+            before = threading.active_count()
+            tables[h, l] = _composition_table(h, l, length).tobytes()
+            assert threading.active_count() == before, (h, l)
+    return tables
+
+
+def test_split_table_bytes_do_not_depend_on_cpus(monkeypatch):
+    started = _started_threads(monkeypatch)
+    for length in (10_000, ratio_bounds._LONG_TABLE):
+        tables = {}
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            started.clear()
+            tables[cpus] = _tables(length)
+            # per h a pair of rffts for w; per table a pair of irffts, and
+            # a pair of rffts at l >= 3 (l = 2 copies w's): 2 + 8 + 6
+            assert started == ["part-iv transforms"] * (16 if cpus == 2 else 0)
+        assert tables[1] == tables[2], length
+
+
+@pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2)])
+def test_split_tables_start_no_thread_without_2_cpus_per_blas_thread(monkeypatch, cpus, blas_threads):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    _set_cpus(monkeypatch, cpus, blas_threads)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert len(_tables(10_000)) == 8
+
+
+@pytest.mark.parametrize("failing", [("second",), ("first", "second")])
+def test_split_table_transform_error_is_the_one_thread_error(monkeypatch, failing):
+    # np.fft.irfft raises for the inverse transforms of a pair named in
+    # `failing`: the second runs on its own thread at 2 CPUs and after the
+    # first here at 1 CPU, where a failing first ends the pair
+    irfft = np.fft.irfft
+    errors = {}
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        calls = []
+
+        def raising_irfft(a, n):
+            calls.append(None)
+            second = threading.current_thread().name == "part-iv transforms" if cpus == 2 else len(calls) == 2
+            role = "second" if second else "first"
+            if role in failing:
+                raise FloatingPointError(f"no {role} inverse transform")
+            return irfft(a, n)
+
+        monkeypatch.setattr(np.fft, "irfft", raising_irfft)
+        _clear_table_caches()
+        before = threading.active_count()
+        with pytest.raises(Exception) as exc:
+            _composition_table(2, 2, 10_000)
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name == "part-iv transforms"]
+        errors[cpus] = (exc.type, str(exc.value))
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    _clear_table_caches()
+    assert errors[1] == errors[2] == (FloatingPointError, f"no {failing[0]} inverse transform")
