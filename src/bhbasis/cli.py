@@ -343,7 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--mmax", type=int, default=10_000)
-    p.add_argument("--tail-eps", type=float, default=None)
+    p.add_argument(
+        "--tail-eps",
+        type=float,
+        default=None,
+        help="certified bound on each truncated tail (default 1e-6 for part ii and part iv's t = 2, "
+        "else 0.05); part iv's interior h = 3, t = 5 curves certify to about 0.08-0.1 only and need 0.15, "
+        "as criterion 5 uses",
+    )
     p.add_argument("--grid", choices=("full", "geometric"), help="M grid of parts ii, iv (default geometric)")
     p.add_argument("--out", type=str)
     p.set_defaults(func=cmd_lemma4, usage_error=p.error)

@@ -357,7 +357,14 @@ def construct_a(b, h: int) -> tuple[int, ...]:
         raise OverflowError(f"sort keys of {m} {h}-multisets up to {vals[-1]} may leave int64")
     # non-decreasing indices into the descending values, in lexicographic order
     rows = vals[::-1][_combination_rows(len(vals) + h - 1, h) - np.arange(h)]
-    key = np.sort(rows.sum(axis=1) * m + np.arange(m))
+    # key = sum·m + rank, from h column adds in place (numpy's axis-1
+    # reduction over rows of h entries is slower)
+    key = rows[:, 0].copy()
+    for j in range(1, h):
+        key += rows[:, j]
+    key *= m
+    key += np.arange(m)
+    key.sort()
     sums, rank = np.divmod(key, m)
     pair = np.flatnonzero(sums[1:] == sums[:-1])
     left, right = rows[rank[pair]], rows[rank[pair + 1]]

@@ -364,9 +364,12 @@ def weighted_max_count(values, f, h: int) -> int:
     """Largest number of ordered distinct-element solutions of
     f_1 x_1 + ... + f_t x_t = m over all targets m."""
     f = _col.validate_one_sided(f, h)
-    vals = list(values)
+    vals = validate_elements(values).tolist()
     if len(vals) < len(f):
         return 0
+    if len(f) == 1:
+        # m = w·x has the one solution x = m / w: no table is needed
+        return 1
     max_m = sum(f) * max(vals)
     table = repr_weighted(vals, f, max_m)
     return int(table.counts.max())

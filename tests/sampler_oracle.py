@@ -6,7 +6,7 @@ uniforms and evaluates the power threshold of every index.  `sample_set`
 must keep exactly the same elements: it tests only candidates against the
 threshold, and its candidate filter may not lose an index this sampler
 keeps.  `stream_uniform` computes one uniform in Python integers, the
-reference for `sampling._stream_uniform_block`.
+reference for `sampling._premix` and `sampling._uniform_bits`.
 """
 
 import numpy as np

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -164,6 +165,17 @@ def test_lemma4_part_iv(capsys):
     rc = main(["lemma4", "--part", "iv", "--h", "2", "--s", "1", "--t", "2", "--mmax", "500"])
     assert rc == 0
     assert "sup_ratio=" in capsys.readouterr().out
+
+
+def test_lemma4_part_iv_h3_t5_needs_criterion_5s_tail_eps(capsys):
+    # the mirrored group (s = 4, t = 5) certifies its tails to about 0.08: the
+    # default --tail-eps 0.05 refuses the curve, criterion 5's 0.15 accepts it
+    argv = ["lemma4", "--part", "iv", "--h", "3", "--s", "1", "--t", "5", "--mmax", "1000"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert len(re.findall(r"^FAIL tail_certificate \(", out, flags=re.M)) == 1
+    assert main([*argv, "--tail-eps", "0.15"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_lemma4_part_ii_certifies_beyond_coefficient_overflow(capsys):

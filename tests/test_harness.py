@@ -89,6 +89,22 @@ def test_weighted_max_and_totals_vs_oracle():
         assert solution_total(d, spec2, 3) == oracle_two_sided_total(d, (1, 1), (1, 1))
 
 
+def test_weighted_max_of_one_weight_builds_no_table(monkeypatch):
+    # m = w·x has one solution per element, so the maximum is 1, or 0 on an
+    # empty set, and no weighted table is built for it
+    def no_table(*args):
+        raise AssertionError("a one-weight maximum built a table")
+
+    monkeypatch.setattr(harness_mod, "repr_weighted", no_table)
+    for d in ([], [5], [1, 2, 3, 40], [3, 3, 7]):
+        for f in ((1,), (2,), (4,)):
+            assert weighted_max_count(d, f, 2) == oracle_weighted_max(sorted(set(d)), f)
+    with pytest.raises(ValueError, match="positive"):
+        weighted_max_count([0, 1, 2], (1,), 2)
+    with pytest.raises(ValueError, match="exceeds 2h"):
+        weighted_max_count([1, 2], (5,), 2)
+
+
 def test_solution_total_validates_values():
     # a repeated value is one element of the set, and 0 is refused as
     # weighted_max_count refuses it

@@ -715,8 +715,9 @@ def test_heads_split_second_thread_ending_early_is_an_error(monkeypatch):
 
 
 def test_blas_threads_is_what_openblas_reads():
-    # numpy's OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS; the
-    # probe knows the ILP64 scipy-openblas build of numpy's wheels only
+    # numpy's OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS,
+    # capped at the CPUs the process may use; the probe knows the ILP64
+    # scipy-openblas build of numpy's wheels only
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get("openblas configuration", ""):
         pytest.skip("numpy's BLAS is not the ILP64 scipy-openblas build")
@@ -725,7 +726,7 @@ def test_blas_threads_is_what_openblas_reads():
     for threads in (1, 2):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == str(threads)
+        assert out.stdout.strip() == str(min(threads, len(os.sched_getaffinity(0))))
 
 
 # An independent check of the interior heads on FFT-built tables: at length

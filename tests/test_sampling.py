@@ -12,7 +12,7 @@ from bhbasis.sampling import (
     sample_set,
 )
 from bhbasis import sampling
-from bhbasis.sampling import _CHUNK, _stream_uniform_block
+from bhbasis.sampling import _CHUNK, _candidate_bound, _candidates, _premix, _uniform_bits, mix64
 from tests import sampler_oracle
 from tests.sampler_oracle import stream_uniform
 
@@ -64,24 +64,66 @@ def test_one_always_included():
         assert s.elements[0] == 1
 
 
+# (seed, indices) of the scalar reference checks
+_STREAM_CASES = [
+    (123456, [1, 2, 17, 999, 10_000]),
+    (7, [_CHUNK, 2**40 + 1, 3]),
+    (2**64 - 1, [2**63 + 5]),
+]
+
+
 def test_determinism_and_scalar_reference():
     params = ModelParams(2, 10_000, 123456)
     s1 = sample_set(params)
     s2 = sample_set(params)
     assert s1.elements == s2.elements
-    # vectorized stream agrees with the pure-int reference implementation,
-    # also when its buffers are reused for further, shorter index arrays
-    out, tmp = np.empty(5, dtype=np.uint64), np.empty(5, dtype=np.uint64)
-    cases = [
-        (params.seed, [1, 2, 17, 999, 10_000]),
-        (7, [_CHUNK, 2**40 + 1, 3]),
-        (2**64 - 1, [2**63 + 5]),
-    ]
-    for seed, idx in cases:
-        m = len(idx)
-        k = _stream_uniform_block(seed, np.array(idx, dtype=np.uint64), out[:m], tmp[:m])
-        for i, n in enumerate(idx):
-            assert float(k[i]) * 2.0**-53 == stream_uniform(seed, n)
+    # the vectorized stream agrees with the pure-int reference implementation,
+    # one index at a time and over a block, also when its buffers are reused
+    # for further, shorter blocks
+    z, tmp = np.empty(_CHUNK, dtype=np.uint64), np.empty(_CHUNK, dtype=np.uint64)
+    for seed, idx in _STREAM_CASES:
+        for n in idx:
+            k = _uniform_bits(_premix(seed, n, z[:1], tmp[:1]))
+            assert float(k[0]) * 2.0**-53 == stream_uniform(seed, n)
+        lo = min(idx)
+        for m in (_CHUNK, 5):
+            k = _uniform_bits(_premix(seed, lo, z[:m], tmp[:m]))
+            for j in (0, 1, m - 1):
+                assert float(k[j]) * 2.0**-53 == stream_uniform(seed, lo + j), (seed, lo, m, j)
+
+
+def test_premixed_state_keeps_the_top_31_bits():
+    # mix64's last round x = z ^ (z >> 31) leaves bits 33-63 unchanged, so the
+    # filter may read mix64(state) >> 33 off the premixed z
+    z, tmp = np.empty(1, dtype=np.uint64), np.empty(1, dtype=np.uint64)
+    for seed, idx in _STREAM_CASES:
+        for n in idx:
+            state = (mix64(seed) + n * sampler_oracle._GOLDEN) % 2**64
+            assert mix64(state) >> 33 == int(_premix(seed, n, z, tmp)[0]) >> 33
+
+
+def test_candidate_filter_boundary():
+    # a z whose top 31 bits equal W >> 22 may still carry a uniform below its
+    # threshold, so it must stay a candidate; the next z above the bound may not
+    expo = np.float64(ModelParams(2, 10, 0).inclusion_exponent)
+    for lo in (3 * _CHUNK + 1, 10**9 + 1):
+        widest = math.ceil(float(np.float64(lo) ** expo) * sampling._MARGIN * 2.0**53)
+        top = widest >> 22
+        bound = _candidate_bound(lo, expo)
+        assert bound >> 33 == top and bound + 1 == (top + 1) << 33
+        z = np.array([top << 33, bound, bound + 1, (top - 1) << 33, 2**64 - 1], dtype=np.uint64)
+        assert _candidates(z, lo, expo, np.empty(z.size, dtype=bool)).tolist() == [0, 1, 3]
+    # in the first block each dyadic run has its own bound: offsets 2^j - 1
+    # and 2^(j+1) - 2 are the ends of the run [2^j, 2^(j+1))
+    for j in (3, 9, 15):
+        run = (1 << j) - 1, (1 << (j + 1)) - 2 if j < 15 else _CHUNK - 1
+        bound = _candidate_bound(1 << j, expo)
+        z = np.full(_CHUNK, 2**64 - 1, dtype=np.uint64)
+        z[list(run)] = bound
+        z[run[0] + 1] = bound + 1
+        assert _candidates(z, 1, expo, np.empty(_CHUNK, dtype=bool)).tolist() == [0, *run]
+    # the run [1, 2) has threshold 1 and takes every z
+    assert _candidate_bound(1, expo) == 2**64 - 1
 
 
 def test_sample_set_matches_full_chunk_oracle():
